@@ -16,11 +16,8 @@ import random
 import sys
 import time
 
-sys.path.insert(0, "tests")
-from conftest import random_algebraic_data  # noqa: E402
-
-from unicount.engine import EngineContext, census, census_at  # noqa: E402
-from unicount.oracle import verify_census  # noqa: E402
+from unicount.engine import EngineContext, census, census_at
+from unicount.oracle import random_algebraic_data, verify_census
 
 
 def main() -> int:

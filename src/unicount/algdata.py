@@ -121,12 +121,6 @@ class AlgebraicData:
     def product(self, x: int, y: int) -> Targets:
         return self._pmap.get((x, y), ())
 
-    def factors_of(self, x: int, y: int, z: int) -> frozenset[int] | None:
-        for w, fs in self._pmap.get((x, y), ()):
-            if w == z:
-                return fs
-        return None
-
     @property
     def nz_params(self) -> frozenset[int]:
         return self._nz

@@ -31,12 +31,8 @@ class RunConfig:
     n: int | None = None
     poset_file: str | None = None
     fmt: str = "json"
-    verify: bool = False
     oracle_qs: tuple[int, ...] = (2, 3)
     max_nodes: int = 500_000_000
-    max_depth: int = 50_000
-    threads: int = 1
-    seed: int = 0
     debug_counts: bool = False
     cache_dir: Path = field(default_factory=lambda: _default_cache_dir())
 
@@ -52,8 +48,7 @@ def _default_cache_dir() -> Path:
 
 
 def make_context(cfg: RunConfig) -> EngineContext:
-    return EngineContext(debug_counts=cfg.debug_counts, max_nodes=cfg.max_nodes,
-                         max_depth=cfg.max_depth)
+    return EngineContext(debug_counts=cfg.debug_counts, max_nodes=cfg.max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +102,14 @@ def _cache_path(cfg: RunConfig, n: int) -> Path:
     return cfg.cache_dir / f"table_n{n}.json"
 
 
-def table_from_json(obj: dict) -> ResolvedTable:
-    return ResolvedTable.from_json(obj)
-
-
 def load_or_compute(n: int, cfg: RunConfig, ctx: EngineContext | None = None) -> ResolvedTable:
+    """The cached table for n, or a fresh computation.
+
+    An audited run always computes, since a cached table skips the audit.
+    """
     path = _cache_path(cfg, n)
-    if path.exists():
-        return table_from_json(json.loads(path.read_text()))
+    if not cfg.debug_counts and path.exists():
+        return ResolvedTable.from_json(json.loads(path.read_text()))
     ctx = ctx or make_context(cfg)
     table = compute_table(n, ctx)
     if not table.unresolved:
@@ -244,29 +239,16 @@ def cmd_identities(cfg: RunConfig, max_n: int) -> int:
 
 def cmd_verify(cfg: RunConfig, max_n: int = 5) -> int:
     """Brute-force agreement: engine totals vs conjugacy-class counts."""
-    import concurrent.futures as cf
-
     ctx = make_context(cfg)
-    jobs = []
+    reports = []
     for n in range(2, max_n + 1):
         table = compute_table(n, ctx)
         for q0 in cfg.oracle_qs:
-            jobs.append((n, q0, table))
-
-    def run(job):
-        n, q0, table = job
-        alg = instantiate(encode_pattern(chain(n)), {}, q0)
-        expected = class_count(alg)
-        actual = sum(p.eval_at(q0) for p in table.entries.values())
-        return {"instance": f"U_{n}({q0})", "q": q0,
-                "expected": expected, "actual": actual,
-                "pass": expected == actual}
-
-    if cfg.threads > 1:
-        with cf.ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            reports = list(ex.map(run, jobs))
-    else:
-        reports = [run(j) for j in jobs]
+            expected = class_count(instantiate(encode_pattern(chain(n)), {}, q0))
+            actual = sum(p.eval_at(q0) for p in table.entries.values())
+            reports.append({"instance": f"U_{n}({q0})", "q": q0,
+                            "expected": expected, "actual": actual,
+                            "pass": expected == actual})
     reports.sort(key=lambda r: r["instance"])
     print(json.dumps(reports, indent=1))
     return 0 if all(r["pass"] for r in reports) else 2
@@ -287,10 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Character degree counts for U_n(q)")
     ap.add_argument("--cache-dir", default=None,
                     help="report cache (default $UNICOUNT_CACHE_DIR or ./.unicount-cache)")
-    ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-nodes", type=int, default=500_000_000)
-    ap.add_argument("--max-depth", type=int, default=50_000)
     ap.add_argument("--debug-counts", action="store_true",
                     help="audit every counted system against exhaustive enumeration")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -315,9 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the pattern recursion nests about two frames per poset element, so a
+    # --poset input of more than about 500 elements passes the default limit
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
     args = build_parser().parse_args(argv)
-    kwargs = dict(threads=args.threads, seed=args.seed, max_nodes=args.max_nodes,
-                  max_depth=args.max_depth, debug_counts=args.debug_counts)
+    kwargs = dict(max_nodes=args.max_nodes, debug_counts=args.debug_counts)
     if args.cache_dir:
         kwargs["cache_dir"] = Path(args.cache_dir)
     if args.command == "compute":

@@ -16,15 +16,12 @@ parameters, and finally gives up, emitting a family record.
 """
 from __future__ import annotations
 
-import sys
 from typing import Iterable, NamedTuple
 
 from .algdata import (AlgebraicData, Equation, NonZero, split_into_cases,
                       count_values_bruteforce)
 from .polyring import CountPoly, ParamPoly
 from . import solcount
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 
 class BadWitness(Exception):
@@ -75,44 +72,32 @@ def scale_census(c: Census, k: int, l: int, m: int) -> Census:
 
 
 def aggregate(parts: Iterable[Census]) -> Census:
-    acc: dict[tuple[int, int], int] = {}
-    unresolved: list[URecord] = []
-    families: list[Family] = []
-    for p in parts:
-        for key, c in p.resolved.terms.items():
-            nc = acc.get(key, 0) + c
-            if nc:
-                acc[key] = nc
-            elif key in acc:
-                del acc[key]
-        unresolved.extend(p.unresolved)
-        families.extend(p.families)
-    return Census(CountPoly(acc), tuple(unresolved), tuple(families))
+    parts = tuple(parts)
+    return Census(CountPoly.sum(p.resolved for p in parts),
+                  tuple(r for p in parts for r in p.unresolved),
+                  tuple(f for p in parts for f in p.families))
 
 
 # ---------------------------------------------------------------------------
 # context
 
+# field sizes at which the count audit re-checks each counted system
+AUDIT_QS = (2, 3, 4, 5)
+
+
 class EngineContext:
-    """Per-run state: memo tables, budgets, and optional count auditing.
+    """Per-run state: memo tables, the node budget, and optional count auditing."""
 
-    All cached values are immutable, so a context may be shared between
-    threads; cache writes are idempotent.
-    """
-
-    def __init__(self, debug_counts: bool = False, check_qs=(2, 3, 4, 5),
-                 max_nodes: int = 500_000_000, max_depth: int = 50_000,
+    def __init__(self, debug_counts: bool = False, max_nodes: int = 500_000_000,
                  validate: bool = False):
         self.memo_all: dict[AlgebraicData, Census] = {}
         self.memo_at: dict[tuple[AlgebraicData, int], Census] = {}
         self.memo_pattern: dict = {}
         self.memo_counts: dict = {}
         self.debug_counts = debug_counts
-        self.check_qs = check_qs
         self.count_violations: list = []
         self._checked = set()
         self.max_nodes = max_nodes
-        self.max_depth = max_depth
         self.validate = validate
         self.nodes = 0
         self.stats: dict[str, int] = {}
@@ -128,7 +113,7 @@ class EngineContext:
             self.memo_counts[key] = res
         if self.debug_counts and res.counted and len(key[0]) <= 8 and key not in self._checked:
             self._checked.add(key)
-            for q0 in self.check_qs:
+            for q0 in AUDIT_QS:
                 brute = count_values_bruteforce(params, restrictions, q0)
                 got = res.poly.eval_at(q0)
                 if got != brute:
@@ -193,7 +178,7 @@ def _reduce(data: AlgebraicData):
 # ---------------------------------------------------------------------------
 # the two mutually recursive walks
 
-def census(data: AlgebraicData, ctx: EngineContext, depth: int = 0) -> Census:
+def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     """A correct breakdown of all irreducible characters encoded by data."""
     k, l, reduced = _reduce(data)
     if reduced is None:
@@ -201,12 +186,12 @@ def census(data: AlgebraicData, ctx: EngineContext, depth: int = 0) -> Census:
     c = canonicalize(reduced)
     hit = ctx.memo_all.get(c)
     if hit is None:
-        hit = _census_core(c, ctx, depth)
+        hit = _census_core(c, ctx)
         ctx.memo_all[c] = hit
     return scale_census(hit, k, l, 0)
 
 
-def _census_core(data: AlgebraicData, ctx: EngineContext, depth: int) -> Census:
+def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
     ctx.nodes += 1
     if ctx.validate:
         data.validate()
@@ -220,12 +205,12 @@ def _census_core(data: AlgebraicData, ctx: EngineContext, depth: int) -> Census:
         return Census(CountPoly.zero(),
                       (URecord(data.params, data.restrictions, 0, len(data.basis), 0),),
                       ())
-    if ctx.nodes > ctx.max_nodes or depth > ctx.max_depth:
+    if ctx.nodes > ctx.max_nodes:
         ctx.bump("budget_families")
         return Census(CountPoly.zero(), (), (Family("all", data, None, 0, 0, 0),))
     z = _choose_z(data)
-    trivial_on_z = census(data.remove_basis(z), ctx, depth + 1)
-    nontrivial = census_at(data, z, ctx, depth + 1)
+    trivial_on_z = census(data.remove_basis(z), ctx)
+    nontrivial = census_at(data, z, ctx)
     return aggregate((trivial_on_z, nontrivial))
 
 
@@ -238,7 +223,7 @@ def _choose_z(data: AlgebraicData) -> int:
     return (hit_cands or cands)[-1]
 
 
-def census_at(data: AlgebraicData, z: int, ctx: EngineContext, depth: int = 0) -> Census:
+def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     """A correct breakdown of the characters nontrivial on 1 + <z>."""
     k, l, reduced = _reduce(data)
     if reduced is None:
@@ -248,12 +233,12 @@ def census_at(data: AlgebraicData, z: int, ctx: EngineContext, depth: int = 0) -
     key = (c, z_c)
     hit = ctx.memo_at.get(key)
     if hit is None:
-        hit = _census_at_core(c, z_c, ctx, depth)
+        hit = _census_at_core(c, z_c, ctx)
         ctx.memo_at[key] = hit
     return scale_census(hit, k, l, 0)
 
 
-def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext, depth: int) -> Census:
+def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     ctx.nodes += 1
     if ctx.validate:
         data.validate()
@@ -262,25 +247,23 @@ def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext, depth: int)
     # direct sum peel: nothing multiplies into z, so <z> splits off and
     # contributes the q-1 nontrivial characters of 1 + <z>
     if not data.products_into(z):
-        part = census(data.remove_basis(z), ctx, depth + 1)
+        part = census(data.remove_basis(z), ctx)
         return scale_census(part, 1, 0, 0)
 
-    if ctx.nodes > ctx.max_nodes or depth > ctx.max_depth:
+    if ctx.nodes > ctx.max_nodes:
         ctx.bump("budget_families")
         return Census(CountPoly.zero(), (), (Family("at_z", data, z, 0, 0, 0),))
 
     y = _good_pair_witness(data, z)
     if y is not None:
         contracted = contract_type_b(data, z, y)
-        parts = [census_at(case, z, ctx, depth + 1)
-                 for case in split_into_cases(contracted)]
+        parts = [census_at(case, z, ctx) for case in split_into_cases(contracted)]
         return scale_census(aggregate(parts), 0, 0, 1)
 
     pick = _fold_witness(data, z)
     if pick is not None:
         contracted = contract_type_a(data, z, pick)
-        parts = [census_at(case, z, ctx, depth + 1)
-                 for case in split_into_cases(contracted)]
+        parts = [census_at(case, z, ctx) for case in split_into_cases(contracted)]
         return aggregate(parts)
 
     ctx.bump("giveup_families")
@@ -570,10 +553,7 @@ class ResolvedTable:
         self.unresolved = tuple(unresolved)
 
     def full_poly(self) -> CountPoly:
-        acc = CountPoly.zero()
-        for e, p in self.entries.items():
-            acc = acc + p.scale(0, 0, e)
-        return acc
+        return CountPoly.sum(p.scale(0, 0, e) for e, p in self.entries.items())
 
     def to_json(self) -> dict:
         out = {"n": self.n,
@@ -596,7 +576,12 @@ class ResolvedTable:
             z = int(fj["z"][1:])
             fam = Family("at_z", data, z, fj["k"], fj["l"], fj["m"])
             exceptional.append((fam, CountPoly.from_json(fj["count"])))
-        return ResolvedTable(obj["n"], entries, exceptional)
+        unresolved = []
+        for uj in obj.get("unresolved_counts", ()):
+            system = AlgebraicData.from_json(uj["system"])
+            unresolved.append(URecord(system.params, system.restrictions,
+                                      uj["u"], uj["v"], uj["e"]))
+        return ResolvedTable(obj["n"], entries, exceptional, unresolved)
 
 
 def _is_small_core(data: AlgebraicData, z: int) -> bool:

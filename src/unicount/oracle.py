@@ -9,12 +9,14 @@ of the engine under test is reused.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
-from .algdata import (AlgebraicData, ConcreteAlgebra, TooLarge,
+from .algdata import (AlgebraicData, ConcreteAlgebra, NonZero, TooLarge,
                       enumerate_substitutions, instantiate)
 from .engine import Census
+from .polyring import ParamPoly
 
 
 class NotCentralIdeal(Exception):
@@ -214,6 +216,59 @@ def verify_census(data: AlgebraicData, c: Census, q0: int, z: int | None = None,
         "weight_actual": actual_weight,
         "pass": expected_count == actual_count and expected_weight == actual_weight,
     }
+
+
+# ---------------------------------------------------------------------------
+# random inputs for differential checks
+
+def symbolically_associative(data: AlgebraicData) -> bool:
+    """(ab)c = a(bc) as an identity of the structure-constant polynomials."""
+    def mono(fs):
+        return ParamPoly.monomial(fs)
+
+    for a in data.basis:
+        for b in data.basis:
+            prod_ab = data.product(a, b)
+            for c in data.basis:
+                lhs: dict[int, ParamPoly] = {}
+                for w, f1 in prod_ab:
+                    for v, f2 in data.product(w, c):
+                        lhs[v] = lhs.get(v, ParamPoly.zero()) + mono(f1) * mono(f2)
+                rhs: dict[int, ParamPoly] = {}
+                for w, f1 in data.product(b, c):
+                    for v, f2 in data.product(a, w):
+                        rhs[v] = rhs.get(v, ParamPoly.zero()) + mono(f1) * mono(f2)
+                for v in set(lhs) | set(rhs):
+                    if lhs.get(v, ParamPoly.zero()) != rhs.get(v, ParamPoly.zero()):
+                        return False
+    return True
+
+
+def random_algebraic_data(rng: random.Random, max_dim: int = 5,
+                          max_params: int = 2) -> AlgebraicData:
+    """A random valid family: nilpotent basis order, all parameters nonzero.
+
+    Rejection-sampled until the structure constants are associative for
+    every substitution (checked symbolically).
+    """
+    while True:
+        dim = rng.randint(2, max_dim)
+        nparams = rng.randint(0, max_params)
+        products = {}
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(max(i, j) + 1, dim):
+                    if rng.random() < 0.3:
+                        if nparams:
+                            fs = frozenset(rng.sample(range(nparams),
+                                                      rng.randint(0, min(2, nparams))))
+                        else:
+                            fs = frozenset()
+                        products.setdefault((i, j), []).append((k, fs))
+        data = AlgebraicData(range(nparams), [NonZero(p) for p in range(nparams)],
+                             range(dim), products)
+        if symbolically_associative(data):
+            return data
 
 
 def orbit_of_vector(poset_rel, elems, u: dict, q: int) -> set:

@@ -12,6 +12,7 @@ of size three or more fall back to the general engine.
 """
 from __future__ import annotations
 
+import heapq
 from functools import lru_cache
 from typing import Iterable
 
@@ -142,18 +143,27 @@ def choose_order(elems: Iterable[int], rel: frozenset) -> list[int]:
     return best
 
 
-def _product_depth_order(basis, products, key):
-    depth: dict = {}
+def _extension_rank(poset: Poset) -> dict[int, int]:
+    """Positions in the lexicographically least linear extension of poset.
 
-    def d(b):
-        if b not in depth:
-            depth[b] = 0
-            depth[b] = 1 + max((max(d(x), d(y))
-                                for (x, y), ts in products.items()
-                                for w, _ in ts if w == b), default=-1)
-        return depth[b]
-
-    return sorted(basis, key=lambda b: (d(b), key(b)))
+    When the labels already extend the order, this is their sorted order.
+    """
+    indeg = {e: 0 for e in poset.elems}
+    succ: dict[int, list[int]] = {e: [] for e in poset.elems}
+    for a, b in poset.rel:
+        indeg[b] += 1
+        succ[a].append(b)
+    ready = [e for e in poset.elems if not indeg[e]]
+    heapq.heapify(ready)
+    rank: dict[int, int] = {}
+    while ready:
+        e = heapq.heappop(ready)
+        rank[e] = len(rank)
+        for b in succ[e]:
+            indeg[b] -= 1
+            if not indeg[b]:
+                heapq.heappush(ready, b)
+    return rank
 
 
 def encode_pattern(poset: Poset) -> AlgebraicData:
@@ -179,16 +189,30 @@ def encode_pattern(poset: Poset) -> AlgebraicData:
     return AlgebraicData((), (), range(len(ordered)), products)
 
 
-def _pair_stabilizer(poset: Poset, c0: int, e_pair: frozenset) -> AlgebraicData:
+def _small_stabilizer(B: list[int], P: frozenset, D: set[int], E: frozenset) -> Poset:
+    """The stabiliser poset of an antichain E with |E| <= 1.
+
+    E empty gives the complement (B, P); a singleton {d_0} also deletes
+    the column of d_0 from the rows in D.
+    """
+    if not E:
+        return Poset(B, P, check=False)
+    (d0,) = E
+    return Poset(B, frozenset(p for p in P if not (p[1] == d0 and p[0] in D)), check=False)
+
+
+def _pair_stabilizer(poset: Poset, B: list[int], D: set[int],
+                     e_pair: frozenset) -> AlgebraicData:
     """The annihilator of e_k - e_l inside the complement of row c_0.
 
     Basis: the matrix units untouched by the two merged columns, plus
-    the sums f_i = e_{ik} + e_{il} for rows seeing both columns.
+    the sums f_i = e_{ik} + e_{il} for rows seeing both columns.  Items
+    are ordered by rows descending, then columns ascending, both in the
+    least linear extension of the poset, so every product lands later.
     """
-    k, ll = sorted(e_pair)
+    rank = _extension_rank(poset)
+    k, ll = sorted(e_pair, key=rank.__getitem__)
     R = poset.rel
-    B = [c for c in poset.elems if c != c0]
-    D = {d for d in poset.elems if (c0, d) in R}
     eprime = [(i, j) for (i, j) in sorted(R) if i in set(B) and j in set(B)
               and (i not in D or j not in (k, ll))]
     fprime = [i for i in sorted(D) if (i, k) in R and (i, ll) in R]
@@ -197,8 +221,8 @@ def _pair_stabilizer(poset: Poset, c0: int, e_pair: frozenset) -> AlgebraicData:
 
     def sort_key(it):
         kind, i, j = it
-        col = j if kind == "e" else k  # f_i sits at the smaller merged column
-        return (-i, col, 0 if kind == "e" else 1)
+        col = j if kind == "e" else k  # f_i sits at the earlier merged column
+        return (-rank[i], rank[col], 0 if kind == "e" else 1)
 
     items.sort(key=sort_key)
     label = {it: n for n, it in enumerate(items)}
@@ -226,18 +250,7 @@ def _pair_stabilizer(poset: Poset, c0: int, e_pair: frozenset) -> AlgebraicData:
                 put(("f", m, None), ("e", i, j), ("e", m, j))
 
     data = AlgebraicData((), (), range(len(items)), products)
-    try:
-        data.validate()
-    except MalformedData:
-        # poset labels not aligned with the ambient order: rebuild with a
-        # product-compatible order instead of the explicit rule above
-        order = _product_depth_order(list(range(len(items))), data.products_dict(),
-                                     key=lambda b: b)
-        relab = {b: i for i, b in enumerate(order)}
-        products2 = {(relab[x], relab[y]): tuple((relab[z], fs) for z, fs in ts)
-                     for (x, y), ts in data.products_dict().items()}
-        data = AlgebraicData((), (), range(len(items)), products2)
-        data.validate()
+    data.validate()
     return data
 
 
@@ -248,19 +261,15 @@ def stabilizer_data(poset: Poset, c0: int, E: frozenset) -> AlgebraicData:
     the column of its element from rows above c_0; a pair merges two
     columns.  Larger antichains are not describable here.
     """
+    if len(E) > 2:
+        raise UnsupportedAntichain(f"antichain of size {len(E)}")
     R = poset.rel
     B = [c for c in poset.elems if c != c0]
-    P = frozenset((a, b) for a, b in R if a != c0 and b != c0)
-    if len(E) == 0:
-        return encode_pattern(Poset(B, P, check=False))
-    if len(E) == 1:
-        (d0,) = E
-        D = {d for d in poset.elems if (c0, d) in R}
-        S = frozenset(p for p in P if not (p[1] == d0 and p[0] in D))
-        return encode_pattern(Poset(B, S, check=False))
+    D = {d for d in poset.elems if (c0, d) in R}
     if len(E) == 2:
-        return _pair_stabilizer(poset, c0, E)
-    raise UnsupportedAntichain(f"antichain of size {len(E)}")
+        return _pair_stabilizer(poset, B, D, E)
+    P = frozenset((a, b) for a, b in R if a != c0 and b != c0)
+    return encode_pattern(_small_stabilizer(B, P, D, E))
 
 
 def pattern_census(poset: Poset, ctx: EngineContext) -> Census:
@@ -302,12 +311,8 @@ def _pattern_core(poset: Poset, ctx: EngineContext) -> Census:
 
     parts = []
     for E in chains_:
-        if len(E) == 0:
-            part = pattern_census(Poset(B, P, check=False), ctx)
-        elif len(E) == 1:
-            (d0,) = E
-            S = frozenset(p for p in P if not (p[1] == d0 and p[0] in dset))
-            part = pattern_census(Poset(B, S, check=False), ctx)
+        if len(E) <= 1:
+            part = pattern_census(_small_stabilizer(B, P, dset, E), ctx)
         else:
             part = census(stabilizer_data(poset, c0, E), ctx)
         _, clos_r = top_and_closure(E, r1, D)

@@ -36,14 +36,6 @@ class CountPoly:
     def one() -> "CountPoly":
         return _ONE
 
-    @staticmethod
-    def const(c: int) -> "CountPoly":
-        return CountPoly({(0, 0): c})
-
-    @staticmethod
-    def q_power(dq: int, c: int = 1, dt: int = 0) -> "CountPoly":
-        return CountPoly({(dq, dt): c})
-
     @property
     def terms(self) -> dict[tuple[int, int], int]:
         return dict(self._terms)
@@ -62,21 +54,17 @@ class CountPoly:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
+    @staticmethod
+    def sum(polys: Iterable["CountPoly"]) -> "CountPoly":
+        """The sum of polys: one copy of the first nonzero term map, the rest merged in."""
+        nonzero = [p for p in polys if p._terms]
+        if len(nonzero) < 2:
+            return nonzero[0] if nonzero else _ZERO
+        return _merged(dict(nonzero[0]._terms),
+                       (kc for p in nonzero[1:] for kc in p._terms.items()))
+
     def __add__(self, other: "CountPoly") -> "CountPoly":
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        t = dict(self._terms)
-        for k, c in other._terms.items():
-            nc = t.get(k, 0) + c
-            if nc:
-                t[k] = nc
-            else:
-                del t[k]
-        r = CountPoly()
-        r._terms = t
-        return r
+        return CountPoly.sum((self, other))
 
     def __neg__(self) -> "CountPoly":
         r = CountPoly()
@@ -87,23 +75,16 @@ class CountPoly:
         return self + (-other)
 
     def __mul__(self, other: "CountPoly") -> "CountPoly":
-        t: dict[tuple[int, int], int] = {}
-        for (q1, t1), c1 in self._terms.items():
-            for (q2, t2), c2 in other._terms.items():
-                k = (q1 + q2, t1 + t2)
-                nc = t.get(k, 0) + c1 * c2
-                if nc:
-                    t[k] = nc
-                elif k in t:
-                    del t[k]
-        r = CountPoly()
-        r._terms = t
-        return r
+        return _merged({}, (((q1 + q2, t1 + t2), c1 * c2)
+                            for (q1, t1), c1 in self._terms.items()
+                            for (q2, t2), c2 in other._terms.items()))
 
     def scale(self, k: int, l: int, m: int) -> "CountPoly":
         """Multiply by (q-1)^k * q^l * t^m."""
         if not self._terms:
             return self
+        # merged inline rather than through _merged: scale runs on every
+        # memo hit, where the generator's per-term overhead shows
         t: dict[tuple[int, int], int] = {}
         for (dq, dt), c in self._terms.items():
             for i in range(k + 1):
@@ -138,17 +119,7 @@ class CountPoly:
 
     def weight_formal(self) -> "CountPoly":
         """Substitute t^e := q^(2e), collapsing to a polynomial in q."""
-        t: dict[tuple[int, int], int] = {}
-        for (dq, dt), c in self._terms.items():
-            k = (dq + 2 * dt, 0)
-            nc = t.get(k, 0) + c
-            if nc:
-                t[k] = nc
-            elif k in t:
-                del t[k]
-        r = CountPoly()
-        r._terms = t
-        return r
+        return _merged({}, (((dq + 2 * dt, 0), c) for (dq, dt), c in self._terms.items()))
 
     def coeff_of_t(self, e: int) -> "CountPoly":
         r = CountPoly()
@@ -157,9 +128,6 @@ class CountPoly:
 
     def t_degrees(self) -> list[int]:
         return sorted({dt for (_, dt) in self._terms})
-
-    def q_degree(self) -> int:
-        return max((dq for (dq, _) in self._terms), default=0)
 
     def to_json(self) -> dict:
         items = sorted(self._terms.items(), key=lambda kv: (kv[0][1], -kv[0][0]))
@@ -187,20 +155,21 @@ class CountPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _merged(t: dict[tuple[int, int], int], items) -> CountPoly:
+    """Add the (key, coefficient) items into the term map t, dropping zeros."""
+    for k, c in items:
+        nc = t.get(k, 0) + c
+        if nc:
+            t[k] = nc
+        elif k in t:
+            del t[k]
+    r = CountPoly()
+    r._terms = t
+    return r
+
+
 _ZERO = CountPoly()
 _ONE = CountPoly({(0, 0): 1})
-
-
-def poly_add(a: CountPoly, b: CountPoly) -> CountPoly:
-    return a + b
-
-
-def poly_scale(f: CountPoly, k: int, l: int, m: int) -> CountPoly:
-    return f.scale(k, l, m)
-
-
-def poly_eval(f: CountPoly, q0: int, t_mode="sum") -> int:
-    return f.eval_at(q0, t_mode)
 
 
 def shifted_coeffs(p: CountPoly) -> dict[int, int]:
@@ -328,14 +297,6 @@ class ParamPoly:
                 out.add(s)
         return out
 
-    def degree_in(self, sym: int) -> int:
-        d = 0
-        for m in self._terms:
-            for s, e in m:
-                if s == sym and e > d:
-                    d = e
-        return d
-
     def decompose(self, sym: int) -> dict[int, "ParamPoly"]:
         """Write the polynomial as sum_d (coeff poly) * sym^d."""
         out: dict[int, dict[Monomial, int]] = {}
@@ -396,14 +357,6 @@ class ParamPoly:
             return None
         (m, c), = self._terms.items()
         return c, m
-
-    def constant_value(self) -> int | None:
-        """The constant if the polynomial has no variables, else None."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
-        return None
 
     def eval_in(self, field, values: Mapping[int, int]) -> int:
         total = 0

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from unicount.algdata import AlgebraicData, NonZero
 from unicount.engine import EngineContext
-from unicount.polyring import ParamPoly
+from unicount.oracle import random_algebraic_data, symbolically_associative  # noqa: F401
 
 
 @pytest.fixture
@@ -18,56 +17,6 @@ def ctx():
 def shared_ctx():
     """One memo space for everything cheap; audited throughout."""
     return EngineContext(debug_counts=True)
-
-
-def symbolically_associative(data: AlgebraicData) -> bool:
-    """(ab)c = a(bc) as an identity of the structure-constant polynomials."""
-    def mono(fs):
-        return ParamPoly.monomial(fs)
-
-    for a in data.basis:
-        for b in data.basis:
-            prod_ab = data.product(a, b)
-            for c in data.basis:
-                lhs: dict[int, ParamPoly] = {}
-                for w, f1 in prod_ab:
-                    for v, f2 in data.product(w, c):
-                        lhs[v] = lhs.get(v, ParamPoly.zero()) + mono(f1) * mono(f2)
-                rhs: dict[int, ParamPoly] = {}
-                for w, f1 in data.product(b, c):
-                    for v, f2 in data.product(a, w):
-                        rhs[v] = rhs.get(v, ParamPoly.zero()) + mono(f1) * mono(f2)
-                for v in set(lhs) | set(rhs):
-                    if lhs.get(v, ParamPoly.zero()) != rhs.get(v, ParamPoly.zero()):
-                        return False
-    return True
-
-
-def random_algebraic_data(rng: random.Random, max_dim: int = 5,
-                          max_params: int = 2) -> AlgebraicData:
-    """A random valid family: nilpotent basis order, all parameters nonzero.
-
-    Rejection-sampled until the structure constants are associative for
-    every substitution (checked symbolically).
-    """
-    while True:
-        dim = rng.randint(2, max_dim)
-        nparams = rng.randint(0, max_params)
-        products = {}
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(max(i, j) + 1, dim):
-                    if rng.random() < 0.3:
-                        if nparams:
-                            fs = frozenset(rng.sample(range(nparams),
-                                                      rng.randint(0, min(2, nparams))))
-                        else:
-                            fs = frozenset()
-                        products.setdefault((i, j), []).append((k, fs))
-        data = AlgebraicData(range(nparams), [NonZero(p) for p in range(nparams)],
-                             range(dim), products)
-        if symbolically_associative(data):
-            return data
 
 
 def random_poset_pairs(rng: random.Random, max_elems: int = 5):

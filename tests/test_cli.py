@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unicount
 from unicount.cli import (RunConfig, check_identities, cmd_compute, cmd_regress,
                           cmd_identities, cmd_verify, cmd_dump_families,
-                          format_table, load_golden_tables, load_or_compute,
-                          main, parse_q_poly, table_from_json)
+                          compute_table, format_table, load_golden_tables,
+                          load_or_compute, main, make_context, parse_q_poly)
 from unicount.engine import ResolvedTable
 from unicount.polyring import CountPoly
 
@@ -65,6 +70,15 @@ class TestComputeCommand:
         obj = json.loads(capsys.readouterr().out)
         assert {row["e"] for row in obj["table"]} == {0, 1}
 
+    def test_debug_counts_skips_cached_table(self, tmp_path, capsys):
+        # a cached table would skip the count audit, so an audited run recomputes
+        bogus = {"n": 3, "table": [{"e": 0, "poly": {"terms": [{"q": 7, "t": 0, "c": 1}]}}]}
+        (tmp_path / "table_n3.json").write_text(json.dumps(bogus))
+        cfg = RunConfig(n=3, cache_dir=tmp_path, debug_counts=True)
+        assert cmd_compute(cfg) == 0
+        real = format_table(compute_table(3, make_context(RunConfig(n=3))), "json")
+        assert capsys.readouterr().out == real + "\n"
+
     def test_budget_exhaustion_is_nonzero_exit(self, tmp_path, capsys):
         # a poset with a 3-antichain forces the general engine; a tiny node
         # budget then leaves an uncontracted family behind
@@ -82,7 +96,7 @@ class TestComputeCommand:
         assert csv.splitlines()[0] == "n,e,polynomial"
         assert len(csv.strip().splitlines()) == 3
         obj = json.loads(format_table(table, "json"))
-        assert table_from_json(obj).entries == table.entries
+        assert ResolvedTable.from_json(obj).entries == table.entries
 
 
 class TestRegressCommand:
@@ -110,7 +124,7 @@ def test_identities_command(tmp_path, capsys):
 
 
 def test_verify_command(tmp_path, capsys):
-    cfg = RunConfig(cache_dir=tmp_path, oracle_qs=(2,), threads=2)
+    cfg = RunConfig(cache_dir=tmp_path, oracle_qs=(2,))
     assert cmd_verify(cfg, max_n=4) == 0
     reports = json.loads(capsys.readouterr().out)
     assert all(r["pass"] for r in reports)
@@ -125,13 +139,23 @@ def test_dump_families_n5_empty(tmp_path, capsys):
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
     # determinism contract: same configuration, same bytes
-    from unicount.cli import compute_table, make_context
     a = format_table(compute_table(6, make_context(RunConfig(n=6))), "json")
     b = format_table(compute_table(6, make_context(RunConfig(n=6))), "json")
     assert a == b
     la = format_table(compute_table(5, make_context(RunConfig(n=5))), "latex")
     lb = format_table(compute_table(5, make_context(RunConfig(n=5))), "latex")
     assert la == lb
+
+
+def test_import_leaves_recursion_limit_alone():
+    src = str(Path(unicount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; before = sys.getrecursionlimit(); import unicount; "
+            "print(sys.getrecursionlimit() == before)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.strip() == "True"
 
 
 def test_main_entrypoint(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from unicount.algdata import AlgebraicData, NonZero, split_into_cases
-from unicount.engine import (BadWitness, Census, Family, URecord,
+from unicount.engine import (BadWitness, Census, Family, ResolvedTable, URecord,
                              UnknownCore, aggregate, census, census_at,
                              contract_type_a, contract_type_b, resolve,
                              scale_census)
@@ -226,6 +226,17 @@ class TestResolve:
         fam = Family("at_z", data, 2, 0, 0, 0)
         with pytest.raises(UnknownCore):
             resolve(Census(CountPoly.zero(), (), (fam,)), 13, ctx)
+
+    def test_json_round_trip_keeps_unresolved_records(self, ctx):
+        from unicount.algdata import Equation
+        a, b = ParamPoly.var(0), ParamPoly.var(1)
+        record = URecord((0, 1), (NonZero(0), Equation(a * a * b - b + ParamPoly.const(1))),
+                         2, 1, 3)
+        fam = Family("at_z", core_2dim(), 1, 12, 0, 16)
+        table = resolve(Census(qt(2), (record,), (fam,)), 13, ctx)
+        obj = table.to_json()
+        assert obj["unresolved_counts"] and obj["families"]
+        assert ResolvedTable.from_json(obj).to_json() == obj
 
 
 class TestOracleProperties:

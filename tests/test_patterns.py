@@ -3,7 +3,7 @@ import random
 import pytest
 
 
-from unicount.engine import census
+from unicount.engine import EngineContext, census, resolve
 from unicount.oracle import orbit_of_vector
 from unicount.patterns import (Poset, UnsupportedAntichain, antichains, chain,
                                choose_order, encode_pattern, normal_closure,
@@ -257,13 +257,30 @@ class TestReversedLabels:
 
     def test_pair_stabilizer_reordered_when_needed(self, shared_ctx):
         from unicount.oracle import verify_census
-        rel = [(9, 7), (9, 8), (9, 2), (9, 1), (7, 2), (7, 1), (8, 2), (8, 1)]
-        p = Poset([1, 2, 7, 8, 9], rel)
-        data = stabilizer_data(p, 9, frozenset({1, 2}))
-        data.validate()
-        out = census(data, shared_ctx)
-        for q0 in (2, 3):
-            assert verify_census(data, out, q0)["pass"]
+        cases = [
+            # 3 < 2: ordering rows by label would put a product before a factor
+            (range(1, 6), [(1, 2), (1, 3), (3, 2), (4, 2), (4, 5)], 4, {2, 5}),
+            # 4 precedes 3 in the least extension: f_2 must sit at column 4
+            (range(1, 7), [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
+                           (4, 5), (6, 3)], 1, {3, 4}),
+        ]
+        for elems, rel, c0, pair in cases:
+            data = stabilizer_data(Poset(elems, rel), c0, frozenset(pair))
+            data.validate()
+            out = census(data, shared_ctx)
+            for q0 in (2, 3):
+                assert verify_census(data, out, q0)["pass"]
+
+    def test_shuffled_labels_give_the_natural_table(self, shared_ctx):
+        rng = random.Random(41)
+        for _ in range(100):
+            m, rel = random_poset_pairs(rng, max_elems=7)
+            perm = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
+            natural = Poset(range(1, m + 1), rel)
+            shuffled = Poset(perm.values(), [(perm[a], perm[b]) for a, b in rel])
+            want = resolve(pattern_census(natural, shared_ctx), m, shared_ctx)
+            got = resolve(pattern_census(shuffled, EngineContext()), m)
+            assert got.entries == want.entries, shuffled
 
 
 class TestOrbitSizes:

@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from unicount.polyring import (CountPoly, ParamPoly, poly_add, poly_eval,
-                               poly_scale, shifted_coeffs)
+from unicount.polyring import CountPoly, ParamPoly, shifted_coeffs
 
 
 def qp(dq, c=1, dt=0):
@@ -15,22 +14,22 @@ class TestCountPoly:
     def test_add_mixed_degrees(self):
         a = qp(9)
         b = CountPoly({(9, 1): 7, (8, 1): -6, (7, 1): -1})
-        out = poly_add(a, b)
+        out = a + b
         assert out.terms == {(9, 0): 1, (9, 1): 7, (8, 1): -6, (7, 1): -1}
 
     def test_add_zero_identity(self):
         f = CountPoly({(3, 2): 5, (0, 0): -1})
-        assert poly_add(f, CountPoly.zero()) == f
+        assert f + CountPoly.zero() == f
 
     def test_add_cancels_to_canonical(self):
         # (q - 1) + 1 = q, and the zero coefficient is not stored
         f = CountPoly({(1, 0): 1, (0, 0): -1})
-        out = poly_add(f, CountPoly.one())
+        out = f + CountPoly.one()
         assert out.terms == {(1, 0): 1}
 
     def test_scale_exceptional_family_shape(self):
         # q (q-1)^13 t^16 from the unit polynomial
-        out = poly_scale(CountPoly.one(), 13, 1, 16)
+        out = CountPoly.one().scale(13, 1, 16)
         assert out.coeff_of_t(16).eval_at(5) == 5 * 4**13
         assert out.terms[(14, 16)] == 1
         assert out.terms[(1, 16)] == -1
@@ -38,32 +37,32 @@ class TestCountPoly:
 
     def test_scale_identity(self):
         f = CountPoly({(2, 1): 3, (0, 0): 1})
-        assert poly_scale(f, 0, 0, 0) == f
+        assert f.scale(0, 0, 0) == f
 
     def test_scale_distributes(self):
         f = CountPoly({(1, 0): 1, (0, 1): 1})  # q + t
-        out = poly_scale(f, 1, 0, 1)
+        out = f.scale(1, 0, 1)
         # (q-1)q t + (q-1)t^2
         assert out.terms == {(2, 1): 1, (1, 1): -1, (1, 2): 1, (0, 2): -1}
 
     def test_eval_sum_counts_classes_of_u3(self):
         f = CountPoly({(2, 0): 1, (1, 1): 1, (0, 1): -1})  # q^2 + (q-1)t
-        assert poly_eval(f, 2, "sum") == 5
+        assert f.eval_at(2, "sum") == 5
 
     def test_eval_weighted_gives_group_order(self):
         f = CountPoly({(2, 0): 1, (1, 1): 1, (0, 1): -1})
-        assert poly_eval(f, 2, "weight_q2e") == 8
+        assert f.eval_at(2, "weight_q2e") == 8
 
     def test_eval_zero(self):
-        assert poly_eval(CountPoly.zero(), 7, "sum") == 0
+        assert CountPoly.zero().eval_at(7, "sum") == 0
 
     def test_eval_at_t_value(self):
         f = CountPoly({(0, 2): 1})
-        assert poly_eval(f, 3, 5) == 25
+        assert f.eval_at(3, 5) == 25
 
     def test_eval_rejects_tiny_q(self):
         with pytest.raises(ValueError):
-            poly_eval(CountPoly.one(), 1, "sum")
+            CountPoly.one().eval_at(1, "sum")
 
     def test_weight_formal(self):
         f = CountPoly({(2, 0): 1, (1, 1): 1, (0, 1): -1})
@@ -99,6 +98,17 @@ def test_ring_axioms(a, b, c):
     assert a + b == b + a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+
+
+@given(st.lists(count_polys(), max_size=4))
+def test_sum_matches_pairwise_addition(polys):
+    before = [p.terms for p in polys]
+    want: dict = {}
+    for p in polys:
+        for k, c in p.terms.items():
+            want[k] = want.get(k, 0) + c
+    assert CountPoly.sum(polys) == CountPoly(want)
+    assert [p.terms for p in polys] == before  # inputs are not modified
 
 
 @given(count_polys(), count_polys())
