@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end table experiment: compute N_{n,e}(q) for a range of n,
 check the formal identities, and diff n = 10..13 against the vendored
-tables.  Timings per n are printed so the roughly tenfold growth per
-increment of n is visible.
+tables.  Time and the process's peak RSS so far are printed after each
+n, so the growth per increment of n is visible in both.
 
 Usage:
     python scripts/run_tables.py [--max-n 13] [--audit] [--latex-dir DIR]
@@ -10,6 +10,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -35,7 +36,10 @@ def main() -> int:
         table = resolve(unitriangular_census(n, ctx), n, ctx)
         dt = time.perf_counter() - t0
         idents = check_identities(table)
-        line = (f"n={n:2d}  {dt:8.2f}s  rows={len(table.entries):3d}  "
+        # ru_maxrss is in KiB on Linux
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        line = (f"n={n:2d}  {dt:8.2f}s  peak_rss={rss_mb:7.1f}MB  "
+                f"rows={len(table.entries):3d}  "
                 f"identities={'ok' if idents['pass'] else 'FAIL'}")
         if n in golden:
             match = golden[n] == table.entries

@@ -229,6 +229,7 @@ class AlgebraicData:
         return AlgebraicData(self.params, self.restrictions, nb, np_)
 
     def key(self) -> tuple:
+        """(params, restriction sort keys, dim, products by position), all ints and tuples."""
         k = self._cache.get("key")
         if k is None:
             rk = tuple(r.sort_key() for r in self.restrictions)
@@ -237,6 +238,15 @@ class AlgebraicData:
                        for x, y, ts in self.prods)
             k = self._cache["key"] = (self.params, rk, len(self.basis), pk)
         return k
+
+    @staticmethod
+    def from_key(key: tuple) -> "AlgebraicData":
+        """The data whose ``key()`` is key, with basis labels 0..dim-1."""
+        params, rk, dim, pk = key
+        restrictions = [NonZero(v) if kind == 0 else Equation(ParamPoly(dict(v)))
+                        for kind, v in rk]
+        products = {(x, y): tuple((z, frozenset(fs)) for z, fs in ts) for x, y, ts in pk}
+        return AlgebraicData(params, restrictions, range(dim), products)
 
     def __eq__(self, other):
         return isinstance(other, AlgebraicData) and self.key() == other.key()
@@ -295,6 +305,48 @@ class AlgebraicData:
             products.setdefault(key, []).append(
                 (bsym(p["z"]), frozenset(psym(s) for s in p["factors"])))
         return AlgebraicData(params, restrictions, basis, products)
+
+
+def canonicalize(data: AlgebraicData, params: Iterable[int],
+                 restrictions: Iterable[Restriction]) -> tuple:
+    """The memo key of data with its parameters and restrictions replaced.
+
+    This is ``key()`` of the data with basis labels renamed to their
+    positions and parameters numbered by first use, in the products and
+    then in ``params``, with the restrictions renamed and sorted; it is
+    computed in one pass without building that data, which
+    ``AlgebraicData.from_key`` rebuilds when needed.  Two data built the
+    same way in different label spaces get the same key, which is what
+    makes memoisation effective; basis order is preserved, never
+    permuted.
+    """
+    pos = data._pos
+    p_map: dict[int, int] = {}
+    pk = []
+    for x, y, ts in data.prods:
+        tk = []
+        for z, fs in ts:
+            if fs:
+                for p in sorted(fs):
+                    if p not in p_map:
+                        p_map[p] = len(p_map)
+                tk.append((pos[z], tuple(sorted([p_map[p] for p in fs]))))
+            else:
+                tk.append((pos[z], ()))
+        pk.append((pos[x], pos[y], tuple(tk)))
+    for p in params:
+        if p not in p_map:
+            p_map[p] = len(p_map)
+    rk = []
+    for r in restrictions:
+        if isinstance(r, NonZero):
+            rk.append((0, p_map[r.sym]))
+        else:
+            rk.append((1, tuple(sorted(
+                (tuple(sorted([(p_map[s], e) for s, e in m])), c)
+                for m, c in r.poly.key()))))
+    rk.sort()
+    return tuple(range(len(p_map))), tuple(rk), len(data.basis), tuple(pk)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 check formal identities, and run brute-force verification.
 
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
-survived, 3 regression mismatch.
+survived or the count audit (--debug-counts) found violations,
+3 regression mismatch.
 """
 from __future__ import annotations
 
@@ -102,19 +103,46 @@ def _cache_path(cfg: RunConfig, n: int) -> Path:
     return cfg.cache_dir / f"table_n{n}.json"
 
 
+def _read_cached(path: Path) -> ResolvedTable | None:
+    """The table stored at path, or None when it is missing or unreadable."""
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        return None
+    try:
+        return ResolvedTable.from_json(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError):
+        # truncated or malformed: the caller recomputes and overwrites it
+        return None
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write to a temporary file beside path, then rename it over path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_or_compute(n: int, cfg: RunConfig, ctx: EngineContext | None = None) -> ResolvedTable:
     """The cached table for n, or a fresh computation.
 
     An audited run always computes, since a cached table skips the audit.
+    A cache file that cannot be read counts as a miss.
     """
     path = _cache_path(cfg, n)
-    if not cfg.debug_counts and path.exists():
-        return ResolvedTable.from_json(json.loads(path.read_text()))
+    if not cfg.debug_counts:
+        table = _read_cached(path)
+        if table is not None:
+            return table
     ctx = ctx or make_context(cfg)
     table = compute_table(n, ctx)
     if not table.unresolved:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(table.to_json(), indent=1, sort_keys=True))
+        _write_atomically(path, json.dumps(table.to_json(), indent=1, sort_keys=True))
     return table
 
 
@@ -179,6 +207,13 @@ def check_identities(table: ResolvedTable) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
+def _report_violations(violations: list) -> bool:
+    """Print the count audit's violations to stderr; True if there are any."""
+    if violations:
+        print(f"count audit violations: {len(violations)}", file=sys.stderr)
+    return bool(violations)
+
+
 def cmd_compute(cfg: RunConfig) -> int:
     ctx = make_context(cfg)
     try:
@@ -192,8 +227,7 @@ def cmd_compute(cfg: RunConfig) -> int:
         print(f"unresolvable family survived: {exc}", file=sys.stderr)
         return 2
     print(format_table(table, cfg.fmt))
-    if ctx.count_violations:
-        print(f"count audit violations: {len(ctx.count_violations)}", file=sys.stderr)
+    if _report_violations(ctx.count_violations):
         return 2
     if table.unresolved:
         print(f"{len(table.unresolved)} unresolved count records", file=sys.stderr)
@@ -205,8 +239,11 @@ def cmd_regress(cfg: RunConfig, golden=None) -> int:
     if golden is None:
         golden = load_golden_tables()
     status = 0
+    violations = []
     for n in sorted(golden):
-        table = load_or_compute(n, cfg)
+        ctx = make_context(cfg)
+        table = load_or_compute(n, cfg, ctx)
+        violations += ctx.count_violations
         for e in sorted(set(golden[n]) | set(table.entries)):
             want = golden[n].get(e)
             got = table.entries.get(e)
@@ -220,6 +257,8 @@ def cmd_regress(cfg: RunConfig, golden=None) -> int:
             print(f"n={n}: {len(golden[n])} rows match exactly")
             continue
         break
+    if _report_violations(violations):
+        status = status or 2
     return status
 
 
@@ -234,6 +273,8 @@ def cmd_identities(cfg: RunConfig, max_n: int) -> int:
               f"shifted_nonnegative={report['shifted_nonnegative']} [{flag}]")
         if not report["pass"]:
             status = 2
+    if _report_violations(ctx.count_violations):
+        status = 2
     return status
 
 

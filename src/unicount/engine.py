@@ -13,13 +13,20 @@ smaller census) and the rest (census_at).  census_at applies, in order,
 a direct-sum peel, a good-pair contraction that removes two dimensions
 and multiplies degrees by t, a central-column fold that introduces free
 parameters, and finally gives up, emitting a family record.
+
+Both walks are memoised per EngineContext.  A lookup first reduces the
+restrictions and then canonicalizes in one pass to a compact key of
+ints and tuples; census_at adds the position of z.  Only on a miss is
+the canonical AlgebraicData rebuilt from the key, and the memo never
+keeps it: after the walk returns, only a Family record still refers
+to it.
 """
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .algdata import (AlgebraicData, Equation, NonZero, split_into_cases,
-                      count_values_bruteforce)
+from .algdata import (AlgebraicData, Equation, NonZero, canonicalize,
+                      count_values_bruteforce, split_into_cases)
 from .polyring import CountPoly, ParamPoly
 from . import solcount
 
@@ -90,8 +97,9 @@ class EngineContext:
 
     def __init__(self, debug_counts: bool = False, max_nodes: int = 500_000_000,
                  validate: bool = False):
-        self.memo_all: dict[AlgebraicData, Census] = {}
-        self.memo_at: dict[tuple[AlgebraicData, int], Census] = {}
+        # keyed by canonicalize's tuples, and (tuple, position of z)
+        self.memo_all: dict[tuple, Census] = {}
+        self.memo_at: dict[tuple[tuple, int], Census] = {}
         self.memo_pattern: dict = {}
         self.memo_counts: dict = {}
         self.debug_counts = debug_counts
@@ -124,55 +132,22 @@ class EngineContext:
 
 
 # ---------------------------------------------------------------------------
-# canonical form and restriction pruning
-
-def canonicalize(data: AlgebraicData) -> AlgebraicData:
-    """Rename basis labels positionally and parameters by first use.
-
-    Two data built the same way in different label spaces collapse to
-    the same value, which is what makes memoisation effective; basis
-    order is preserved, never permuted.
-    """
-    b_map = {b: i for i, b in enumerate(data.basis)}
-    p_map: dict[int, int] = {}
-    for _, _, ts in data.prods:
-        for _, fs in ts:
-            for p in sorted(fs):
-                if p not in p_map:
-                    p_map[p] = len(p_map)
-    for p in data.params:
-        if p not in p_map:
-            p_map[p] = len(p_map)
-    restrictions = []
-    for r in data.restrictions:
-        if isinstance(r, NonZero):
-            restrictions.append(NonZero(p_map[r.sym]))
-        else:
-            restrictions.append(Equation(r.poly.rename(p_map)))
-    products = {}
-    for x, y, ts in data.prods:
-        products[(b_map[x], b_map[y])] = tuple(
-            (b_map[z], frozenset(p_map[p] for p in fs)) for z, fs in ts)
-    return AlgebraicData(range(len(p_map)), restrictions,
-                         range(len(data.basis)), products)
-
+# restriction pruning
 
 def _reduce(data: AlgebraicData):
     """Strip restriction content that does not interact with the products.
 
-    Returns (k, l, reduced) with census(data) = (q-1)^k q^l census(reduced),
-    or (0, 0, None) when the restrictions are contradictory.  Keeping
-    data lean here is what lets isomorphic subproblems from different
+    Returns (k, l, params, restrictions): census(data) is (q-1)^k q^l
+    times the census of data with these parameters and restrictions.
+    Returns None when the restrictions are contradictory.  Keeping data
+    lean here is what lets isomorphic subproblems from different
     branches share memo entries.
     """
     k, l, params, restrictions, empty = solcount.reduce_system(
         data.params, data.restrictions, protected=data.symbols_in_products())
     if empty:
-        return 0, 0, None
-    if k == 0 and l == 0 and len(params) == len(data.params) \
-            and restrictions == data.restrictions:
-        return 0, 0, data
-    return k, l, AlgebraicData(params, restrictions, data.basis, data.products_dict())
+        return None
+    return k, l, params, restrictions
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +155,15 @@ def _reduce(data: AlgebraicData):
 
 def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     """A correct breakdown of all irreducible characters encoded by data."""
-    k, l, reduced = _reduce(data)
+    reduced = _reduce(data)
     if reduced is None:
         return ZERO_CENSUS
-    c = canonicalize(reduced)
-    hit = ctx.memo_all.get(c)
+    k, l, params, restrictions = reduced
+    key = canonicalize(data, params, restrictions)
+    hit = ctx.memo_all.get(key)
     if hit is None:
-        hit = _census_core(c, ctx)
-        ctx.memo_all[c] = hit
+        hit = _census_core(AlgebraicData.from_key(key), ctx)
+        ctx.memo_all[key] = hit
     return scale_census(hit, k, l, 0)
 
 
@@ -225,16 +201,16 @@ def _choose_z(data: AlgebraicData) -> int:
 
 def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     """A correct breakdown of the characters nontrivial on 1 + <z>."""
-    k, l, reduced = _reduce(data)
+    reduced = _reduce(data)
     if reduced is None:
         return ZERO_CENSUS
-    c = canonicalize(reduced)
-    z_c = reduced.basis.index(z)
-    key = (c, z_c)
-    hit = ctx.memo_at.get(key)
+    k, l, params, restrictions = reduced
+    key = canonicalize(data, params, restrictions)
+    z_pos = data.pos(z)
+    hit = ctx.memo_at.get((key, z_pos))
     if hit is None:
-        hit = _census_at_core(c, z_c, ctx)
-        ctx.memo_at[key] = hit
+        hit = _census_at_core(AlgebraicData.from_key(key), z_pos, ctx)
+        ctx.memo_at[(key, z_pos)] = hit
     return scale_census(hit, k, l, 0)
 
 

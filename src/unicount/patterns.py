@@ -117,8 +117,8 @@ def normal_closure(rel: frozenset, order: Iterable[int]) -> frozenset:
     return frozenset(out)
 
 
-def choose_order(elems: Iterable[int], rel: frozenset) -> list[int]:
-    """A linear extension trying to maximise the normal closure.
+def choose_order(elems: Iterable[int], rel: frozenset) -> tuple[list[int], frozenset]:
+    """A linear extension trying to maximise the normal closure, and that closure.
 
     Candidates: descending out-degree (always an extension), ambient
     order and ascending in-degree when they happen to extend rel; the
@@ -139,8 +139,8 @@ def choose_order(elems: Iterable[int], rel: frozenset) -> list[int]:
     for cand in (list(elems), sorted(elems, key=lambda e: (indeg[e], e))):
         if consistent(cand) and cand not in candidates:
             candidates.append(cand)
-    best = max(candidates, key=lambda o: len(normal_closure(rel, o)))
-    return best
+    return max(((o, normal_closure(rel, o)) for o in candidates),
+               key=lambda oc: len(oc[1]))
 
 
 def _extension_rank(poset: Poset) -> dict[int, int]:
@@ -298,8 +298,7 @@ def _pattern_core(poset: Poset, ctx: EngineContext) -> Census:
     D = sorted(d for d in poset.elems if (c0, d) in R)
     B = [c for c in poset.elems if c != c0]
     P = frozenset((a, b) for a, b in R if a != c0 and b != c0)
-    order = choose_order(B, P)
-    pbar = normal_closure(P, order)
+    _, pbar = choose_order(B, P)
     dset = set(D)
     r1 = frozenset(p for p in R if p[0] in dset and p[1] in dset)
     pbar1 = frozenset(p for p in pbar if p[0] in dset and p[1] in dset)

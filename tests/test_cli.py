@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import unicount
+from unicount import engine
 from unicount.cli import (RunConfig, check_identities, cmd_compute, cmd_regress,
                           cmd_identities, cmd_verify, cmd_dump_families,
                           compute_table, format_table, load_golden_tables,
@@ -61,6 +62,24 @@ class TestComputeCommand:
         second = load_or_compute(6, cfg)
         assert first.entries == second.entries
 
+    def test_unreadable_cache_is_recomputed(self, tmp_path):
+        cfg = RunConfig(n=6, cache_dir=tmp_path)
+        want = load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path / "fresh"))
+        (tmp_path / "table_n6.json").write_text("{")
+        assert load_or_compute(6, cfg).entries == want.entries
+        stored = json.loads((tmp_path / "table_n6.json").read_text())
+        assert ResolvedTable.from_json(stored).entries == want.entries
+
+    def test_cache_write_goes_through_a_rename(self, tmp_path, monkeypatch):
+        # a write that dies before the rename leaves no cache file behind
+        def killed(src, dst):
+            raise OSError("killed")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_poset_input(self, tmp_path, capsys):
         poset_file = tmp_path / "poset.json"
         poset_file.write_text(json.dumps(
@@ -114,6 +133,27 @@ class TestRegressCommand:
         out = capsys.readouterr().out
         assert "MISMATCH n=10 e=7" in out
         assert "golden:" in out and "computed:" in out
+
+
+class TestAuditedCommands:
+    """identities and regress exit 2 when the count audit finds a violation."""
+
+    @pytest.fixture(autouse=True)
+    def disagreeing_audit(self, monkeypatch):
+        monkeypatch.setattr(engine, "count_values_bruteforce", lambda *a, **k: -1)
+
+    def test_identities(self, tmp_path, capsys):
+        cfg = RunConfig(cache_dir=tmp_path, debug_counts=True)
+        assert cmd_identities(cfg, 8) == 2
+        assert "count audit violations: 4" in capsys.readouterr().err
+
+    def test_regress(self, tmp_path, capsys):
+        cfg = RunConfig(cache_dir=tmp_path, debug_counts=True)
+        golden = {n: rows for n, rows in load_golden_tables().items() if n == 10}
+        assert cmd_regress(cfg, golden=golden) == 2
+        out = capsys.readouterr()
+        assert "21 rows match exactly" in out.out
+        assert "count audit violations" in out.err
 
 
 def test_identities_command(tmp_path, capsys):

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from unicount.algdata import AlgebraicData, NonZero, split_into_cases
-from unicount.engine import (BadWitness, Census, Family, ResolvedTable, URecord,
-                             UnknownCore, aggregate, census, census_at,
-                             contract_type_a, contract_type_b, resolve,
+from unicount import engine
+from unicount.algdata import (AlgebraicData, Equation, NonZero, canonicalize,
+                              split_into_cases)
+from unicount.engine import (BadWitness, Census, EngineContext, Family, ResolvedTable,
+                             URecord, UnknownCore, _reduce, aggregate, census,
+                             census_at, contract_type_a, contract_type_b, resolve,
                              scale_census)
 from unicount.oracle import verify_census
-from unicount.patterns import chain, encode_pattern
+from unicount.patterns import chain, encode_pattern, unitriangular_census
 from unicount.polyring import CountPoly, ParamPoly
 
 from conftest import random_algebraic_data
@@ -294,3 +296,100 @@ def test_census_zero_for_contradictory_restrictions(ctx):
     data = AlgebraicData((0,), (NonZero(0), Equation(ParamPoly.var(0))), (0, 1),
                          {(0, 0): [(1, frozenset([0]))]})
     assert census(data, ctx) == Census(CountPoly.zero(), (), ())
+
+
+# ---------------------------------------------------------------------------
+# memo keys
+
+def positional_relabelling(data, params, restrictions):
+    """Reference for canonicalize: data with (params, restrictions), basis
+    labels renamed to positions, parameters numbered by first use in the
+    products and then in params."""
+    b_map = {b: i for i, b in enumerate(data.basis)}
+    p_map = {}
+    for _, _, ts in data.prods:
+        for _, fs in ts:
+            for p in sorted(fs):
+                p_map.setdefault(p, len(p_map))
+    for p in params:
+        p_map.setdefault(p, len(p_map))
+    renamed = [NonZero(p_map[r.sym]) if isinstance(r, NonZero)
+               else Equation(r.poly.rename(p_map)) for r in restrictions]
+    products = {(b_map[x], b_map[y]): [(b_map[z], {p_map[p] for p in fs}) for z, fs in ts]
+                for x, y, ts in data.prods}
+    return AlgebraicData(range(len(p_map)), renamed, range(len(data.basis)), products)
+
+
+def relabelled(data, rng):
+    """Restriction-free data under random basis labels, basis order kept, and
+    increasing parameter labels, so that case splitting picks the same witnesses."""
+    new_b = dict(zip(data.basis, rng.sample(range(100, 200), len(data.basis))))
+    new_p = dict(zip(data.params, sorted(rng.sample(range(50), len(data.params)))))
+    products = {(new_b[x], new_b[y]): [(new_b[z], {new_p[p] for p in fs}) for z, fs in ts]
+                for x, y, ts in data.prods}
+    return AlgebraicData([new_p[p] for p in data.params], (),
+                         [new_b[b] for b in data.basis], products)
+
+
+def assert_key_matches_reference(data, params, restrictions):
+    key = canonicalize(data, params, restrictions)
+    ref = positional_relabelling(data, params, restrictions)
+    assert key == ref.key()
+    rebuilt = AlgebraicData.from_key(key)
+    assert rebuilt.key() == key
+    assert (rebuilt.params, rebuilt.restrictions, rebuilt.basis, rebuilt.prods) == \
+        (ref.params, ref.restrictions, ref.basis, ref.prods)
+    return key
+
+
+class TestMemoKey:
+    def test_split_cases_of_random_families(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            data = random_algebraic_data(rng, max_dim=5, max_params=3)
+            # without the inequations, splitting has work to do
+            stripped = AlgebraicData(data.params, (), data.basis, data.products_dict())
+            cases = split_into_cases(stripped)
+            moved = split_into_cases(relabelled(stripped, rng))
+            assert len(cases) == len(moved)
+            for case, twin in zip(cases, moved):
+                key = assert_key_matches_reference(case, case.params, case.restrictions)
+                assert canonicalize(twin, twin.params, twin.restrictions) == key
+                reduced = _reduce(case)
+                if reduced is not None:
+                    assert_key_matches_reference(case, reduced[2], reduced[3])
+
+    def test_every_lookup_of_the_general_engine(self, monkeypatch):
+        # T_8 is the smallest chain whose reduced lookups keep equations
+        seen = []
+        real = engine.canonicalize
+
+        def spy(data, params, restrictions):
+            seen.append((data, tuple(params), tuple(restrictions)))
+            return real(data, params, restrictions)
+
+        monkeypatch.setattr(engine, "canonicalize", spy)
+        ctx = EngineContext()
+        census(encode_pattern(chain(8)), ctx)
+        assert any(isinstance(r, Equation) for _, _, rs in seen for r in rs)
+        keys = set()
+        for data, params, restrictions in seen:
+            keys.add(assert_key_matches_reference(data, params, restrictions))
+            assert_key_matches_reference(data, data.params, data.restrictions)
+        assert keys == set(ctx.memo_all) | {k for k, _ in ctx.memo_at}
+
+    def test_memo_holds_no_algebraic_data(self):
+        def contains_data(x):
+            if isinstance(x, AlgebraicData):
+                return True
+            if isinstance(x, (tuple, list, frozenset, set)):
+                return any(contains_data(v) for v in x)
+            if isinstance(x, dict):
+                return any(contains_data(k) or contains_data(v) for k, v in x.items())
+            return False
+
+        ctx = EngineContext()
+        unitriangular_census(9, ctx)
+        assert ctx.memo_all and ctx.memo_at
+        assert not contains_data(ctx.memo_all)
+        assert not contains_data(ctx.memo_at)

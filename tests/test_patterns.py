@@ -61,13 +61,51 @@ class TestNormalClosure:
         rng = random.Random(17)
         for _ in range(40):
             m, rel = random_poset_pairs(rng)
-            order = choose_order(range(1, m + 1), frozenset(rel))
-            out = normal_closure(frozenset(rel), order)
+            order, out = choose_order(range(1, m + 1), frozenset(rel))
+            assert out == normal_closure(frozenset(rel), order)
             assert frozenset(rel) <= out
             for a, b in out:
                 for c, d in out:
                     if b == c:
                         assert (a, d) in out
+
+
+def test_pattern_core_reuses_the_chosen_closure(monkeypatch):
+    # each _pattern_core computes one normal closure per candidate order,
+    # all inside choose_order, and none again for the winner
+    from unicount import patterns
+    calls = []          # per open _pattern_core: [closures inside, outside choose_order]
+    inside = []
+    real_core, real_choose, real_closure = (patterns._pattern_core, patterns.choose_order,
+                                            patterns.normal_closure)
+
+    def core(poset, ctx):
+        calls.append([0, 0])
+        try:
+            return real_core(poset, ctx)
+        finally:
+            chosen, again = calls.pop()
+            assert chosen <= 3 and again == 0
+
+    def choose(elems, rel):
+        inside.append(True)
+        try:
+            return real_choose(elems, rel)
+        finally:
+            inside.pop()
+
+    def closure(rel, order):
+        calls[-1][0 if inside else 1] += 1
+        return real_closure(rel, order)
+
+    monkeypatch.setattr(patterns, "_pattern_core", core)
+    monkeypatch.setattr(patterns, "choose_order", choose)
+    monkeypatch.setattr(patterns, "normal_closure", closure)
+    unitriangular_census(8, EngineContext())
+    rng = random.Random(5)
+    for _ in range(20):
+        m, rel = random_poset_pairs(rng, max_elems=6)
+        pattern_census(Poset(range(1, m + 1), rel), EngineContext())
 
 
 class TestAntichains:
