@@ -162,14 +162,6 @@ class AlgebraicData:
             self._cache["by_left"] = d
         return d
 
-    def products_into(self, z: int) -> list[tuple[int, int, frozenset[int]]]:
-        out = []
-        for x, y, ts in self.prods:
-            for w, fs in ts:
-                if w == z:
-                    out.append((x, y, fs))
-        return out
-
     def symbols_in_products(self) -> frozenset[int]:
         s = self._cache.get("live")
         if s is None:

@@ -8,6 +8,7 @@ survived or the count audit (--debug-counts) found violations,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -103,14 +104,26 @@ def _cache_path(cfg: RunConfig, n: int) -> Path:
     return cfg.cache_dir / f"table_n{n}.json"
 
 
+def _source_digest() -> str:
+    """sha256 over the package's .py sources, which a cached table must match."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def _read_cached(path: Path) -> ResolvedTable | None:
-    """The table stored at path, or None when it is missing or unreadable."""
+    """The table stored at path, or None when it is missing, unreadable,
+    or written by other sources."""
     try:
         text = path.read_text()
     except FileNotFoundError:
         return None
     try:
-        return ResolvedTable.from_json(json.loads(text))
+        obj = json.loads(text)
+        if obj["source_sha256"] != _source_digest():
+            return None
+        return ResolvedTable.from_json(obj)
     except (ValueError, KeyError, TypeError, AttributeError):
         # truncated or malformed: the caller recomputes and overwrites it
         return None
@@ -132,7 +145,8 @@ def load_or_compute(n: int, cfg: RunConfig, ctx: EngineContext | None = None) ->
     """The cached table for n, or a fresh computation.
 
     An audited run always computes, since a cached table skips the audit.
-    A cache file that cannot be read counts as a miss.
+    A cache file that cannot be read, or that other package sources
+    wrote, counts as a miss and is rewritten.
     """
     path = _cache_path(cfg, n)
     if not cfg.debug_counts:
@@ -142,7 +156,8 @@ def load_or_compute(n: int, cfg: RunConfig, ctx: EngineContext | None = None) ->
     ctx = ctx or make_context(cfg)
     table = compute_table(n, ctx)
     if not table.unresolved:
-        _write_atomically(path, json.dumps(table.to_json(), indent=1, sort_keys=True))
+        obj = dict(table.to_json(), source_sha256=_source_digest())
+        _write_atomically(path, json.dumps(obj, indent=1, sort_keys=True))
     return table
 
 

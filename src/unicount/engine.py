@@ -14,6 +14,12 @@ a direct-sum peel, a good-pair contraction that removes two dimensions
 and multiplies degrees by t, a central-column fold that introduces free
 parameters, and finally gives up, emitting a family record.
 
+Both contractions are the same change of basis: every new basis vector
+is a combination of old ones, and the new structure constants are the
+old products read off in new coordinates.  ``_change_basis`` is that
+one rewrite; each contraction only checks its witness and says which
+old vectors each new vector uses and where each old coordinate goes.
+
 Both walks are memoised per EngineContext.  A lookup first reduces the
 restrictions and then canonicalizes in one pass to a compact key of
 ints and tuples; census_at adds the position of z.  Only on a miss is
@@ -222,7 +228,7 @@ def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
 
     # direct sum peel: nothing multiplies into z, so <z> splits off and
     # contributes the q-1 nontrivial characters of 1 + <z>
-    if not data.products_into(z):
+    if z not in data.hit_targets:
         part = census(data.remove_basis(z), ctx)
         return scale_census(part, 1, 0, 0)
 
@@ -292,57 +298,99 @@ def _fold_witness(data: AlgebraicData, z: int) -> int | None:
 # ---------------------------------------------------------------------------
 # contractions
 
-def _product_pusher(data: AlgebraicData, new_products: dict, extra_params: list,
-                    extra_restrictions: list):
-    """Shared conversion of structure-constant expressions into factor sets.
+_ONE = ParamPoly.const(1)
 
-    A square-free monomial with coefficient +1 is stored directly.  A
-    signed unit monomial in nonzero-restricted parameters gets a fresh
-    defining parameter together with an implied inequation (its value
-    can never vanish).  Anything else gets a fresh parameter and a
-    defining equation only; the later case split decides whether it
-    vanishes.
+
+def _times(c1: ParamPoly, c2: ParamPoly) -> ParamPoly:
+    """c1 * c2, without multiplying by the coefficient 1."""
+    return c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
+
+
+def _change_basis(data: AlgebraicData, basis: list[int], params: tuple[int, ...],
+                  uses: dict, coord: dict, ck: frozenset = frozenset(),
+                  divided: frozenset = frozenset()) -> AlgebraicData:
+    """Read the products of data off in a new basis: the one rewrite
+    shared by both contractions.
+
+    ``uses[a]`` lists the pairs (u, c) such that the old vector a occurs
+    in the new vector u with coefficient c; ``coord[w]`` is the pair
+    (t, c) sending the coordinate on the old vector w to the new vector
+    t, times c, and coordinates on old vectors missing from it are
+    dropped.  The coordinates of the targets in ``divided`` are then
+    divided by the monomial c_k over ``ck``.  ``params`` are appended to
+    the parameters of data.
+
+    One walk over the old products accumulates the new structure
+    constants.  A square-free monomial with coefficient +1 is stored
+    directly.  Anything else gets a fresh parameter d, numbered by new
+    (u, v) pair and then target position, with the defining equation
+    d = P, or d * c_k = P on a divided target when c_k does not divide
+    P.  d is also restricted nonzero when P is a signed product of
+    nonzero parameters, since then it can never vanish; otherwise the
+    later case split decides whether it does.
     """
-    nzset = data.nz_params
-    counter = [max(data.params, default=-1) + 1]
+    # acc[(u, v)][t] lists the terms (factor set, coefficient) of u v on t
+    acc: dict[tuple[int, int], dict[int, list]] = {}
+    for a, b, ts in data.prods:
+        for u, cu in uses.get(a, ()):
+            for v, cv in uses.get(b, ()):
+                cuv = _times(cu, cv)
+                cell = acc.setdefault((u, v), {})
+                for w, fs in ts:
+                    if w in coord:
+                        t, cw = coord[w]
+                        cell.setdefault(t, []).append((fs, _times(cuv, cw)))
 
-    def fresh() -> int:
-        p = counter[0]
-        counter[0] += 1
-        extra_params.append(p)
-        return p
+    nz = data.nz_params
+    fresh_from = max(data.params + tuple(params), default=-1) + 1
+    fresh: list[int] = []
+    extra_restrictions = []
 
-    def push(u: int, v: int, w: int, expr: ParamPoly):
-        if expr.is_zero():
-            return
-        sm = expr.single_monomial()
-        if sm is not None:
-            coeff, mono = sm
-            if coeff == 1 and all(e == 1 for _, e in mono):
-                new_products.setdefault((u, v), []).append(
-                    (w, frozenset(s for s, _ in mono)))
-                return
-            if abs(coeff) == 1 and all(s in nzset for s, _ in mono):
-                d = fresh()
-                extra_restrictions.append(Equation(ParamPoly.var(d) - expr))
-                extra_restrictions.append(NonZero(d))
-                new_products.setdefault((u, v), []).append((w, frozenset([d])))
-                return
-        d = fresh()
-        extra_restrictions.append(Equation(ParamPoly.var(d) - expr))
-        new_products.setdefault((u, v), []).append((w, frozenset([d])))
+    def define(lhs_factor: ParamPoly, expr: ParamPoly) -> frozenset:
+        d = fresh_from + len(fresh)
+        fresh.append(d)
+        extra_restrictions.append(Equation(ParamPoly.var(d) * lhs_factor - expr))
+        if solcount._invertible_monomial(expr, nz):
+            extra_restrictions.append(NonZero(d))
+        return frozenset([d])
 
-    return push, fresh
+    pos = {b: i for i, b in enumerate(basis)}
+    products = {}
+    for u, v in sorted(acc, key=lambda uv: (pos[uv[0]], pos[uv[1]])):
+        row = products[(u, v)] = []
+        cell = acc[(u, v)]
+        for t in sorted(cell, key=pos.__getitem__):
+            terms = cell[t]
+            if len(terms) == 1 and terms[0][1] is _ONE and t not in divided:
+                # a lone factor set is a square-free monomial with coefficient +1
+                row.append((t, terms[0][0]))
+                continue
+            expr = sum((ParamPoly.monomial(fs) * c for fs, c in terms), ParamPoly.zero())
+            if expr.is_zero():
+                continue
+            if t in divided:
+                content = expr.content()
+                if not all(s in content for s in ck):
+                    row.append((t, define(ParamPoly.monomial(ck), expr)))
+                    continue
+                expr = expr.divide_monomial(dict.fromkeys(ck, 1))
+            sm = expr.single_monomial()
+            if sm is not None and sm[0] == 1 and all(e == 1 for _, e in sm[1]):
+                row.append((t, frozenset(s for s, _ in sm[1])))
+            else:
+                row.append((t, define(_ONE, expr)))
+    return AlgebraicData(data.params + tuple(params) + tuple(fresh),
+                         data.restrictions + tuple(extra_restrictions), basis, products)
 
 
 def contract_type_b(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
     """Restrict to the centraliser of the good pair (<z>, <y>) and deflate.
 
-    The vectors x_1 < ... < x_k with y x_i != 0 are replaced by the k-1
-    combinations x'_i = c_k x_i - c_i x_k killed by y; y and x_k leave
-    the basis.  Structure constants are rewritten accordingly, dividing
-    by c_k for products that land on some x_l (recorded as an equation
-    d * c_k = P when the factor sets do not literally contain c_k's).
+    The vectors x_1 < ... < x_k with y x_i = c_i z are replaced by the
+    k-1 combinations x'_i = c_k x_i - c_i x_k killed by y; y and x_k
+    leave the basis, and their coordinates are dropped.  In the new
+    basis the coordinate on x'_l is the old one on x_l divided by c_k,
+    the rest are unchanged; ``_change_basis`` does the rewrite.
     """
     if y in data.right_factors:
         raise BadWitness("y must satisfy Jy = 0")
@@ -359,116 +407,24 @@ def contract_type_b(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
         raise BadWitness("y has no product into z")
     xs.sort(key=data.pos)
     xk = xs[-1]
-    ck_set = csets[xk]
-    ck = ParamPoly.monomial(ck_set)
 
     next_b = max(data.basis) + 1
     xprime = {x: next_b + i for i, x in enumerate(xs[:-1])}
-    new_basis = []
-    for b in data.basis:
-        if b == y or b == xk:
-            continue
-        new_basis.append(xprime.get(b, b))
-    old_of = {nb: x for x, nb in xprime.items()}
-
-    new_products: dict = {}
-    extra_params: list[int] = []
-    extra_restrictions: list = []
-    push, fresh = _product_pusher(data, new_products, extra_params, extra_restrictions)
-
-    def mono(fs):
-        return ParamPoly.monomial(fs)
-
-    def targets(a, b):
-        return {w: fs for w, fs in data.product(a, b)}
-
-    for u in new_basis:
-        xu = old_of.get(u)
-        for v in new_basis:
-            xv = old_of.get(v)
-            if xu is None and xv is None:
-                for w, fs in data.product(u, v):
-                    if w == y or w == xk:
-                        continue
-                    if w in xprime:
-                        # division case: d = P(u, v, x_l) / c_k
-                        if ck_set <= fs:
-                            new_products.setdefault((u, v), []).append(
-                                (xprime[w], fs - ck_set))
-                        else:
-                            d = fresh()
-                            extra_restrictions.append(
-                                Equation(ParamPoly.var(d) * ck - mono(fs)))
-                            extra_restrictions.append(NonZero(d))
-                            new_products.setdefault((u, v), []).append(
-                                (xprime[w], frozenset([d])))
-                    else:
-                        new_products.setdefault((u, v), []).append((w, fs))
-            elif xu is None:
-                ci = mono(csets[xv])
-                t1 = targets(u, xv)
-                t2 = targets(u, xk)
-                for w in sorted(set(t1) | set(t2), key=data.pos):
-                    if w == y or w == xk:
-                        continue
-                    if w in xprime:
-                        if w in t1:
-                            new_products.setdefault((u, v), []).append(
-                                (xprime[w], t1[w]))
-                    else:
-                        e1 = ck * mono(t1[w]) if w in t1 else ParamPoly.zero()
-                        e2 = ci * mono(t2[w]) if w in t2 else ParamPoly.zero()
-                        push(u, v, w, e1 - e2)
-            elif xv is None:
-                ci = mono(csets[xu])
-                t1 = targets(xu, v)
-                t2 = targets(xk, v)
-                for w in sorted(set(t1) | set(t2), key=data.pos):
-                    if w == y or w == xk:
-                        continue
-                    if w in xprime:
-                        if w in t1:
-                            new_products.setdefault((u, v), []).append(
-                                (xprime[w], t1[w]))
-                    else:
-                        e1 = ck * mono(t1[w]) if w in t1 else ParamPoly.zero()
-                        e2 = ci * mono(t2[w]) if w in t2 else ParamPoly.zero()
-                        push(u, v, w, e1 - e2)
-            else:
-                ci = mono(csets[xu])
-                cj = mono(csets[xv])
-                tij = targets(xu, xv)
-                tkj = targets(xk, xv)
-                tik = targets(xu, xk)
-                tkk = targets(xk, xk)
-                for w in sorted(set(tij) | set(tkj) | set(tik) | set(tkk), key=data.pos):
-                    if w == y or w == xk:
-                        continue
-                    if w in xprime:
-                        if w in tij:
-                            push(u, v, xprime[w], ck * mono(tij[w]))
-                    else:
-                        expr = ParamPoly.zero()
-                        if w in tij:
-                            expr = expr + ck * ck * mono(tij[w])
-                        if w in tkj:
-                            expr = expr - ci * ck * mono(tkj[w])
-                        if w in tik:
-                            expr = expr - cj * ck * mono(tik[w])
-                        if w in tkk:
-                            expr = expr + ci * cj * mono(tkk[w])
-                        push(u, v, w, expr)
-
-    return AlgebraicData(data.params + tuple(extra_params),
-                         data.restrictions + tuple(extra_restrictions),
-                         new_basis, new_products)
+    kept = [b for b in data.basis if b != y and b != xk]
+    ck = ParamPoly.monomial(csets[xk])
+    uses = {b: [(xprime[b], ck)] if b in xprime else [(b, _ONE)] for b in kept}
+    uses[xk] = [(xp, -ParamPoly.monomial(csets[x])) for x, xp in xprime.items()]
+    coord = {b: (xprime.get(b, b), _ONE) for b in kept}
+    return _change_basis(data, [xprime.get(b, b) for b in kept], (), uses, coord,
+                         csets[xk], frozenset(xprime.values()))
 
 
 def contract_type_a(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
     """Quotient by the central subspaces <w_i - b_i z> for fresh free b_i.
 
     The annihilated vectors w_1..w_k hit by y (other than z) fold into a
-    relabelled z placed last in the basis; products into w_i reappear in
+    relabelled z placed last in the basis: ``_change_basis`` sends the
+    coordinate on w_i to z times b_i, so products into w_i reappear in
     the z column with coefficient b_i.
     """
     if y in data.right_factors:
@@ -483,31 +439,11 @@ def contract_type_a(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
 
     next_p = max(data.params, default=-1) + 1
     bparam = {w: next_p + i for i, w in enumerate(ws)}
-    removed = set(ws) | {z}
-    new_basis = [b for b in data.basis if b not in removed] + [z]
-
-    new_products: dict = {}
-    extra_params: list[int] = []
-    extra_restrictions: list = []
-    # pusher must allocate fresh names after the b_i
-    shifted = AlgebraicData(data.params + tuple(bparam.values()),
-                            data.restrictions, data.basis, data.products_dict())
-    push, _ = _product_pusher(shifted, new_products, extra_params, extra_restrictions)
-
-    for u, v, ts in data.prods:
-        expr = ParamPoly.zero()
-        for w, fs in ts:
-            if w == z:
-                expr = expr + ParamPoly.monomial(fs)
-            elif w in bparam:
-                expr = expr + ParamPoly.monomial(fs) * ParamPoly.var(bparam[w])
-            else:
-                new_products.setdefault((u, v), []).append((w, fs))
-        push(u, v, z, expr)
-
-    return AlgebraicData(data.params + tuple(bparam.values()) + tuple(extra_params),
-                         data.restrictions + tuple(extra_restrictions),
-                         new_basis, new_products)
+    new_basis = [b for b in data.basis if b not in bparam and b != z] + [z]
+    uses = {b: [(b, _ONE)] for b in new_basis}
+    coord = {b: (b, _ONE) for b in new_basis}
+    coord.update({w: (z, ParamPoly.var(p)) for w, p in bparam.items()})
+    return _change_basis(data, new_basis, tuple(bparam.values()), uses, coord)
 
 
 # ---------------------------------------------------------------------------

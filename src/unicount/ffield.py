@@ -100,9 +100,6 @@ class Fq:
         """Image of an integer under Z -> F_q (through the prime subfield)."""
         return c % self.p
 
-    def elements(self) -> range:
-        return range(self.q)
-
 
 _FIELDS: dict[int, Fq] = {}
 

@@ -120,9 +120,9 @@ def normal_closure(rel: frozenset, order: Iterable[int]) -> frozenset:
 def choose_order(elems: Iterable[int], rel: frozenset) -> tuple[list[int], frozenset]:
     """A linear extension trying to maximise the normal closure, and that closure.
 
-    Candidates: descending out-degree (always an extension), ambient
-    order and ascending in-degree when they happen to extend rel; the
-    best closure wins, first candidate on ties.
+    Candidates: descending out-degree (always an extension), and
+    ascending in-degree when it happens to extend rel; the larger
+    closure wins, the first candidate on ties.
     """
     elems = sorted(elems)
     outdeg = {e: 0 for e in elems}
@@ -136,9 +136,9 @@ def choose_order(elems: Iterable[int], rel: frozenset) -> tuple[list[int], froze
         return all(ix[a] < ix[b] for a, b in rel)
 
     candidates = [sorted(elems, key=lambda e: (-outdeg[e], e))]
-    for cand in (list(elems), sorted(elems, key=lambda e: (indeg[e], e))):
-        if consistent(cand) and cand not in candidates:
-            candidates.append(cand)
+    cand = sorted(elems, key=lambda e: (indeg[e], e))
+    if consistent(cand) and cand not in candidates:
+        candidates.append(cand)
     return max(((o, normal_closure(rel, o)) for o in candidates),
                key=lambda oc: len(oc[1]))
 

@@ -70,6 +70,18 @@ class TestComputeCommand:
         stored = json.loads((tmp_path / "table_n6.json").read_text())
         assert ResolvedTable.from_json(stored).entries == want.entries
 
+    def test_cache_from_other_sources_is_recomputed(self, tmp_path):
+        # a table written by other package sources may be stale: here it is
+        # n = 5's table stored as n = 6's, under a digest no source has
+        want = load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path / "fresh"))
+        stale = load_or_compute(5, RunConfig(n=5, cache_dir=tmp_path)).to_json()
+        stale.update(n=6, source_sha256="0" * 64)
+        (tmp_path / "table_n6.json").write_text(json.dumps(stale))
+        assert load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path)).entries == want.entries
+        stored = json.loads((tmp_path / "table_n6.json").read_text())
+        assert ResolvedTable.from_json(stored).entries == want.entries
+        assert stored["source_sha256"] != "0" * 64
+
     def test_cache_write_goes_through_a_rename(self, tmp_path, monkeypatch):
         # a write that dies before the rename leaves no cache file behind
         def killed(src, dst):

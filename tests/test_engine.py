@@ -10,10 +10,11 @@ from unicount.engine import (BadWitness, Census, EngineContext, Family, Resolved
                              census_at, contract_type_a, contract_type_b, resolve,
                              scale_census)
 from unicount.oracle import verify_census
-from unicount.patterns import chain, encode_pattern, unitriangular_census
+from unicount.patterns import (Poset, chain, encode_pattern, pattern_census,
+                               unitriangular_census)
 from unicount.polyring import CountPoly, ParamPoly
 
-from conftest import random_algebraic_data
+from conftest import random_algebraic_data, random_poset_pairs
 
 
 def qt(dq, dt=0, c=1):
@@ -393,3 +394,329 @@ class TestMemoKey:
         assert ctx.memo_all and ctx.memo_at
         assert not contains_data(ctx.memo_all)
         assert not contains_data(ctx.memo_at)
+
+
+# ---------------------------------------------------------------------------
+# change of basis: the reference contractions below expand every product
+# case by hand, and the engine's must match them key for key
+
+def reference_product_pusher(data: AlgebraicData, new_products: dict, extra_params: list,
+                             extra_restrictions: list):
+    """Shared conversion of structure-constant expressions into factor sets.
+
+    A square-free monomial with coefficient +1 is stored directly.  A
+    signed unit monomial in nonzero-restricted parameters gets a fresh
+    defining parameter together with an implied inequation (its value
+    can never vanish).  Anything else gets a fresh parameter and a
+    defining equation only; the later case split decides whether it
+    vanishes.
+    """
+    nzset = data.nz_params
+    counter = [max(data.params, default=-1) + 1]
+
+    def fresh() -> int:
+        p = counter[0]
+        counter[0] += 1
+        extra_params.append(p)
+        return p
+
+    def push(u: int, v: int, w: int, expr: ParamPoly):
+        if expr.is_zero():
+            return
+        sm = expr.single_monomial()
+        if sm is not None:
+            coeff, mono = sm
+            if coeff == 1 and all(e == 1 for _, e in mono):
+                new_products.setdefault((u, v), []).append(
+                    (w, frozenset(s for s, _ in mono)))
+                return
+            if abs(coeff) == 1 and all(s in nzset for s, _ in mono):
+                d = fresh()
+                extra_restrictions.append(Equation(ParamPoly.var(d) - expr))
+                extra_restrictions.append(NonZero(d))
+                new_products.setdefault((u, v), []).append((w, frozenset([d])))
+                return
+        d = fresh()
+        extra_restrictions.append(Equation(ParamPoly.var(d) - expr))
+        new_products.setdefault((u, v), []).append((w, frozenset([d])))
+
+    return push, fresh
+
+
+def reference_contract_type_b(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
+    """Restrict to the centraliser of the good pair (<z>, <y>) and deflate.
+
+    The vectors x_1 < ... < x_k with y x_i != 0 are replaced by the k-1
+    combinations x'_i = c_k x_i - c_i x_k killed by y; y and x_k leave
+    the basis.  Structure constants are rewritten accordingly, dividing
+    by c_k for products that land on some x_l (recorded as an equation
+    d * c_k = P when the factor sets do not literally contain c_k's).
+    """
+    if y in data.right_factors:
+        raise BadWitness("y must satisfy Jy = 0")
+    rows = data.products_by_left().get(y, ())
+    xs = []
+    csets = {}
+    for v, ts in rows:
+        for w, fs in ts:
+            if w != z:
+                raise BadWitness("products out of y must land on z")
+            xs.append(v)
+            csets[v] = fs
+    if not xs:
+        raise BadWitness("y has no product into z")
+    xs.sort(key=data.pos)
+    xk = xs[-1]
+    ck_set = csets[xk]
+    ck = ParamPoly.monomial(ck_set)
+
+    next_b = max(data.basis) + 1
+    xprime = {x: next_b + i for i, x in enumerate(xs[:-1])}
+    new_basis = []
+    for b in data.basis:
+        if b == y or b == xk:
+            continue
+        new_basis.append(xprime.get(b, b))
+    old_of = {nb: x for x, nb in xprime.items()}
+
+    new_products: dict = {}
+    extra_params: list[int] = []
+    extra_restrictions: list = []
+    push, fresh = reference_product_pusher(data, new_products, extra_params, extra_restrictions)
+
+    def mono(fs):
+        return ParamPoly.monomial(fs)
+
+    def targets(a, b):
+        return {w: fs for w, fs in data.product(a, b)}
+
+    for u in new_basis:
+        xu = old_of.get(u)
+        for v in new_basis:
+            xv = old_of.get(v)
+            if xu is None and xv is None:
+                for w, fs in data.product(u, v):
+                    if w == y or w == xk:
+                        continue
+                    if w in xprime:
+                        # division case: d = P(u, v, x_l) / c_k
+                        if ck_set <= fs:
+                            new_products.setdefault((u, v), []).append(
+                                (xprime[w], fs - ck_set))
+                        else:
+                            d = fresh()
+                            extra_restrictions.append(
+                                Equation(ParamPoly.var(d) * ck - mono(fs)))
+                            extra_restrictions.append(NonZero(d))
+                            new_products.setdefault((u, v), []).append(
+                                (xprime[w], frozenset([d])))
+                    else:
+                        new_products.setdefault((u, v), []).append((w, fs))
+            elif xu is None:
+                ci = mono(csets[xv])
+                t1 = targets(u, xv)
+                t2 = targets(u, xk)
+                for w in sorted(set(t1) | set(t2), key=data.pos):
+                    if w == y or w == xk:
+                        continue
+                    if w in xprime:
+                        if w in t1:
+                            new_products.setdefault((u, v), []).append(
+                                (xprime[w], t1[w]))
+                    else:
+                        e1 = ck * mono(t1[w]) if w in t1 else ParamPoly.zero()
+                        e2 = ci * mono(t2[w]) if w in t2 else ParamPoly.zero()
+                        push(u, v, w, e1 - e2)
+            elif xv is None:
+                ci = mono(csets[xu])
+                t1 = targets(xu, v)
+                t2 = targets(xk, v)
+                for w in sorted(set(t1) | set(t2), key=data.pos):
+                    if w == y or w == xk:
+                        continue
+                    if w in xprime:
+                        if w in t1:
+                            new_products.setdefault((u, v), []).append(
+                                (xprime[w], t1[w]))
+                    else:
+                        e1 = ck * mono(t1[w]) if w in t1 else ParamPoly.zero()
+                        e2 = ci * mono(t2[w]) if w in t2 else ParamPoly.zero()
+                        push(u, v, w, e1 - e2)
+            else:
+                ci = mono(csets[xu])
+                cj = mono(csets[xv])
+                tij = targets(xu, xv)
+                tkj = targets(xk, xv)
+                tik = targets(xu, xk)
+                tkk = targets(xk, xk)
+                for w in sorted(set(tij) | set(tkj) | set(tik) | set(tkk), key=data.pos):
+                    if w == y or w == xk:
+                        continue
+                    if w in xprime:
+                        if w in tij:
+                            push(u, v, xprime[w], ck * mono(tij[w]))
+                    else:
+                        expr = ParamPoly.zero()
+                        if w in tij:
+                            expr = expr + ck * ck * mono(tij[w])
+                        if w in tkj:
+                            expr = expr - ci * ck * mono(tkj[w])
+                        if w in tik:
+                            expr = expr - cj * ck * mono(tik[w])
+                        if w in tkk:
+                            expr = expr + ci * cj * mono(tkk[w])
+                        push(u, v, w, expr)
+
+    return AlgebraicData(data.params + tuple(extra_params),
+                         data.restrictions + tuple(extra_restrictions),
+                         new_basis, new_products)
+
+
+def reference_contract_type_a(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
+    """Quotient by the central subspaces <w_i - b_i z> for fresh free b_i.
+
+    The annihilated vectors w_1..w_k hit by y (other than z) fold into a
+    relabelled z placed last in the basis; products into w_i reappear in
+    the z column with coefficient b_i.
+    """
+    if y in data.right_factors:
+        raise BadWitness("y must satisfy Jy = 0")
+    factors = data.left_factors | data.right_factors
+    annihilated = {b for b in data.basis if b not in factors}
+    rows = data.products_by_left().get(y, ())
+    image = {w for _, ts in rows for w, _ in ts}
+    if not image <= annihilated:
+        raise BadWitness("products out of y must land on annihilated vectors")
+    ws = [w for w in data.basis if w in image and w != z]
+
+    next_p = max(data.params, default=-1) + 1
+    bparam = {w: next_p + i for i, w in enumerate(ws)}
+    removed = set(ws) | {z}
+    new_basis = [b for b in data.basis if b not in removed] + [z]
+
+    new_products: dict = {}
+    extra_params: list[int] = []
+    extra_restrictions: list = []
+    # pusher must allocate fresh names after the b_i
+    shifted = AlgebraicData(data.params + tuple(bparam.values()),
+                            data.restrictions, data.basis, data.products_dict())
+    push, _ = reference_product_pusher(shifted, new_products, extra_params, extra_restrictions)
+
+    for u, v, ts in data.prods:
+        expr = ParamPoly.zero()
+        for w, fs in ts:
+            if w == z:
+                expr = expr + ParamPoly.monomial(fs)
+            elif w in bparam:
+                expr = expr + ParamPoly.monomial(fs) * ParamPoly.var(bparam[w])
+            else:
+                new_products.setdefault((u, v), []).append((w, fs))
+        push(u, v, z, expr)
+
+    return AlgebraicData(data.params + tuple(bparam.values()) + tuple(extra_params),
+                         data.restrictions + tuple(extra_restrictions),
+                         new_basis, new_products)
+
+
+REFERENCE = {"a": reference_contract_type_a, "b": reference_contract_type_b}
+CONTRACT = {"a": "contract_type_a", "b": "contract_type_b"}
+
+
+def assert_same_contraction(kind, data, z, y):
+    got = getattr(engine, CONTRACT[kind])(data, z, y)
+    want = REFERENCE[kind](data, z, y)
+    assert (got.key(), got.basis) == (want.key(), want.basis), (kind, data, z, y)
+    return got
+
+
+def recorded_contractions(monkeypatch, run):
+    """Every (kind, data, z, y) that the engine contracts while run() runs."""
+    seen = []
+    for kind, name in CONTRACT.items():
+        def spy(data, z, y, kind=kind, real=getattr(engine, name)):
+            seen.append((kind, data, z, y))
+            return real(data, z, y)
+        monkeypatch.setattr(engine, name, spy)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def division_input():
+    """e0 e2 = p0 e3 + p1 e4 and e1 e3 = p2 e5, e1 e4 = p3 e5, with p0 = p3,
+    p1 = -p2 and every parameter nonzero: contracting (e5, e1) divides the
+    coordinate p0 on e3 by c_k = p3, which the factor set {p0} cannot absorb."""
+    p = ParamPoly.var
+    return AlgebraicData(
+        (0, 1, 2, 3),
+        [NonZero(0), NonZero(1), NonZero(2), NonZero(3),
+         Equation(p(0) - p(3)), Equation(p(1) + p(2))],
+        range(6),
+        {(0, 2): [(3, frozenset([0])), (4, frozenset([1]))],
+         (1, 3): [(5, frozenset([2]))],
+         (1, 4): [(5, frozenset([3]))]})
+
+
+def two_divisions_input():
+    """e0 e1 = p0 e2 + p1 e3 and e4 e2 = p2 e6, e4 e3 = p3 e6, e4 e5 = p4 e6,
+    with p0 = p3, p1 = -p2 and every parameter nonzero: contracting (e6, e4)
+    divides both coordinates of e0 e1 by c_k = p4, one fresh parameter each."""
+    p = ParamPoly.var
+    return AlgebraicData(
+        range(5),
+        [NonZero(i) for i in range(5)] + [Equation(p(0) - p(3)), Equation(p(1) + p(2))],
+        range(7),
+        {(0, 1): [(2, frozenset([0])), (3, frozenset([1]))],
+         (4, 2): [(6, frozenset([2]))],
+         (4, 3): [(6, frozenset([3]))],
+         (4, 5): [(6, frozenset([4]))]})
+
+
+class TestChangeOfBasis:
+    def test_division_equation_input(self):
+        out = assert_same_contraction("b", division_input(), 5, 1)
+        p = ParamPoly.var
+        assert out.params == (0, 1, 2, 3, 4)
+        assert Equation(p(4) * p(3) - p(0)) in out.restrictions
+        assert NonZero(4) in out.restrictions
+
+    def test_fresh_parameters_follow_target_position(self):
+        out = assert_same_contraction("b", two_divisions_input(), 6, 4)
+        p = ParamPoly.var
+        assert out.basis == (0, 1, 7, 8, 6)
+        assert out.prods[0] == (0, 1, ((7, frozenset([5])), (8, frozenset([6]))))
+        assert Equation(p(5) * p(4) - p(0)) in out.restrictions
+        assert Equation(p(6) * p(4) - p(1)) in out.restrictions
+
+    def test_every_contraction_of_the_general_engine(self, monkeypatch):
+        seen = recorded_contractions(
+            monkeypatch, lambda: census(encode_pattern(chain(8)), EngineContext()))
+        assert {kind for kind, *_ in seen} == {"a", "b"}
+        for call in seen:
+            assert_same_contraction(*call)
+
+    def test_contractions_under_random_posets(self, monkeypatch):
+        rng = random.Random(31)
+        posets = [random_poset_pairs(rng, max_elems=8) for _ in range(40)]
+
+        def run():
+            for m, rel in posets:
+                pattern_census(Poset(range(1, m + 1), rel), EngineContext())
+
+        seen = recorded_contractions(monkeypatch, run)
+        assert seen
+        for call in seen:
+            assert_same_contraction(*call)
+
+    def test_contractions_of_random_families(self, monkeypatch):
+        rng = random.Random(37)
+        families = [random_algebraic_data(rng, max_dim=6, max_params=3) for _ in range(60)]
+
+        def run():
+            for data in families:
+                census(data, EngineContext())
+
+        seen = recorded_contractions(monkeypatch, run)
+        assert {kind for kind, *_ in seen} == {"a", "b"}
+        for call in seen:
+            assert_same_contraction(*call)

@@ -85,7 +85,7 @@ def test_pattern_core_reuses_the_chosen_closure(monkeypatch):
             return real_core(poset, ctx)
         finally:
             chosen, again = calls.pop()
-            assert chosen <= 3 and again == 0
+            assert chosen <= 2 and again == 0
 
     def choose(elems, rel):
         inside.append(True)
