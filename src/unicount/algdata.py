@@ -9,7 +9,18 @@ yields a ConcreteAlgebra with an explicit multiplication table.
 
 Parameter symbols and basis labels are interned ints; the ordering of
 the basis is the order of the ``basis`` tuple.  Values are immutable
-after construction and safe to share between threads.
+after construction; derived views such as the product map and the
+memo key are filled in on first use.
+
+The products are stored as ``prods``, a tuple of rows (x, y, targets)
+in increasing (position of x, position of y) order.  Each ``targets``
+is a nonempty tuple of (z, factor frozenset) in strictly increasing
+position of z.  The public constructor takes products as a mapping and
+sorts them into this form.  The builders on the engine's paths,
+``from_key``, ``remove_basis``, ``split_into_cases`` and
+``engine._change_basis``, already produce rows in this order and pass
+them to ``AlgebraicData._from_sorted``, which keeps them as they are;
+``validate`` checks the form.
 """
 from __future__ import annotations
 
@@ -89,17 +100,14 @@ Targets = tuple[tuple[int, frozenset[int]], ...]
 
 
 class AlgebraicData:
-    __slots__ = ("params", "restrictions", "basis", "prods", "_pos", "_pmap",
-                 "_nz", "_hash", "_cache")
+    __slots__ = ("params", "restrictions", "basis", "prods", "_pos", "_nz", "_hash",
+                 "_cache")
 
     def __init__(self, params: Iterable[int], restrictions: Iterable[Restriction],
                  basis: Iterable[int],
                  products: Mapping[tuple[int, int], Iterable[tuple[int, Iterable[int]]]]):
-        self.params = tuple(params)
-        self.restrictions = tuple(sorted(restrictions, key=lambda r: r.sort_key()))
-        self.basis = tuple(basis)
-        pos = {b: i for i, b in enumerate(self.basis)}
-        self._pos = pos
+        basis = tuple(basis)
+        pos = {b: i for i, b in enumerate(basis)}
         prods = []
         for (x, y), targets in products.items():
             ts = tuple(sorted(((z, frozenset(fs)) for z, fs in targets),
@@ -107,8 +115,28 @@ class AlgebraicData:
             if ts:
                 prods.append((x, y, ts))
         prods.sort(key=lambda p: (pos[p[0]], pos[p[1]]))
-        self.prods = tuple(prods)
-        self._pmap = {(x, y): ts for x, y, ts in self.prods}
+        self._store(params, restrictions, basis, tuple(prods), pos)
+
+    @classmethod
+    def _from_sorted(cls, params: Iterable[int], restrictions: Iterable[Restriction],
+                     basis: tuple[int, ...], prods: tuple,
+                     pos: dict[int, int] | None = None) -> "AlgebraicData":
+        """The data with ``prods`` taken as stored, without sorting.
+
+        prods must already be in the stored form the module docstring
+        states; pos, when given, must be the position map of basis.
+        """
+        data = object.__new__(cls)
+        data._store(params, restrictions, basis, prods,
+                    pos if pos is not None else {b: i for i, b in enumerate(basis)})
+        return data
+
+    def _store(self, params, restrictions, basis, prods, pos):
+        self.params = tuple(params)
+        self.restrictions = tuple(sorted(restrictions, key=lambda r: r.sort_key()))
+        self.basis = basis
+        self._pos = pos
+        self.prods = prods
         self._nz = frozenset(r.sym for r in self.restrictions if isinstance(r, NonZero))
         self._hash = None
         self._cache = {}
@@ -119,7 +147,10 @@ class AlgebraicData:
         return self._pos[b]
 
     def product(self, x: int, y: int) -> Targets:
-        return self._pmap.get((x, y), ())
+        d = self._cache.get("pmap")
+        if d is None:
+            d = self._cache["pmap"] = self.products_dict()
+        return d.get((x, y), ())
 
     @property
     def nz_params(self) -> frozenset[int]:
@@ -181,15 +212,29 @@ class AlgebraicData:
             raise MalformedData("repeated parameter")
         pset = set(self.params)
         pos = self._pos
+        if pos != {b: i for i, b in enumerate(self.basis)}:
+            raise MalformedData("position map disagrees with the basis")
+        last = None
         for x, y, ts in self.prods:
             if x not in pos or y not in pos:
                 raise MalformedData(f"product factor {x},{y} outside basis")
+            if last is not None and (pos[x], pos[y]) <= last:
+                raise MalformedData(f"product {x}*{y} out of position order")
+            last = (pos[x], pos[y])
+            if not ts:
+                raise MalformedData(f"product {x}*{y} has no targets")
+            last_z = -1
             for z, fs in ts:
                 if z not in pos:
                     raise MalformedData(f"product target {z} outside basis")
+                if pos[z] <= last_z:
+                    raise MalformedData(f"targets of {x}*{y} out of position order")
+                last_z = pos[z]
                 if pos[z] <= pos[x] or pos[z] <= pos[y]:
                     raise MalformedData(
                         f"ordering violated: target {z} not after factors {x},{y}")
+                if not isinstance(fs, frozenset):
+                    raise MalformedData(f"factor set of {x}*{y}->{z} is not a frozenset")
                 if not fs <= pset:
                     raise MalformedData(f"unknown parameter in product {x}*{y}->{z}")
         for r in self.restrictions:
@@ -207,18 +252,18 @@ class AlgebraicData:
     # -- rebuilding ----------------------------------------------------------
 
     def products_dict(self) -> dict[tuple[int, int], Targets]:
-        return dict(self._pmap)
+        return {(x, y): ts for x, y, ts in self.prods}
 
     def remove_basis(self, z: int) -> "AlgebraicData":
         nb = tuple(b for b in self.basis if b != z)
-        np_ = {}
+        prods = []
         for x, y, ts in self.prods:
             if x == z or y == z:
                 continue
-            kept = tuple((w, fs) for w, fs in ts if w != z)
+            kept = tuple([(w, fs) for w, fs in ts if w != z])
             if kept:
-                np_[(x, y)] = kept
-        return AlgebraicData(self.params, self.restrictions, nb, np_)
+                prods.append((x, y, kept))
+        return AlgebraicData._from_sorted(self.params, self.restrictions, nb, tuple(prods))
 
     def key(self) -> tuple:
         """(params, restriction sort keys, dim, products by position), all ints and tuples."""
@@ -237,8 +282,8 @@ class AlgebraicData:
         params, rk, dim, pk = key
         restrictions = [NonZero(v) if kind == 0 else Equation(ParamPoly(dict(v)))
                         for kind, v in rk]
-        products = {(x, y): tuple((z, frozenset(fs)) for z, fs in ts) for x, y, ts in pk}
-        return AlgebraicData(params, restrictions, range(dim), products)
+        prods = tuple([(x, y, tuple([(z, frozenset(fs)) for z, fs in ts])) for x, y, ts in pk])
+        return AlgebraicData._from_sorted(params, restrictions, tuple(range(dim)), prods)
 
     def __eq__(self, other):
         return isinstance(other, AlgebraicData) and self.key() == other.key()
@@ -364,9 +409,9 @@ def split_into_cases(data: AlgebraicData) -> list[AlgebraicData]:
     if witness is None:
         return [data]
 
-    with_nz = AlgebraicData(data.params,
-                            data.restrictions + (NonZero(witness),),
-                            data.basis, data.products_dict())
+    with_nz = AlgebraicData._from_sorted(data.params,
+                                         data.restrictions + (NonZero(witness),),
+                                         data.basis, data.prods, data._pos)
 
     new_params = tuple(p for p in data.params if p != witness)
     new_restrictions = []
@@ -378,12 +423,13 @@ def split_into_cases(data: AlgebraicData) -> list[AlgebraicData]:
             poly = r.poly.drop_symbol(witness)
             if not poly.is_zero():
                 new_restrictions.append(Equation(poly))
-    new_products = {}
+    new_prods = []
     for x, y, ts in data.prods:
-        kept = tuple((z, fs) for z, fs in ts if witness not in fs)
+        kept = tuple([(z, fs) for z, fs in ts if witness not in fs])
         if kept:
-            new_products[(x, y)] = kept
-    with_zero = AlgebraicData(new_params, new_restrictions, data.basis, new_products)
+            new_prods.append((x, y, kept))
+    with_zero = AlgebraicData._from_sorted(new_params, new_restrictions, data.basis,
+                                           tuple(new_prods), data._pos)
 
     return split_into_cases(with_nz) + split_into_cases(with_zero)
 
@@ -480,7 +526,6 @@ class ConcreteAlgebra:
             self._check()
 
     def _check(self):
-        pos = {b: i for i, b in enumerate(self.labels)}
         for i in range(self.dim):
             for j in range(self.dim):
                 v = self.table[i][j]
@@ -495,7 +540,6 @@ class ConcreteAlgebra:
                     if lhs != rhs:
                         raise NotAssociative(
                             f"(e{i}e{j})e{k} != e{i}(e{j}e{k})")
-        del pos
 
     def unit(self, i: int) -> tuple[int, ...]:
         return tuple(1 if k == i else 0 for k in range(self.dim))

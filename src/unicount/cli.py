@@ -2,8 +2,8 @@
 check formal identities, and run brute-force verification.
 
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
-survived or the count audit (--debug-counts) found violations,
-3 regression mismatch.
+survived, the count audit (--debug-counts) found violations, or an
+argument was rejected, 3 regression mismatch.
 """
 from __future__ import annotations
 
@@ -257,7 +257,11 @@ def cmd_regress(cfg: RunConfig, golden=None) -> int:
     violations = []
     for n in sorted(golden):
         ctx = make_context(cfg)
-        table = load_or_compute(n, cfg, ctx)
+        try:
+            table = load_or_compute(n, cfg, ctx)
+        except UnknownCore as exc:
+            print(f"unresolvable family survived: {exc}", file=sys.stderr)
+            return 2
         violations += ctx.count_violations
         for e in sorted(set(golden[n]) | set(table.entries)):
             want = golden[n].get(e)
@@ -281,7 +285,11 @@ def cmd_identities(cfg: RunConfig, max_n: int) -> int:
     status = 0
     ctx = make_context(cfg)
     for n in range(1, max_n + 1):
-        table = load_or_compute(n, cfg, ctx)
+        try:
+            table = load_or_compute(n, cfg, ctx)
+        except UnknownCore as exc:
+            print(f"unresolvable family survived: {exc}", file=sys.stderr)
+            return 2
         report = check_identities(table)
         flag = "ok" if report["pass"] else "FAIL"
         print(f"n={n}: sum_rule={report['sum_rule']} linear_rule={report['linear_rule']} "
@@ -320,6 +328,17 @@ def cmd_dump_families(cfg: RunConfig) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An --n value: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("n must be at least 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="unicount",
                                  description="Character degree counts for U_n(q)")
@@ -331,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute the N_{n,e}(q) table for one n")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--poset", help="JSON poset file instead of a chain")
     p.add_argument("--format", choices=("json", "csv", "latex"), default="json")
 
@@ -342,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force class-count agreement")
     p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--q", type=int, nargs="*", default=[2, 3])
+    p.add_argument("--q", type=int, nargs="*", default=[2, 3], choices=(2, 3, 4, 5))
 
     p = sub.add_parser("dump-families", help="unresolved families for one n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     return ap
 
 

@@ -327,7 +327,9 @@ def _change_basis(data: AlgebraicData, basis: list[int], params: tuple[int, ...]
     d = P, or d * c_k = P on a divided target when c_k does not divide
     P.  d is also restricted nonzero when P is a signed product of
     nonzero parameters, since then it can never vanish; otherwise the
-    later case split decides whether it does.
+    later case split decides whether it does.  Rows come out in the
+    stored order of ``AlgebraicData.prods``, and rows whose terms all
+    cancel are dropped.
     """
     # acc[(u, v)][t] lists the terms (factor set, coefficient) of u v on t
     acc: dict[tuple[int, int], dict[int, list]] = {}
@@ -354,10 +356,11 @@ def _change_basis(data: AlgebraicData, basis: list[int], params: tuple[int, ...]
             extra_restrictions.append(NonZero(d))
         return frozenset([d])
 
+    basis = tuple(basis)
     pos = {b: i for i, b in enumerate(basis)}
-    products = {}
+    prods = []
     for u, v in sorted(acc, key=lambda uv: (pos[uv[0]], pos[uv[1]])):
-        row = products[(u, v)] = []
+        row = []
         cell = acc[(u, v)]
         for t in sorted(cell, key=pos.__getitem__):
             terms = cell[t]
@@ -379,8 +382,11 @@ def _change_basis(data: AlgebraicData, basis: list[int], params: tuple[int, ...]
                 row.append((t, frozenset(s for s, _ in sm[1])))
             else:
                 row.append((t, define(_ONE, expr)))
-    return AlgebraicData(data.params + tuple(params) + tuple(fresh),
-                         data.restrictions + tuple(extra_restrictions), basis, products)
+        if row:
+            prods.append((u, v, tuple(row)))
+    return AlgebraicData._from_sorted(data.params + tuple(params) + tuple(fresh),
+                                      data.restrictions + tuple(extra_restrictions),
+                                      basis, tuple(prods), pos)
 
 
 def contract_type_b(data: AlgebraicData, z: int, y: int) -> AlgebraicData:

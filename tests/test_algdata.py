@@ -7,10 +7,11 @@ from unicount.algdata import (AlgebraicData, BadSubstitution, Equation,
                               count_values_bruteforce, enumerate_param_values,
                               enumerate_substitutions, instantiate,
                               split_into_cases)
+from unicount.engine import EngineContext, census
 from unicount.polyring import ParamPoly
-from unicount.patterns import chain, encode_pattern
+from unicount.patterns import Poset, chain, encode_pattern, pattern_census
 
-from conftest import random_algebraic_data
+from conftest import random_algebraic_data, random_poset_pairs
 
 
 def t3_data():
@@ -182,3 +183,84 @@ def test_encode_pattern_dimensions():
         data = encode_pattern(chain(n))
         assert len(data.basis) == n * (n - 1) // 2
         data.validate()
+
+
+def built_from_sorted(monkeypatch, run):
+    """Every AlgebraicData that ``_from_sorted`` builds while run() runs."""
+    seen = []
+    real = AlgebraicData._from_sorted
+
+    def spy(cls, *args, **kwargs):
+        data = real(*args, **kwargs)
+        seen.append(data)
+        return data
+
+    monkeypatch.setattr(AlgebraicData, "_from_sorted", classmethod(spy))
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def assert_sorted_as_init(data):
+    """data equals the same data normalised by the public constructor."""
+    want = AlgebraicData(data.params, data.restrictions, data.basis,
+                         {(x, y): ts for x, y, ts in data.prods})
+    assert data.prods == want.prods, data
+    assert data.key() == want.key()
+    assert data.basis == want.basis
+    assert data.restrictions == want.restrictions
+    data.validate()
+
+
+class TestSortedConstruction:
+    """The builders that skip sorting store exactly what __init__ would."""
+
+    def test_general_engine(self, monkeypatch):
+        seen = built_from_sorted(
+            monkeypatch, lambda: census(encode_pattern(chain(8)), EngineContext()))
+        assert seen
+        for data in seen:
+            assert_sorted_as_init(data)
+
+    def test_random_posets(self, monkeypatch):
+        rng = random.Random(41)
+        posets = [random_poset_pairs(rng, max_elems=8) for _ in range(40)]
+
+        def run():
+            for m, rel in posets:
+                pattern_census(Poset(range(1, m + 1), rel), EngineContext())
+
+        seen = built_from_sorted(monkeypatch, run)
+        assert seen
+        for data in seen:
+            assert_sorted_as_init(data)
+
+    def test_case_splits_of_random_families(self, monkeypatch):
+        rng = random.Random(43)
+        families = []
+        for _ in range(60):
+            data = random_algebraic_data(rng, max_dim=6, max_params=3)
+            # strip the inequations so that splitting has work to do
+            families.append(AlgebraicData(data.params, (), data.basis,
+                                          data.products_dict()))
+
+        def run():
+            for data in families:
+                split_into_cases(data)
+
+        seen = built_from_sorted(monkeypatch, run)
+        assert seen
+        for data in seen:
+            assert_sorted_as_init(data)
+
+    def test_validate_rejects_unsorted_rows(self):
+        data = t3_data()
+        with pytest.raises(MalformedData):
+            AlgebraicData._from_sorted((), (), (0, 1, 2, 3),
+                                       data.prods + ((0, 0, ((3, frozenset()),)),)).validate()
+        with pytest.raises(MalformedData):
+            AlgebraicData._from_sorted((), (), (0, 1, 2), ((0, 1, ()),)).validate()
+        with pytest.raises(MalformedData):
+            AlgebraicData._from_sorted(
+                (), (), (0, 1, 2, 3),
+                ((0, 1, ((3, frozenset()), (2, frozenset()))),)).validate()

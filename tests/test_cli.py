@@ -168,6 +168,22 @@ class TestAuditedCommands:
         assert "count audit violations" in out.err
 
 
+class TestUnresolvableFamily:
+    """A node budget too small to finish leaves a family that resolve does
+    not recognise; the command reports it and exits 2."""
+
+    def test_regress(self, tmp_path, capsys):
+        cfg = RunConfig(cache_dir=tmp_path, max_nodes=5)
+        golden = {n: rows for n, rows in load_golden_tables().items() if n == 10}
+        assert cmd_regress(cfg, golden=golden) == 2
+        assert "unresolvable family survived" in capsys.readouterr().err
+
+    def test_identities(self, tmp_path, capsys):
+        cfg = RunConfig(cache_dir=tmp_path, max_nodes=50)
+        assert cmd_identities(cfg, 9) == 2
+        assert "unresolvable family survived" in capsys.readouterr().err
+
+
 def test_identities_command(tmp_path, capsys):
     cfg = RunConfig(cache_dir=tmp_path)
     assert cmd_identities(cfg, 5) == 0
@@ -221,3 +237,12 @@ def test_runconfig_validation():
         RunConfig(n=0)
     with pytest.raises(ValueError):
         RunConfig(oracle_qs=(7,))
+
+
+@pytest.mark.parametrize("argv", [["verify", "--q", "7"], ["compute", "--n", "-3"],
+                                  ["compute", "--n", "x"], ["dump-families", "--n", "0"]])
+def test_bad_arguments_give_usage(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
