@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Randomised brute-force verification sweep.
 
-Draws random parametrised nilpotent families, runs both engine walks on
-them, and compares against conjugacy-class counts of the instantiated
-groups over F_2 and F_3.  Useful for soak-testing contraction changes
-far beyond what the fixed test seeds cover.
+Each case draws a random parametrised nilpotent family, runs both engine
+walks on it, and compares against conjugacy-class counts of the
+instantiated groups over F_2 and F_3.  It also draws a wide random
+poset, whose first row the pattern path splits by antichains of three
+or more columns, and compares the pattern path with the general engine
+run on the whole poset, and with class counts when the poset has at
+most 10 relations.  Useful for soak-testing contraction and stabiliser changes far beyond
+what the fixed test seeds cover.
 
 Usage:
     python scripts/run_oracle_checks.py [--cases 500] [--seed 1] [--max-dim 5]
@@ -16,8 +20,56 @@ import random
 import sys
 import time
 
-from unicount.engine import EngineContext, census, census_at
+from unicount.engine import EngineContext, census, census_at, resolve
 from unicount.oracle import random_algebraic_data, verify_census
+from unicount.patterns import (Poset, antichains, choose_order, encode_pattern,
+                               pattern_census)
+
+
+def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
+    """A random order on 1..m, m >= 4, drawn until the pattern path splits
+    its first row by an antichain of three or more columns."""
+    while True:
+        m = rng.randint(4, max_elems)
+        rel = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+               if rng.random() < 0.3}
+        rel |= {(1, j) for j in rng.sample(range(2, m + 1), 3)}
+        # labels extend the order, so closing from the top down suffices
+        for i in range(m, 0, -1):
+            rel |= {(i, k) for a, j in list(rel) if a == i for b, k in list(rel) if b == j}
+        # the antichains the pattern path takes are those of the first
+        # row's successors in the normal closure of the rest
+        _, pbar = choose_order(range(2, m + 1), frozenset(p for p in rel if p[0] != 1))
+        if max(map(len, antichains([j for a, j in rel if a == 1], pbar))) >= 3:
+            return Poset(range(1, m + 1), rel)
+
+
+def check_family(data, ctx) -> list[str]:
+    z = data.basis[-1]
+    full = census(data, ctx)
+    at = census_at(data, z, ctx)
+    fails = []
+    for q0 in (2, 3):
+        for kind, c, zz in (("all", full, None), ("at_z", at, z)):
+            rep = verify_census(data, c, q0, z=zz)
+            if not rep["pass"]:
+                fails.append(f"family ({kind}, q={q0}): {rep}")
+    return fails
+
+
+def check_poset(poset: Poset, ctx) -> list[str]:
+    n = len(poset.elems)
+    data = encode_pattern(poset)
+    out = pattern_census(poset, ctx)
+    fails = []
+    if resolve(out, n, ctx).entries != resolve(census(data, ctx), n, ctx).entries:
+        fails.append("poset: pattern path and general engine disagree")
+    if len(poset.rel) <= 10:
+        for q0 in (2, 3):
+            rep = verify_census(data, out, q0)
+            if not rep["pass"]:
+                fails.append(f"poset (q={q0}): {rep}")
+    return fails
 
 
 def main() -> int:
@@ -35,16 +87,12 @@ def main() -> int:
     for i in range(args.cases):
         data = random_algebraic_data(rng, max_dim=args.max_dim,
                                      max_params=args.max_params)
-        z = data.basis[-1]
-        full = census(data, ctx)
-        at = census_at(data, z, ctx)
-        for q0 in (2, 3):
-            for kind, c, zz in (("all", full, None), ("at_z", at, z)):
-                rep = verify_census(data, c, q0, z=zz)
-                if not rep["pass"]:
-                    bad += 1
-                    print(f"FAIL case {i} ({kind}, q={q0}): {rep}")
-                    print(f"  data: {data.to_json()}")
+        poset = wide_poset(rng)
+        for fail, source in ([(f, data.to_json()) for f in check_family(data, ctx)]
+                             + [(f, poset.to_json()) for f in check_poset(poset, ctx)]):
+            bad += 1
+            print(f"FAIL case {i} {fail}")
+            print(f"  input: {source}")
         if (i + 1) % 50 == 0:
             print(f"{i + 1} cases, {time.perf_counter() - t0:.1f}s, "
                   f"{bad} failures", flush=True)

@@ -2,8 +2,9 @@
 check formal identities, and run brute-force verification.
 
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
-survived, the count audit (--debug-counts) found violations, or an
-argument was rejected, 3 regression mismatch.
+survived, the count audit (--debug-counts) found violations, an
+argument was rejected, or a --poset file is missing or malformed,
+3 regression mismatch.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .algdata import instantiate
+from .algdata import MalformedData, instantiate
 from .engine import EngineContext, UnknownCore, resolve, ResolvedTable
 from .oracle import class_count
 from .patterns import Poset, chain, encode_pattern, pattern_census, unitriangular_census
@@ -231,11 +232,18 @@ def _report_violations(violations: list) -> bool:
 
 def cmd_compute(cfg: RunConfig) -> int:
     ctx = make_context(cfg)
-    try:
-        if cfg.poset_file:
+    poset = None
+    if cfg.poset_file:
+        try:
             poset = Poset.from_json(json.loads(Path(cfg.poset_file).read_text()))
-            c = pattern_census(poset, ctx)
-            table = resolve(c, len(poset.elems), ctx)
+        except (OSError, ValueError, KeyError, TypeError, MalformedData) as exc:
+            # ValueError covers bad JSON, TypeError values of the wrong type
+            print(f"bad poset file {cfg.poset_file}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 2
+    try:
+        if poset is not None:
+            table = resolve(pattern_census(poset, ctx), len(poset.elems), ctx)
         else:
             table = load_or_compute(cfg.n, cfg, ctx)
     except UnknownCore as exc:
@@ -328,15 +336,17 @@ def cmd_dump_families(cfg: RunConfig) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """An --n value: an integer of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("n must be at least 1")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return n
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,21 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute the N_{n,e}(q) table for one n")
-    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--n", type=_int_at_least(1))
     p.add_argument("--poset", help="JSON poset file instead of a chain")
     p.add_argument("--format", choices=("json", "csv", "latex"), default="json")
 
     p = sub.add_parser("regress", help="compare n=10..13 against the vendored tables")
 
     p = sub.add_parser("identities", help="formal consistency checks")
-    p.add_argument("--max-n", type=int, default=13)
+    p.add_argument("--max-n", type=_int_at_least(1), default=13)
 
+    # verify starts at U_2: a smaller --max-n would check nothing
     p = sub.add_parser("verify", help="brute-force class-count agreement")
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--q", type=int, nargs="*", default=[2, 3], choices=(2, 3, 4, 5))
+    p.add_argument("--max-n", type=_int_at_least(2), default=5)
+    p.add_argument("--q", type=int, nargs="+", default=[2, 3], choices=(2, 3, 4, 5))
 
     p = sub.add_parser("dump-families", help="unresolved families for one n")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     return ap
 
 

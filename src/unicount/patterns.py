@@ -7,8 +7,10 @@ minimal element c_0, the linear characters of the first row K are
 classified by antichains of the successor set D (up to the action of
 the complementary subalgebra group, coarsened through the normal
 closure of the induced order), and the stabiliser of each orbit
-representative is again an explicitly describable algebra.  Antichains
-of size three or more fall back to the general engine.
+representative is again an explicitly describable algebra: for
+|E| <= 1 a smaller pattern algebra, recursed into, and for |E| >= 2
+one change of basis of the complement algebra, handed to the general
+engine.
 """
 from __future__ import annotations
 
@@ -17,12 +19,9 @@ from functools import lru_cache
 from typing import Iterable
 
 from .algdata import AlgebraicData, MalformedData
-from .engine import Census, EngineContext, aggregate, census, scale_census
+from .engine import (_ONE, Census, EngineContext, _change_basis, aggregate, census,
+                     scale_census)
 from .polyring import CountPoly
-
-
-class UnsupportedAntichain(Exception):
-    pass
 
 
 class Poset:
@@ -37,6 +36,8 @@ class Poset:
         self._hash = None
         if check:
             es = set(self.elems)
+            if len(es) != len(self.elems):
+                raise MalformedData("repeated element")
             for a, b in self.rel:
                 if a == b:
                     raise MalformedData("relation is not irreflexive")
@@ -166,9 +167,20 @@ def _extension_rank(poset: Poset) -> dict[int, int]:
     return rank
 
 
+def _pattern_data(pairs: list[tuple[int, int]]) -> AlgebraicData:
+    """Parameter-free data for the matrix units e_p, p in pairs, each
+    labelled by its position in pairs: e_{ij} e_{jk} = e_{ik}."""
+    label = {p: n for n, p in enumerate(pairs)}
+    succ: dict[int, list[int]] = {}
+    for i, j in pairs:
+        succ.setdefault(i, []).append(j)
+    products = {(label[(i, j)], label[(j, k)]): ((label[(i, k)], frozenset()),)
+                for i, j in pairs for k in succ.get(j, ())}
+    return AlgebraicData((), (), range(len(pairs)), products)
+
+
 def encode_pattern(poset: Poset) -> AlgebraicData:
     """Parameter-free algebraic data for T_{C,R}: one vector per pair of R."""
-    pairs = sorted(poset.rel)
     longest: dict[tuple[int, int], int] = {}
 
     def lpath(p):
@@ -179,14 +191,7 @@ def encode_pattern(poset: Poset) -> AlgebraicData:
                                   if i2 == i and (m, j) in poset.rel), default=0)
         return longest[p]
 
-    ordered = sorted(pairs, key=lambda p: (lpath(p), p))
-    label = {p: i for i, p in enumerate(ordered)}
-    products = {}
-    for (i, j) in pairs:
-        for (j2, k) in pairs:
-            if j2 == j:
-                products[(label[(i, j)], label[(j, k)])] = ((label[(i, k)], frozenset()),)
-    return AlgebraicData((), (), range(len(ordered)), products)
+    return _pattern_data(sorted(poset.rel, key=lambda p: (lpath(p), p)))
 
 
 def _small_stabilizer(B: list[int], P: frozenset, D: set[int], E: frozenset) -> Poset:
@@ -201,75 +206,54 @@ def _small_stabilizer(B: list[int], P: frozenset, D: set[int], E: frozenset) -> 
     return Poset(B, frozenset(p for p in P if not (p[1] == d0 and p[0] in D)), check=False)
 
 
-def _pair_stabilizer(poset: Poset, B: list[int], D: set[int],
-                     e_pair: frozenset) -> AlgebraicData:
-    """The annihilator of e_k - e_l inside the complement of row c_0.
-
-    Basis: the matrix units untouched by the two merged columns, plus
-    the sums f_i = e_{ik} + e_{il} for rows seeing both columns.  Items
-    are ordered by rows descending, then columns ascending, both in the
-    least linear extension of the poset, so every product lands later.
-    """
-    rank = _extension_rank(poset)
-    k, ll = sorted(e_pair, key=rank.__getitem__)
-    R = poset.rel
-    eprime = [(i, j) for (i, j) in sorted(R) if i in set(B) and j in set(B)
-              and (i not in D or j not in (k, ll))]
-    fprime = [i for i in sorted(D) if (i, k) in R and (i, ll) in R]
-
-    items = [("e", i, j) for (i, j) in eprime] + [("f", i, None) for i in fprime]
-
-    def sort_key(it):
-        kind, i, j = it
-        col = j if kind == "e" else k  # f_i sits at the earlier merged column
-        return (-rank[i], rank[col], 0 if kind == "e" else 1)
-
-    items.sort(key=sort_key)
-    label = {it: n for n, it in enumerate(items)}
-
-    products: dict = {}
-
-    def put(a, b, target):
-        products.setdefault((label[a], label[b]), []).append((label[target], frozenset()))
-
-    for (i, j) in eprime:
-        for (r, m) in eprime:
-            if j == r:
-                put(("e", i, j), ("e", r, m), ("e", i, m))
-        for m in fprime:
-            if j == m:
-                if i in D:
-                    put(("e", i, j), ("f", m, None), ("f", i, None))
-                else:
-                    products.setdefault((label[("e", i, j)], label[("f", m, None)]), []) \
-                        .extend([(label[("e", i, k)], frozenset()),
-                                 (label[("e", i, ll)], frozenset())])
-    for m in fprime:
-        for (i, j) in eprime:
-            if i == k or i == ll:
-                put(("f", m, None), ("e", i, j), ("e", m, j))
-
-    data = AlgebraicData((), (), range(len(items)), products)
-    data.validate()
-    return data
-
-
 def stabilizer_data(poset: Poset, c0: int, E: frozenset) -> AlgebraicData:
     """Algebraic data for the stabiliser algebra of the antichain E.
 
-    E empty gives the full complement subalgebra; a singleton deletes
-    the column of its element from rows above c_0; a pair merges two
-    columns.  Larger antichains are not describable here.
+    The stabiliser is the annihilator of sum_{d in E} eps_d e_{c0,d}: the
+    x in T_{B,P} with sum_{d in E} eps_d x_{id} = 0 for every row i in D.
+    E empty gives the full complement subalgebra, and a singleton
+    deletes the column of its element from the rows in D.
+
+    For |E| >= 2, with E in the least linear extension and eps
+    alternating +1, -1 along it, a row i of D that sees the columns
+    S_i of E keeps no entry in them if |S_i| = 1, and otherwise the
+    vectors f_{id} = e_{id} - eps_d eps_a e_{ia} for d in S_i other than
+    its latest element a; every other e_{ij} stays.  ``_change_basis``
+    reads the products of T_{B,P} off in that basis, a -1 coefficient
+    becoming a fresh parameter.  Items are ordered by rows descending,
+    then columns ascending, f_{id} sitting at its own column d, so every
+    product lands later: a product lands in the row of its left factor
+    and past its columns, since f_{id} e_{aj} lands at column j, past a,
+    which is past d.
     """
-    if len(E) > 2:
-        raise UnsupportedAntichain(f"antichain of size {len(E)}")
     R = poset.rel
     B = [c for c in poset.elems if c != c0]
     D = {d for d in poset.elems if (c0, d) in R}
-    if len(E) == 2:
-        return _pair_stabilizer(poset, B, D, E)
     P = frozenset((a, b) for a, b in R if a != c0 and b != c0)
-    return encode_pattern(_small_stabilizer(B, P, D, E))
+    if len(E) <= 1:
+        return encode_pattern(_small_stabilizer(B, P, D, E))
+    rank = _extension_rank(poset)
+    E = sorted(E, key=rank.__getitem__)
+    eps = {d: (-1) ** n for n, d in enumerate(E)}
+    ref = {}                    # row i of D with |S_i| >= 2 -> its latest column a
+    for i in D:
+        S = [d for d in E if (i, d) in R]
+        if len(S) >= 2:
+            ref[i] = S[-1]
+    old = sorted(P, key=lambda p: (-rank[p[0]], rank[p[1]]))
+    # e_{ij} and f_{ij} alike take the old coordinate on e_{ij}, and no
+    # two items share a cell (i, j)
+    new = [(i, j) for i, j in old if i not in D or j not in eps or (i in ref and j != ref[i])]
+    olabel = {p: n for n, p in enumerate(old)}
+    uses = {olabel[p]: [(n, _ONE)] for n, p in enumerate(new)}
+    coord = {olabel[p]: (n, _ONE) for n, p in enumerate(new)}
+    for n, (i, d) in enumerate(new):
+        if i in ref and d in eps:
+            a = ref[i]
+            uses.setdefault(olabel[(i, a)], []).append((n, _ONE if eps[d] != eps[a] else -_ONE))
+    data = _change_basis(_pattern_data(old), range(len(new)), (), uses, coord)
+    data.validate()
+    return data
 
 
 def pattern_census(poset: Poset, ctx: EngineContext) -> Census:
@@ -303,13 +287,8 @@ def _pattern_core(poset: Poset, ctx: EngineContext) -> Census:
     r1 = frozenset(p for p in R if p[0] in dset and p[1] in dset)
     pbar1 = frozenset(p for p in pbar if p[0] in dset and p[1] in dset)
 
-    chains_ = antichains(D, pbar1)
-    if any(len(E) >= 3 for E in chains_):
-        ctx.bump("pattern_fallback")
-        return census(encode_pattern(poset), ctx)
-
     parts = []
-    for E in chains_:
+    for E in antichains(D, pbar1):
         if len(E) <= 1:
             part = pattern_census(_small_stabilizer(B, P, dset, E), ctx)
         else:

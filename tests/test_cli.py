@@ -111,13 +111,31 @@ class TestComputeCommand:
         assert capsys.readouterr().out == real + "\n"
 
     def test_budget_exhaustion_is_nonzero_exit(self, tmp_path, capsys):
-        # a poset with a 3-antichain forces the general engine; a tiny node
-        # budget then leaves an uncontracted family behind
+        # the 8-element chain reaches the general engine through its pair
+        # stabilisers; a tiny node budget leaves uncontracted families behind
         poset_file = tmp_path / "poset.json"
-        rel = [[1, x] for x in range(2, 8)] + [[2, 5], [3, 6], [4, 7]]
-        poset_file.write_text(json.dumps({"elems": list(range(1, 8)), "rel": rel}))
+        rel = [[i, j] for i in range(1, 9) for j in range(i + 1, 9)]
+        poset_file.write_text(json.dumps({"elems": list(range(1, 9)), "rel": rel}))
         cfg = RunConfig(poset_file=str(poset_file), cache_dir=tmp_path, max_nodes=1)
         assert cmd_compute(cfg) == 2
+
+    @pytest.mark.parametrize("text", [
+        # a repeated element once gave a wrong table and exit 0
+        '{"elems": [1, 2, 2, 3], "rel": [[1, 2], [2, 3], [1, 3]]}',
+        '{"elems": [1, 2], "rel": [[1, 2]',
+        '{"elems": [1, 2]}',
+        '{"elems": [1, 2], "rel": [[2, 2]]}',
+        None,
+    ], ids=["repeated-element", "bad-json", "missing-key", "reflexive", "missing-file"])
+    def test_bad_poset_file_exits_2(self, tmp_path, capsys, text):
+        poset_file = tmp_path / "poset.json"
+        if text is not None:
+            poset_file.write_text(text)
+        cfg = RunConfig(poset_file=str(poset_file), cache_dir=tmp_path)
+        assert cmd_compute(cfg) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("bad poset file") and out.err.count("\n") == 1
 
     def test_formats(self, tmp_path):
         cfg = RunConfig(n=3, cache_dir=tmp_path)
@@ -240,7 +258,11 @@ def test_runconfig_validation():
 
 
 @pytest.mark.parametrize("argv", [["verify", "--q", "7"], ["compute", "--n", "-3"],
-                                  ["compute", "--n", "x"], ["dump-families", "--n", "0"]])
+                                  ["compute", "--n", "x"], ["dump-families", "--n", "0"],
+                                  # each would check nothing
+                                  ["verify", "--q"], ["verify", "--max-n", "1"],
+                                  ["identities", "--max-n", "0"],
+                                  ["identities", "--max-n", "-2"]])
 def test_bad_arguments_give_usage(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["--cache-dir", str(tmp_path)] + argv)
