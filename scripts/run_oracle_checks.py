@@ -21,7 +21,7 @@ import sys
 import time
 
 from unicount.engine import EngineContext, census, census_at, resolve
-from unicount.oracle import random_algebraic_data, verify_census
+from unicount.oracle import audit_counts, random_algebraic_data, verify_census
 from unicount.patterns import (Poset, antichains, choose_order, encode_pattern,
                                pattern_census)
 
@@ -81,7 +81,7 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    ctx = EngineContext(debug_counts=True)
+    ctx = EngineContext()
     t0 = time.perf_counter()
     bad = 0
     for i in range(args.cases):
@@ -96,9 +96,10 @@ def main() -> int:
         if (i + 1) % 50 == 0:
             print(f"{i + 1} cases, {time.perf_counter() - t0:.1f}s, "
                   f"{bad} failures", flush=True)
-    print(f"done: {args.cases} cases, {bad} failures, "
-          f"{len(ctx.count_violations)} count-audit violations")
-    return 1 if bad or ctx.count_violations else 0
+    audit = audit_counts(ctx.memo_counts)
+    print(f"done: {args.cases} cases, {bad} failures, {audit.audited} systems "
+          f"count-audited, {len(audit.violations)} count-audit violations")
+    return 1 if bad or audit.violations else 0
 
 
 if __name__ == "__main__":

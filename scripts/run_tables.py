@@ -17,6 +17,7 @@ from pathlib import Path
 
 from unicount.cli import check_identities, format_table, load_golden_tables
 from unicount.engine import EngineContext, resolve
+from unicount.oracle import audit_counts
 from unicount.patterns import unitriangular_census
 
 
@@ -28,7 +29,7 @@ def main() -> int:
     ap.add_argument("--latex-dir", default=None)
     args = ap.parse_args()
 
-    ctx = EngineContext(debug_counts=args.audit)
+    ctx = EngineContext()
     golden = load_golden_tables()
     status = 0
     for n in range(1, args.max_n + 1):
@@ -57,9 +58,10 @@ def main() -> int:
             out.mkdir(parents=True, exist_ok=True)
             (out / f"table_n{n}.tex").write_text(format_table(table, "latex"))
     if args.audit:
-        print(f"count audit: {len(ctx._checked)} systems checked, "
-              f"{len(ctx.count_violations)} violations")
-        if ctx.count_violations:
+        audit = audit_counts(ctx.memo_counts)
+        print(f"count audit: {audit.audited} systems checked, {audit.skipped} skipped, "
+              f"{len(audit.violations)} violations")
+        if audit.violations:
             status = 2
     print(f"engine nodes: {ctx.nodes}, stats: {ctx.stats}")
     return status

@@ -4,8 +4,8 @@ An AlgebraicData value encodes, for every prime power q at once, a
 family of nilpotent F_q-algebras: an ordered basis, structure constants
 given as products of parameter symbols, and restrictions (inequations
 a != 0 and integer polynomial equations) cutting out the admissible
-parameter values.  Substituting admissible values for the parameters
-yields a ConcreteAlgebra with an explicit multiplication table.
+parameter values.  Nothing here substitutes values: the concrete
+algebras and exhaustive counts that do live in ``oracle``.
 
 Parameter symbols and basis labels are interned ints; the ordering of
 the basis is the order of the ``basis`` tuple.  Values are immutable
@@ -24,29 +24,13 @@ them to ``AlgebraicData._from_sorted``, which keeps them as they are;
 """
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from .ffield import get_field
 from .polyring import ParamPoly
 
 
 class MalformedData(Exception):
-    pass
-
-
-class BadSubstitution(Exception):
-    pass
-
-
-class NotAssociative(Exception):
-    pass
-
-
-class TooLarge(Exception):
     pass
 
 
@@ -93,6 +77,13 @@ class Equation:
 
 
 Restriction = NonZero | Equation
+
+
+def restriction_from_key(k: tuple) -> Restriction:
+    """The restriction whose ``sort_key()`` is k."""
+    kind, v = k
+    return NonZero(v) if kind == 0 else Equation(ParamPoly(dict(v)))
+
 
 # products maps an ordered factor pair to its targets with factor sets;
 # an empty factor set means structure constant 1.
@@ -280,8 +271,7 @@ class AlgebraicData:
     def from_key(key: tuple) -> "AlgebraicData":
         """The data whose ``key()`` is key, with basis labels 0..dim-1."""
         params, rk, dim, pk = key
-        restrictions = [NonZero(v) if kind == 0 else Equation(ParamPoly(dict(v)))
-                        for kind, v in rk]
+        restrictions = [restriction_from_key(r) for r in rk]
         prods = tuple([(x, y, tuple([(z, frozenset(fs)) for z, fs in ts])) for x, y, ts in pk])
         return AlgebraicData._from_sorted(params, restrictions, tuple(range(dim)), prods)
 
@@ -432,155 +422,3 @@ def split_into_cases(data: AlgebraicData) -> list[AlgebraicData]:
                                            tuple(new_prods), data._pos)
 
     return split_into_cases(with_nz) + split_into_cases(with_zero)
-
-
-# ---------------------------------------------------------------------------
-# substitutions and concrete algebras
-
-def check_substitution(params, restrictions, h: Mapping[int, int], field) -> bool:
-    for r in restrictions:
-        if isinstance(r, NonZero):
-            if h[r.sym] == 0:
-                return False
-        else:
-            if r.poly.eval_in(field, h) != 0:
-                return False
-    return True
-
-
-def enumerate_param_values(params, restrictions, q: int, cap: int = 8) -> list[dict[int, int]]:
-    """All substitutions params -> F_q satisfying the restrictions, exhaustively."""
-    if len(params) > cap:
-        raise TooLarge(f"{len(params)} parameters exceeds enumeration cap {cap}")
-    field = get_field(q)
-    out = []
-    for values in itertools.product(range(q), repeat=len(params)):
-        h = dict(zip(params, values))
-        if check_substitution(params, restrictions, h, field):
-            out.append(h)
-    return out
-
-
-def enumerate_substitutions(data: AlgebraicData, q: int, cap: int = 8) -> list[dict[int, int]]:
-    return enumerate_param_values(data.params, data.restrictions, q, cap)
-
-
-def count_values_bruteforce(params, restrictions, q: int, cap: int = 9) -> int:
-    """|V(Q, E, q)| by exhaustive substitution, vectorised over all assignments."""
-    n = len(params)
-    if n > cap:
-        raise TooLarge(f"{n} parameters exceeds enumeration cap {cap}")
-    if n == 0:
-        field = get_field(q)
-        return 1 if check_substitution(params, restrictions, {}, field) else 0
-    total = q**n
-    if total <= 4096 or q == 4:
-        return len(enumerate_param_values(params, restrictions, q, cap))
-    # prime q: vectorised evaluation mod q
-    idx = {p: i for i, p in enumerate(params)}
-    pw = q ** np.arange(n, dtype=np.int64)
-    grid = (np.arange(total, dtype=np.int64)[:, None] // pw[None, :]) % q
-    mask = np.ones(total, dtype=bool)
-    for r in restrictions:
-        if isinstance(r, NonZero):
-            mask &= grid[:, idx[r.sym]] != 0
-        else:
-            acc = np.zeros(total, dtype=np.int64)
-            for m, c in r.poly.key():
-                term = np.full(total, c % q, dtype=np.int64)
-                for s, e in m:
-                    col = grid[:, idx[s]]
-                    term = (term * pow_mod(col, e, q)) % q
-                acc = (acc + term) % q
-            mask &= acc == 0
-    return int(mask.sum())
-
-
-def pow_mod(col: np.ndarray, e: int, q: int) -> np.ndarray:
-    out = np.ones_like(col)
-    base = col % q
-    while e:
-        if e & 1:
-            out = (out * base) % q
-        base = (base * base) % q
-        e >>= 1
-    return out
-
-
-class ConcreteAlgebra:
-    """A fully instantiated nilpotent algebra over a small F_q.
-
-    table[i][j] is the coordinate vector of e_i * e_j in the basis.
-    Associativity is verified exhaustively at construction.
-    """
-
-    __slots__ = ("q", "dim", "labels", "table", "field")
-
-    def __init__(self, q: int, labels: Iterable[int], table, _skip_check=False):
-        self.q = q
-        self.field = get_field(q)
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self.table = tuple(tuple(tuple(v) for v in row) for row in table)
-        if not _skip_check:
-            self._check()
-
-    def _check(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                v = self.table[i][j]
-                for k in range(self.dim):
-                    if v[k] and k <= max(i, j):
-                        raise MalformedData("instantiated table is not strictly triangular")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mult(self.table[i][j], self.unit(k))
-                    rhs = self.mult(self.unit(i), self.table[j][k])
-                    if lhs != rhs:
-                        raise NotAssociative(
-                            f"(e{i}e{j})e{k} != e{i}(e{j}e{k})")
-
-    def unit(self, i: int) -> tuple[int, ...]:
-        return tuple(1 if k == i else 0 for k in range(self.dim))
-
-    def mult(self, u, v) -> tuple[int, ...]:
-        f = self.field
-        out = [0] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = f.mul(ui, vj)
-                cell = row[j]
-                for k, ck in enumerate(cell):
-                    if ck:
-                        out[k] = f.add(out[k], f.mul(c, ck))
-        return tuple(out)
-
-    def index_of(self, label: int) -> int:
-        return self.labels.index(label)
-
-
-def instantiate(data: AlgebraicData, h: Mapping[int, int], q: int) -> ConcreteAlgebra:
-    """Build the multiplication table for the substitution h in V(Q, E, q)."""
-    field = get_field(q)
-    for p in data.params:
-        if p not in h:
-            raise BadSubstitution(f"missing value for parameter p{p}")
-    if not check_substitution(data.params, data.restrictions, h, field):
-        raise BadSubstitution("substitution violates the restrictions")
-    dim = len(data.basis)
-    pos = {b: i for i, b in enumerate(data.basis)}
-    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for x, y, ts in data.prods:
-        row = table[pos[x]][pos[y]]
-        for z, fs in ts:
-            c = 1
-            for a in fs:
-                c = field.mul(c, h[a])
-            row[pos[z]] = field.add(row[pos[z]], c)
-    return ConcreteAlgebra(q, data.basis, table)

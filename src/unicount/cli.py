@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .algdata import MalformedData, instantiate
+from .algdata import MalformedData
 from .engine import EngineContext, UnknownCore, resolve, ResolvedTable
-from .oracle import class_count
+from .oracle import AUDIT_MAX_PARAMS, audit_counts, class_count, instantiate
 from .patterns import Poset, chain, encode_pattern, pattern_census, unitriangular_census
 from .polyring import CountPoly, shifted_coeffs
 
@@ -42,8 +42,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n is not None and self.n < 1:
             raise ValueError("n must be at least 1")
-        if not set(self.oracle_qs) <= {2, 3, 4, 5}:
-            raise ValueError("oracle fields are limited to q in {2,3,4,5}")
+        if not self.oracle_qs or not set(self.oracle_qs) <= {2, 3, 4, 5}:
+            raise ValueError("oracle fields must be one or more of q in {2,3,4,5}")
 
 
 def _default_cache_dir() -> Path:
@@ -51,7 +51,7 @@ def _default_cache_dir() -> Path:
 
 
 def make_context(cfg: RunConfig) -> EngineContext:
-    return EngineContext(debug_counts=cfg.debug_counts, max_nodes=cfg.max_nodes)
+    return EngineContext(max_nodes=cfg.max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +223,16 @@ def check_identities(table: ResolvedTable) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def _report_violations(violations: list) -> bool:
-    """Print the count audit's violations to stderr; True if there are any."""
-    if violations:
-        print(f"count audit violations: {len(violations)}", file=sys.stderr)
-    return bool(violations)
+def _audit_failed(cfg: RunConfig, memos: list[dict]) -> bool:
+    """With --debug-counts, audit the count memos and print one line to
+    stderr; True if the audit found a violation."""
+    if not cfg.debug_counts:
+        return False
+    audit = audit_counts(*memos)
+    print(f"count audit violations: {len(audit.violations)}; systems audited: "
+          f"{audit.audited}; skipped with more than {AUDIT_MAX_PARAMS} parameters: "
+          f"{audit.skipped}", file=sys.stderr)
+    return bool(audit.violations)
 
 
 def cmd_compute(cfg: RunConfig) -> int:
@@ -250,7 +255,7 @@ def cmd_compute(cfg: RunConfig) -> int:
         print(f"unresolvable family survived: {exc}", file=sys.stderr)
         return 2
     print(format_table(table, cfg.fmt))
-    if _report_violations(ctx.count_violations):
+    if _audit_failed(cfg, [ctx.memo_counts]):
         return 2
     if table.unresolved:
         print(f"{len(table.unresolved)} unresolved count records", file=sys.stderr)
@@ -262,7 +267,7 @@ def cmd_regress(cfg: RunConfig, golden=None) -> int:
     if golden is None:
         golden = load_golden_tables()
     status = 0
-    violations = []
+    memos = []
     for n in sorted(golden):
         ctx = make_context(cfg)
         try:
@@ -270,7 +275,7 @@ def cmd_regress(cfg: RunConfig, golden=None) -> int:
         except UnknownCore as exc:
             print(f"unresolvable family survived: {exc}", file=sys.stderr)
             return 2
-        violations += ctx.count_violations
+        memos.append(ctx.memo_counts)
         for e in sorted(set(golden[n]) | set(table.entries)):
             want = golden[n].get(e)
             got = table.entries.get(e)
@@ -284,12 +289,14 @@ def cmd_regress(cfg: RunConfig, golden=None) -> int:
             print(f"n={n}: {len(golden[n])} rows match exactly")
             continue
         break
-    if _report_violations(violations):
+    if _audit_failed(cfg, memos):
         status = status or 2
     return status
 
 
 def cmd_identities(cfg: RunConfig, max_n: int) -> int:
+    if max_n < 1:
+        raise ValueError("identities needs max_n of at least 1")
     status = 0
     ctx = make_context(cfg)
     for n in range(1, max_n + 1):
@@ -304,13 +311,15 @@ def cmd_identities(cfg: RunConfig, max_n: int) -> int:
               f"shifted_nonnegative={report['shifted_nonnegative']} [{flag}]")
         if not report["pass"]:
             status = 2
-    if _report_violations(ctx.count_violations):
+    if _audit_failed(cfg, [ctx.memo_counts]):
         status = 2
     return status
 
 
 def cmd_verify(cfg: RunConfig, max_n: int = 5) -> int:
     """Brute-force agreement: engine totals vs conjugacy-class counts."""
+    if max_n < 2:
+        raise ValueError("verify needs max_n of at least 2")
     ctx = make_context(cfg)
     reports = []
     for n in range(2, max_n + 1):
@@ -356,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report cache (default $UNICOUNT_CACHE_DIR or ./.unicount-cache)")
     ap.add_argument("--max-nodes", type=int, default=500_000_000)
     ap.add_argument("--debug-counts", action="store_true",
-                    help="audit every counted system against exhaustive enumeration")
+                    help="audit the counted systems against exhaustive enumeration")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute the N_{n,e}(q) table for one n")

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .algdata import (AlgebraicData, Equation, NonZero, canonicalize,
-                      count_values_bruteforce, split_into_cases)
+from .algdata import AlgebraicData, Equation, NonZero, canonicalize, split_into_cases
 from .polyring import CountPoly, ParamPoly
 from . import solcount
 
@@ -94,23 +93,16 @@ def aggregate(parts: Iterable[Census]) -> Census:
 # ---------------------------------------------------------------------------
 # context
 
-# field sizes at which the count audit re-checks each counted system
-AUDIT_QS = (2, 3, 4, 5)
-
-
 class EngineContext:
-    """Per-run state: memo tables, the node budget, and optional count auditing."""
+    """Per-run state: memo tables and the node budget.  ``oracle.audit_counts``
+    re-checks the counted systems of ``memo_counts`` by brute force."""
 
-    def __init__(self, debug_counts: bool = False, max_nodes: int = 500_000_000,
-                 validate: bool = False):
+    def __init__(self, max_nodes: int = 500_000_000, validate: bool = False):
         # keyed by canonicalize's tuples, and (tuple, position of z)
         self.memo_all: dict[tuple, Census] = {}
         self.memo_at: dict[tuple[tuple, int], Census] = {}
         self.memo_pattern: dict = {}
         self.memo_counts: dict = {}
-        self.debug_counts = debug_counts
-        self.count_violations: list = []
-        self._checked = set()
         self.max_nodes = max_nodes
         self.validate = validate
         self.nodes = 0
@@ -123,17 +115,7 @@ class EngineContext:
         key = (tuple(params), tuple(r.sort_key() for r in restrictions))
         res = self.memo_counts.get(key)
         if res is None:
-            res = solcount.count_solutions(params, restrictions)
-            self.memo_counts[key] = res
-        if self.debug_counts and res.counted and len(key[0]) <= 8 and key not in self._checked:
-            self._checked.add(key)
-            for q0 in AUDIT_QS:
-                brute = count_values_bruteforce(params, restrictions, q0)
-                got = res.poly.eval_at(q0)
-                if got != brute:
-                    self.count_violations.append(
-                        {"params": tuple(params), "q": q0,
-                         "poly": repr(res.poly), "expected": brute, "got": got})
+            res = self.memo_counts[key] = solcount.count_solutions(params, restrictions)
         return res
 
 

@@ -1,27 +1,208 @@
 """Brute-force ground truth at tiny scale.
 
-Everything here works with explicit group elements of 1 + J for a
-concrete multiplication table, and only ever uses two facts: the number
-of irreducible characters equals the number of conjugacy classes, and
-the sum of squared degrees equals the group order.  No character theory
-of the engine under test is reused.
+The only module that substitutes values for parameters: exhaustive
+substitution counts, the count audit, concrete multiplication tables,
+and class counts of the groups 1 + J, which use only two facts: the
+number of irreducible characters equals the number of conjugacy
+classes, and the sum of squared degrees equals the group order.  The
+engine under test never imports this module, and numpy is imported
+only inside the two vectorised helpers.
 """
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable, Mapping, NamedTuple
 
-import numpy as np
-
-from .algdata import (AlgebraicData, ConcreteAlgebra, NonZero, TooLarge,
-                      enumerate_substitutions, instantiate)
+from .algdata import AlgebraicData, MalformedData, NonZero, restriction_from_key
 from .engine import Census
+from .ffield import get_field
 from .polyring import ParamPoly
+
+
+class BadSubstitution(Exception):
+    pass
+
+
+class NotAssociative(Exception):
+    pass
+
+
+class TooLarge(Exception):
+    pass
 
 
 class NotCentralIdeal(Exception):
     pass
 
+
+# ---------------------------------------------------------------------------
+# substitutions
+
+def check_substitution(restrictions, h: Mapping[int, int], field) -> bool:
+    return all(h[r.sym] != 0 if isinstance(r, NonZero) else r.poly.eval_in(field, h) == 0
+               for r in restrictions)
+
+
+def enumerate_param_values(params, restrictions, q: int, cap: int = 8) -> list[dict[int, int]]:
+    """All substitutions params -> F_q satisfying the restrictions, exhaustively."""
+    if len(params) > cap:
+        raise TooLarge(f"{len(params)} parameters exceeds enumeration cap {cap}")
+    field = get_field(q)
+    hs = (dict(zip(params, vs)) for vs in itertools.product(range(q), repeat=len(params)))
+    return [h for h in hs if check_substitution(restrictions, h, field)]
+
+
+def count_values_bruteforce(params, restrictions, q: int, cap: int = 9) -> int:
+    """|V(Q, E, q)| by exhaustive substitution, vectorised over all assignments."""
+    n = len(params)
+    if n > cap:
+        raise TooLarge(f"{n} parameters exceeds enumeration cap {cap}")
+    total = q**n
+    if total <= 4096 or q == 4:
+        return len(enumerate_param_values(params, restrictions, q, cap))
+    # prime q: vectorised evaluation mod q
+    import numpy as np
+
+    idx = {p: i for i, p in enumerate(params)}
+    pw = q ** np.arange(n, dtype=np.int64)
+    grid = (np.arange(total, dtype=np.int64)[:, None] // pw[None, :]) % q
+    mask = np.ones(total, dtype=bool)
+    for r in restrictions:
+        if isinstance(r, NonZero):
+            mask &= grid[:, idx[r.sym]] != 0
+        else:
+            acc = np.zeros(total, dtype=np.int64)
+            for m, c in r.poly.key():
+                term = np.full(total, c % q, dtype=np.int64)
+                for s, e in m:
+                    # x^e mod q for every x in F_q, looked up by value
+                    powers = np.array([pow(x, e, q) for x in range(q)], dtype=np.int64)
+                    term = (term * powers[grid[:, idx[s]]]) % q
+                acc = (acc + term) % q
+            mask &= acc == 0
+    return int(mask.sum())
+
+
+# field sizes at which the count audit re-checks each counted system
+AUDIT_QS = (2, 3, 4, 5)
+AUDIT_MAX_PARAMS = 8
+
+
+class CountAudit(NamedTuple):
+    audited: int        # counted systems re-checked at every q in AUDIT_QS
+    skipped: int        # counted systems with more than AUDIT_MAX_PARAMS parameters
+    violations: list    # one dict per (system, q) at which the counts differ
+
+
+def audit_counts(*memos: Mapping) -> CountAudit:
+    """Re-check the counted entries of EngineContext count memos.
+
+    Memo by memo, in insertion order, each counted system of at most
+    AUDIT_MAX_PARAMS parameters is counted by exhaustive substitution at
+    q in AUDIT_QS and compared with its polynomial evaluated there.
+    """
+    audited = skipped = 0
+    violations = []
+    for (params, rkeys), res in (item for memo in memos for item in memo.items()):
+        if not res.counted:
+            continue
+        if len(params) > AUDIT_MAX_PARAMS:
+            skipped += 1
+            continue
+        audited += 1
+        restrictions = [restriction_from_key(k) for k in rkeys]
+        for q0 in AUDIT_QS:
+            brute = count_values_bruteforce(params, restrictions, q0)
+            got = res.poly.eval_at(q0)
+            if got != brute:
+                violations.append({"params": params, "q": q0, "poly": repr(res.poly),
+                                   "expected": brute, "got": got})
+    return CountAudit(audited, skipped, violations)
+
+
+# ---------------------------------------------------------------------------
+# concrete algebras
+
+class ConcreteAlgebra:
+    """A fully instantiated nilpotent algebra over a small F_q.
+
+    table[i][j] is the coordinate vector of e_i * e_j in the basis.
+    Associativity is verified exhaustively at construction.
+    """
+
+    __slots__ = ("q", "dim", "labels", "table", "field")
+
+    def __init__(self, q: int, labels: Iterable[int], table, _skip_check=False):
+        self.q = q
+        self.field = get_field(q)
+        self.labels = tuple(labels)
+        self.dim = len(self.labels)
+        self.table = tuple(tuple(tuple(v) for v in row) for row in table)
+        if not _skip_check:
+            self._check()
+
+    def _check(self):
+        for i in range(self.dim):
+            for j in range(self.dim):
+                if any(self.table[i][j][:max(i, j) + 1]):
+                    raise MalformedData("instantiated table is not strictly triangular")
+        for i in range(self.dim):
+            for j in range(self.dim):
+                for k in range(self.dim):
+                    lhs = self.mult(self.table[i][j], self.unit(k))
+                    rhs = self.mult(self.unit(i), self.table[j][k])
+                    if lhs != rhs:
+                        raise NotAssociative(
+                            f"(e{i}e{j})e{k} != e{i}(e{j}e{k})")
+
+    def unit(self, i: int) -> tuple[int, ...]:
+        return tuple(1 if k == i else 0 for k in range(self.dim))
+
+    def mult(self, u, v) -> tuple[int, ...]:
+        f = self.field
+        out = [0] * self.dim
+        for i, ui in enumerate(u):
+            if not ui:
+                continue
+            row = self.table[i]
+            for j, vj in enumerate(v):
+                if not vj:
+                    continue
+                c = f.mul(ui, vj)
+                cell = row[j]
+                for k, ck in enumerate(cell):
+                    if ck:
+                        out[k] = f.add(out[k], f.mul(c, ck))
+        return tuple(out)
+
+    def index_of(self, label: int) -> int:
+        return self.labels.index(label)
+
+
+def instantiate(data: AlgebraicData, h: Mapping[int, int], q: int) -> ConcreteAlgebra:
+    """Build the multiplication table for the substitution h in V(Q, E, q)."""
+    field = get_field(q)
+    for p in data.params:
+        if p not in h:
+            raise BadSubstitution(f"missing value for parameter p{p}")
+    if not check_substitution(data.restrictions, h, field):
+        raise BadSubstitution("substitution violates the restrictions")
+    dim = len(data.basis)
+    pos = {b: i for i, b in enumerate(data.basis)}
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for x, y, ts in data.prods:
+        row = table[pos[x]][pos[y]]
+        for z, fs in ts:
+            c = 1
+            for a in fs:
+                c = field.mul(c, h[a])
+            row[pos[z]] = field.add(row[pos[z]], c)
+    return ConcreteAlgebra(q, data.basis, table)
+
+
+# ---------------------------------------------------------------------------
+# class counts
 
 class _UnionFind:
     __slots__ = ("parent",)
@@ -94,6 +275,8 @@ def _class_count_py(alg: ConcreteAlgebra, gens) -> int:
 
 
 def _class_count_np(alg: ConcreteAlgebra, gens) -> int:
+    import numpy as np
+
     p, dim = alg.q, alg.dim
     n = p**dim
     pw = p ** np.arange(dim, dtype=np.int64)
@@ -148,21 +331,22 @@ def class_count_report(alg: ConcreteAlgebra, z_label: int | None = None,
 # ---------------------------------------------------------------------------
 # checking engine output against brute force
 
-def _family_oracle_totals(fam, q0: int, cap: int) -> tuple[int, int]:
-    """(character count, sum of squared degrees) of one family record."""
+def _oracle_totals(data: AlgebraicData, z: int | None, q0: int,
+                   cap: int) -> tuple[int, int]:
+    """(character count, sum of squared degrees) over every group data
+    encodes at q0; with z, only the characters nontrivial on 1 + <z>."""
     count = 0
     weight = 0
-    dim = len(fam.data.basis)
-    for h in enumerate_substitutions(fam.data, q0):
-        alg = instantiate(fam.data, h, q0)
-        if fam.kind == "at_z":
-            count += irr_count_at_z(alg, fam.z, cap)
-            weight += q0**dim - q0 ** (dim - 1)
-        else:
+    dim = len(data.basis)
+    for h in enumerate_param_values(data.params, data.restrictions, q0):
+        alg = instantiate(data, h, q0)
+        if z is None:
             count += class_count(alg, cap)
             weight += q0**dim
-    scale = (q0 - 1) ** fam.k * q0**fam.l
-    return scale * count, scale * weight * q0 ** (2 * fam.m)
+        else:
+            count += irr_count_at_z(alg, z, cap)
+            weight += q0**dim - q0 ** (dim - 1)
+    return count, weight
 
 
 def census_totals_at(c: Census, q0: int, cap: int = 10**6) -> tuple[int, int]:
@@ -171,8 +355,6 @@ def census_totals_at(c: Census, q0: int, cap: int = 10**6) -> tuple[int, int]:
     Unresolved records and families are folded in by brute force, so the
     totals are exact whenever the pieces are small enough to enumerate.
     """
-    from .algdata import enumerate_param_values
-
     count = c.resolved.eval_at(q0, "sum")
     weight = c.resolved.eval_at(q0, "weight_q2e")
     for r in c.unresolved:
@@ -181,9 +363,11 @@ def census_totals_at(c: Census, q0: int, cap: int = 10**6) -> tuple[int, int]:
         count += contrib
         weight += contrib * q0 ** (2 * r.e)
     for fam in c.families:
-        fc, fw = _family_oracle_totals(fam, q0, cap)
-        count += fc
-        weight += fw
+        # an "all" family has z None, an "at_z" family its z
+        fc, fw = _oracle_totals(fam.data, fam.z, q0, cap)
+        scale = (q0 - 1) ** fam.k * q0**fam.l
+        count += scale * fc
+        weight += scale * fw * q0 ** (2 * fam.m)
     return count, weight
 
 
@@ -196,17 +380,7 @@ def verify_census(data: AlgebraicData, c: Census, q0: int, z: int | None = None,
     plain count identity (t := 1) and the degree-weighted identity
     (t^e := q0^(2e), total = group order).
     """
-    expected_count = 0
-    expected_weight = 0
-    dim = len(data.basis)
-    for h in enumerate_substitutions(data, q0):
-        alg = instantiate(data, h, q0)
-        if z is None:
-            expected_count += class_count(alg, cap)
-            expected_weight += q0**dim
-        else:
-            expected_count += irr_count_at_z(alg, z, cap)
-            expected_weight += q0**dim - q0 ** (dim - 1)
+    expected_count, expected_weight = _oracle_totals(data, z, q0, cap)
     actual_count, actual_weight = census_totals_at(c, q0, cap)
     return {
         "q": q0,
@@ -279,7 +453,6 @@ def orbit_of_vector(poset_rel, elems, u: dict, q: int) -> set:
     elems = list(elems)
     start = tuple(u.get(e, 0) for e in elems)
     idx = {e: i for i, e in enumerate(elems)}
-    from .ffield import get_field
     f = get_field(q)
     seen = {start}
     stack = [start]

@@ -44,9 +44,6 @@ def counted(poly: CountPoly) -> CountResult:
     return CountResult(poly, None)
 
 
-ZERO_COUNT = counted(CountPoly.zero())
-
-
 def _invertible_monomial(poly: ParamPoly, nz: frozenset[int]) -> bool:
     """True if the polynomial is +-1 times a product of nonzero parameters."""
     sm = poly.single_monomial()

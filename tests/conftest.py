@@ -5,18 +5,26 @@ import random
 import pytest
 
 from unicount.engine import EngineContext
+from unicount.oracle import audit_counts
 from unicount.oracle import random_algebraic_data, symbolically_associative  # noqa: F401
+
+
+def _audited(ctx: EngineContext):
+    """Yield ctx, then fail teardown if the count audit finds a violation."""
+    yield ctx
+    violations = audit_counts(ctx.memo_counts).violations
+    assert not violations, f"count audit violations: {violations}"
 
 
 @pytest.fixture
 def ctx():
-    return EngineContext(debug_counts=True, validate=True)
+    yield from _audited(EngineContext(validate=True))
 
 
 @pytest.fixture(scope="session")
 def shared_ctx():
-    """One memo space for everything cheap; audited throughout."""
-    return EngineContext(debug_counts=True)
+    """One memo space for everything cheap; audited at session end."""
+    yield from _audited(EngineContext())
 
 
 def random_poset_pairs(rng: random.Random, max_elems: int = 5):

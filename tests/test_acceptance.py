@@ -1,9 +1,9 @@
 """Acceptance gate: every exit criterion, at its stated tolerance.
 
 All comparisons are exact integer / exact polynomial equality.  The
-heavy computation (the n = 13 table) runs once per session with count
-auditing enabled and is shared across criteria; timings are recorded
-against the stated runtime targets.
+heavy computation (the n = 13 table) runs once per session and is
+shared across criteria, and criterion 9 audits every system it counted;
+timings are recorded against the stated runtime targets.
 """
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ import time
 
 import pytest
 
-from unicount.algdata import instantiate
 from unicount.cli import check_identities, load_golden_tables
 from unicount.engine import EngineContext, census, census_at, resolve
-from unicount.oracle import class_count, orbit_of_vector, verify_census
+from unicount.oracle import (audit_counts, class_count, instantiate, orbit_of_vector,
+                             verify_census)
 from unicount.patterns import (Poset, chain, encode_pattern,
                                top_and_closure, unitriangular_census)
 from unicount.polyring import CountPoly
@@ -30,7 +30,7 @@ def report(number: int, passed: bool, text: str):
 
 @pytest.fixture(scope="module")
 def audit_ctx():
-    return EngineContext(debug_counts=True)
+    return EngineContext()
 
 
 @pytest.fixture(scope="module")
@@ -179,9 +179,8 @@ def test_criterion_8_orbit_sizes():
 
 def test_criterion_9_counting_soundness(audit_ctx, tables):
     # runs last: every polynomial counted while computing criteria 1-8 in this
-    # session was audited against exhaustive substitution counts at q = 2..5
-    checked = len(audit_ctx._checked)
-    violations = audit_ctx.count_violations
-    report(9, checked > 0 and not violations,
-           f"{checked} distinct counting systems audited at q in {{2,3,4,5}}, "
-           f"{len(violations)} violations")
+    # session is audited against exhaustive substitution counts at q = 2..5
+    audit = audit_counts(audit_ctx.memo_counts)
+    report(9, audit.audited > 0 and not audit.violations,
+           f"{audit.audited} distinct counting systems audited at q in {{2,3,4,5}}, "
+           f"{len(audit.violations)} violations")

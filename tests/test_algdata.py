@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from unicount.algdata import (AlgebraicData, BadSubstitution, Equation,
-                              MalformedData, NonZero, TooLarge,
-                              count_values_bruteforce, enumerate_param_values,
-                              enumerate_substitutions, instantiate,
+from unicount.algdata import (AlgebraicData, Equation, MalformedData, NonZero,
                               split_into_cases)
 from unicount.engine import EngineContext, census
+from unicount.oracle import (BadSubstitution, TooLarge, count_values_bruteforce,
+                             enumerate_param_values, instantiate)
 from unicount.polyring import ParamPoly
 from unicount.patterns import Poset, chain, encode_pattern, pattern_census
 
@@ -61,8 +60,9 @@ class TestSplitIntoCases:
         assert len(cases) == 4
         # substitution sets partition the original one
         for q in (2, 3):
-            total = len(enumerate_substitutions(a, q))
-            assert total == sum(len(enumerate_substitutions(c, q)) for c in cases)
+            total = len(enumerate_param_values(a.params, a.restrictions, q))
+            assert total == sum(len(enumerate_param_values(c.params, c.restrictions, q))
+                                for c in cases)
 
     def test_zero_branch_rewrites_equations(self):
         eq = Equation(ParamPoly.var(0) * ParamPoly.var(1) + ParamPoly.var(2))
@@ -86,8 +86,9 @@ class TestSplitIntoCases:
             for case in cases:
                 assert case.satisfies_nz()
             for q in (2, 3):
-                assert len(enumerate_substitutions(stripped, q)) == \
-                    sum(len(enumerate_substitutions(c, q)) for c in cases)
+                assert len(enumerate_param_values(stripped.params, stripped.restrictions, q)) == \
+                    sum(len(enumerate_param_values(c.params, c.restrictions, q))
+                        for c in cases)
 
 
 class TestInstantiate:
@@ -121,7 +122,7 @@ class TestInstantiate:
         for _ in range(10):
             data = random_algebraic_data(rng, max_dim=4, max_params=1)
             for q in (2, 3):
-                for h in enumerate_substitutions(data, q):
+                for h in enumerate_param_values(data.params, data.restrictions, q):
                     alg = instantiate(data, h, q)
                     v = tuple(1 for _ in range(alg.dim))
                     acc = v

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import unicount
-from unicount import engine
+from unicount import oracle
 from unicount.cli import (RunConfig, check_identities, cmd_compute, cmd_regress,
                           cmd_identities, cmd_verify, cmd_dump_families,
                           compute_table, format_table, load_golden_tables,
@@ -170,7 +170,7 @@ class TestAuditedCommands:
 
     @pytest.fixture(autouse=True)
     def disagreeing_audit(self, monkeypatch):
-        monkeypatch.setattr(engine, "count_values_bruteforce", lambda *a, **k: -1)
+        monkeypatch.setattr(oracle, "count_values_bruteforce", lambda *a, **k: -1)
 
     def test_identities(self, tmp_path, capsys):
         cfg = RunConfig(cache_dir=tmp_path, debug_counts=True)
@@ -233,21 +233,55 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert la == lb
 
 
-def test_import_leaves_recursion_limit_alone():
+def _run_fresh(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this package."""
     src = str(Path(unicount.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys; before = sys.getrecursionlimit(); import unicount; "
-            "print(sys.getrecursionlimit() == before)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def test_import_leaves_recursion_limit_alone():
+    out = _run_fresh("import sys; before = sys.getrecursionlimit(); import unicount; "
+                     "print(sys.getrecursionlimit() == before)")
     assert out.strip() == "True"
+
+
+def test_numpy_stays_out_of_the_engine(tmp_path):
+    # only the oracle's vectorised helpers import numpy
+    out = _run_fresh(
+        "import sys; import unicount.cli as cli; print('numpy' in sys.modules); "
+        f"rc = cli.main(['--cache-dir', {str(tmp_path)!r}, 'compute', '--n', '6']); "
+        "print(rc, 'numpy' in sys.modules)")
+    lines = out.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False"
 
 
 def test_main_entrypoint(tmp_path, capsys):
     rc = main(["--cache-dir", str(tmp_path), "compute", "--n", "3", "--format", "csv"])
     assert rc == 0
     assert "q^2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("call", [
+    lambda tmp: RunConfig(cache_dir=tmp, oracle_qs=()),
+    lambda tmp: cmd_verify(RunConfig(cache_dir=tmp), max_n=1),
+    lambda tmp: cmd_identities(RunConfig(cache_dir=tmp), 0),
+], ids=["verify-no-fields", "verify-max-n-1", "identities-max-n-0"])
+def test_checking_nothing_is_refused(tmp_path, call):
+    # the argparse bounds, enforced for callers from Python too: each of
+    # these once returned 0 after comparing no instance
+    with pytest.raises(ValueError):
+        call(tmp_path)
+
+
+def test_debug_counts_reports_what_it_audited(tmp_path, capsys):
+    assert main(["--cache-dir", str(tmp_path), "--debug-counts", "compute", "--n", "8"]) == 0
+    assert capsys.readouterr().err == (
+        "count audit violations: 0; systems audited: 1; "
+        "skipped with more than 8 parameters: 0\n")
 
 
 def test_runconfig_validation():

@@ -276,7 +276,7 @@ def test_general_path_t10_matches_reference_rows(shared_ctx):
 def test_split_preserves_instantiated_tables():
     # the multiset of multiplication tables over all cases equals the one
     # over the original data, substitution by substitution
-    from unicount.algdata import enumerate_substitutions, instantiate
+    from unicount.oracle import enumerate_param_values, instantiate
     from collections import Counter
     data = AlgebraicData((0, 1), (), (0, 1, 2, 3),
                          {(0, 1): [(2, frozenset([0]))],
@@ -285,7 +285,7 @@ def test_split_preserves_instantiated_tables():
     for q in (2, 3):
         def tables(d):
             return Counter(instantiate(d, h, q).table
-                           for h in enumerate_substitutions(d, q))
+                           for h in enumerate_param_values(d.params, d.restrictions, q))
         combined = Counter()
         for c in cases:
             combined += tables(c)

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from unicount.algdata import AlgebraicData, NonZero, TooLarge, instantiate
+from unicount.algdata import AlgebraicData, Equation, NonZero
 from unicount.engine import Census, census
-from unicount.oracle import (NotCentralIdeal, class_count, irr_count_at_z,
+from unicount.oracle import (NotCentralIdeal, TooLarge, class_count,
+                             count_values_bruteforce, enumerate_param_values, instantiate, irr_count_at_z,
                              quotient_by, verify_census)
 from unicount.patterns import chain, encode_pattern
-from unicount.polyring import CountPoly
+from unicount.polyring import CountPoly, ParamPoly
 
 from conftest import random_algebraic_data
 
@@ -85,6 +86,20 @@ def test_class_count_report():
     assert rep == {"group_order": 8, "class_count": 5, "quotient_class_count": 4}
 
 
+def test_vectorised_substitution_count_matches_enumeration():
+    # 5^6 and 3^8 assignments take the numpy branch of count_values_bruteforce,
+    # which raises every variable to its power mod q by table lookup
+    rng = random.Random(17)
+    for q, n in ((5, 6), (3, 8)):
+        x = [ParamPoly.var(p) for p in range(n)]
+        for _ in range(3):
+            eq = (x[0].pow(rng.randint(2, 7)) * x[1].pow(rng.randint(1, 3))
+                  - x[2] * x[n - 1] + ParamPoly.const(rng.randint(0, 4)))
+            restrictions = [Equation(eq), NonZero(rng.randrange(n))]
+            want = len(enumerate_param_values(range(n), restrictions, q))
+            assert count_values_bruteforce(range(n), restrictions, q) == want
+
+
 class TestVerifyCensus:
     def test_t3_passes(self, ctx):
         t3 = encode_pattern(chain(3))
@@ -110,13 +125,12 @@ class TestVerifyCensus:
 
 class TestInvariants:
     def test_central_quotient_has_fewer_classes(self):
-        from unicount.algdata import enumerate_substitutions
         rng = random.Random(77)
         for _ in range(10):
             data = random_algebraic_data(rng, max_dim=4, max_params=1)
             z = data.basis[-1]
             for q0 in (2, 3):
-                for h in enumerate_substitutions(data, q0):
+                for h in enumerate_param_values(data.params, data.restrictions, q0):
                     alg = instantiate(data, h, q0)
                     n_at = irr_count_at_z(alg, z)
                     assert 0 <= n_at < class_count(alg)

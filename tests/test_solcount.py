@@ -1,6 +1,7 @@
 import random
 
-from unicount.algdata import Equation, NonZero, enumerate_param_values
+from unicount.algdata import Equation, NonZero
+from unicount.oracle import enumerate_param_values
 from unicount.polyring import CountPoly, ParamPoly
 from unicount.solcount import count_solutions, eliminate_linear, reduce_system
 
