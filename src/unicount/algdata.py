@@ -21,10 +21,31 @@ sorts them into this form.  The builders on the engine's paths,
 ``engine._change_basis``, already produce rows in this order and pass
 them to ``AlgebraicData._from_sorted``, which keeps them as they are;
 ``validate`` checks the form.
+
+The memo key of a data value is one flat tuple of ints, written by
+``_encode`` for both ``canonicalize`` and ``AlgebraicData.key`` and
+read back only by ``AlgebraicData.from_key``.  Every variable-length
+part is preceded by its length, so a key parses left to right in
+exactly one way:
+
+    nparams, p_1 .. p_nparams,
+    nrestrictions, then per restriction in ``sort_key`` order either
+        0, sym                    (sym != 0), or
+        1, nterms, then per term  nvars, s_1, e_1 .. s_nvars, e_nvars, coeff
+                                  (the equation sum of the terms = 0),
+    dim,
+    then per product row:  x, y, ntargets, then per target  z, nfactors, f_1 ..
+
+with x, y and z basis positions.  Equation coefficients are unbounded,
+so a key stays a tuple of Python ints; it is never hashed to a digest,
+whose collisions would serve a wrong census.  A flat tuple of small
+ints takes a fraction of the memory of the same content as nested
+tuples, and gives the cyclic garbage collector nothing to follow.
 """
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .polyring import ParamPoly
@@ -88,6 +109,7 @@ def restriction_from_key(k: tuple) -> Restriction:
 # products maps an ordered factor pair to its targets with factor sets;
 # an empty factor set means structure constant 1.
 Targets = tuple[tuple[int, frozenset[int]], ...]
+_NO_FACTORS: frozenset[int] = frozenset()
 
 
 class AlgebraicData:
@@ -257,26 +279,46 @@ class AlgebraicData:
         return AlgebraicData._from_sorted(self.params, self.restrictions, nb, tuple(prods))
 
     def key(self) -> tuple:
-        """(params, restriction sort keys, dim, products by position), all ints and tuples."""
+        """The flat key of the module docstring, with basis vectors at their
+        positions and parameters under their own labels."""
         k = self._cache.get("key")
         if k is None:
-            rk = tuple(r.sort_key() for r in self.restrictions)
-            pk = tuple((self._pos[x], self._pos[y],
-                        tuple((self._pos[z], tuple(sorted(fs))) for z, fs in ts))
-                       for x, y, ts in self.prods)
-            k = self._cache["key"] = (self.params, rk, len(self.basis), pk)
+            # symbols outside params occur only in malformed data
+            own = {p: p for p in self.params + tuple(sorted(self.symbols_in_products()))}
+            k = self._cache["key"] = _encode(self, own, self.params, self.restrictions)
         return k
 
     @staticmethod
     def from_key(key: tuple) -> "AlgebraicData":
         """The data whose ``key()`` is key, with basis labels 0..dim-1."""
-        params, rk, dim, pk = key
-        restrictions = [restriction_from_key(r) for r in rk]
-        prods = tuple([(x, y, tuple([(z, frozenset(fs)) for z, fs in ts])) for x, y, ts in pk])
-        return AlgebraicData._from_sorted(params, restrictions, tuple(range(dim)), prods)
+        it = iter(key)
+        take = it.__next__
+        params = tuple(islice(it, take()))
+        restrictions = []
+        for _ in range(take()):
+            if take() == 0:
+                restrictions.append(NonZero(take()))
+                continue
+            terms = {}
+            for _ in range(take()):
+                m = tuple((take(), take()) for _ in range(take()))
+                terms[m] = take()
+            restrictions.append(Equation(ParamPoly(terms)))
+        dim = take()
+        prods = []
+        for x in it:
+            y = take()
+            ts = []
+            for _ in range(take()):
+                z = take()
+                nf = take()
+                ts.append((z, frozenset(islice(it, nf)) if nf else _NO_FACTORS))
+            prods.append((x, y, tuple(ts)))
+        return AlgebraicData._from_sorted(params, restrictions, tuple(range(dim)), tuple(prods))
 
     def __eq__(self, other):
-        return isinstance(other, AlgebraicData) and self.key() == other.key()
+        return (isinstance(other, AlgebraicData) and self.key() == other.key()
+                and self.basis == other.basis)
 
     def __hash__(self):
         if self._hash is None:
@@ -334,6 +376,58 @@ class AlgebraicData:
         return AlgebraicData(params, restrictions, basis, products)
 
 
+def _encode(data: AlgebraicData, p_map: dict[int, int], params: Iterable[int],
+            restrictions: Iterable[Restriction]) -> tuple:
+    """The flat key of the module docstring for data with these parameters
+    and restrictions, basis vectors at their positions and parameters
+    renamed by p_map.
+
+    A parameter missing from p_map is added to it, numbered by first use
+    in the products and then in ``params``; the key lists every
+    parameter of p_map, in its order, and sorts the renamed restrictions
+    by ``sort_key``.
+    """
+    pos = data._pos
+    body = [len(data.basis)]
+    put = body.extend
+    for x, y, ts in data.prods:
+        put((pos[x], pos[y], len(ts)))
+        for z, fs in ts:
+            if fs:
+                for p in sorted(fs):
+                    if p not in p_map:
+                        p_map[p] = len(p_map)
+                put((pos[z], len(fs)))
+                put(sorted([p_map[p] for p in fs]))
+            else:
+                put((pos[z], 0))
+    for p in params:
+        if p not in p_map:
+            p_map[p] = len(p_map)
+    rk = []
+    for r in restrictions:
+        if isinstance(r, NonZero):
+            rk.append((0, p_map[r.sym]))
+        else:
+            rk.append((1, tuple(sorted(
+                (tuple(sorted([(p_map[s], e) for s, e in m])), c)
+                for m, c in r.poly.key()))))
+    rk.sort()
+    head = [len(p_map), *p_map.values(), len(rk)]
+    for kind, v in rk:
+        if kind == 0:
+            head += (0, v)
+            continue
+        head += (1, len(v))
+        for m, c in v:
+            head.append(len(m))
+            for s, e in m:
+                head += (s, e)
+            head.append(c)
+    head += body
+    return tuple(head)
+
+
 def canonicalize(data: AlgebraicData, params: Iterable[int],
                  restrictions: Iterable[Restriction]) -> tuple:
     """The memo key of data with its parameters and restrictions replaced.
@@ -347,33 +441,7 @@ def canonicalize(data: AlgebraicData, params: Iterable[int],
     makes memoisation effective; basis order is preserved, never
     permuted.
     """
-    pos = data._pos
-    p_map: dict[int, int] = {}
-    pk = []
-    for x, y, ts in data.prods:
-        tk = []
-        for z, fs in ts:
-            if fs:
-                for p in sorted(fs):
-                    if p not in p_map:
-                        p_map[p] = len(p_map)
-                tk.append((pos[z], tuple(sorted([p_map[p] for p in fs]))))
-            else:
-                tk.append((pos[z], ()))
-        pk.append((pos[x], pos[y], tuple(tk)))
-    for p in params:
-        if p not in p_map:
-            p_map[p] = len(p_map)
-    rk = []
-    for r in restrictions:
-        if isinstance(r, NonZero):
-            rk.append((0, p_map[r.sym]))
-        else:
-            rk.append((1, tuple(sorted(
-                (tuple(sorted([(p_map[s], e) for s, e in m])), c)
-                for m, c in r.poly.key()))))
-    rk.sort()
-    return tuple(range(len(p_map))), tuple(rk), len(data.basis), tuple(pk)
+    return _encode(data, {}, params, restrictions)
 
 
 # ---------------------------------------------------------------------------

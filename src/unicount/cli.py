@@ -3,8 +3,8 @@ check formal identities, and run brute-force verification.
 
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
 survived, the count audit (--debug-counts) found violations, an
-argument was rejected, or a --poset file is missing or malformed,
-3 regression mismatch.
+argument was rejected, a --poset file is missing or malformed, or the
+run ran out of memory, 3 regression mismatch.
 """
 from __future__ import annotations
 
@@ -393,6 +393,17 @@ def main(argv=None) -> int:
     # --poset input of more than about 500 elements passes the default limit
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except MemoryError:
+        pass
+    # reported outside the handler, so that the traceback, and with it the
+    # memo tables its frames hold, is already released
+    print(f"{args.command}: out of memory; the run did not finish", file=sys.stderr)
+    return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     kwargs = dict(max_nodes=args.max_nodes, debug_counts=args.debug_counts)
     if args.cache_dir:
         kwargs["cache_dir"] = Path(args.cache_dir)

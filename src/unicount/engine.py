@@ -21,11 +21,15 @@ one rewrite; each contraction only checks its witness and says which
 old vectors each new vector uses and where each old coordinate goes.
 
 Both walks are memoised per EngineContext.  A lookup first reduces the
-restrictions and then canonicalizes in one pass to a compact key of
-ints and tuples; census_at adds the position of z.  Only on a miss is
-the canonical AlgebraicData rebuilt from the key, and the memo never
-keeps it: after the walk returns, only a Family record still refers
-to it.
+restrictions and then canonicalizes in one pass to a key that is one
+flat tuple of ints (its layout is in ``algdata``'s docstring);
+census_at appends the position of z.  Only on a miss is the canonical
+AlgebraicData rebuilt from the key, and the memo never keeps it: after
+the walk returns, only a Family record still refers to it.  Few stored
+results differ (at n = 13, 5,645 of the 18,959 ``memo_all`` values and
+8,821 of the 54,857 ``memo_at`` values), so every Census a memo stores
+goes through ``EngineContext.intern`` and equal results share one
+object.
 """
 from __future__ import annotations
 
@@ -95,14 +99,21 @@ def aggregate(parts: Iterable[Census]) -> Census:
 
 class EngineContext:
     """Per-run state: memo tables and the node budget.  ``oracle.audit_counts``
-    re-checks the counted systems of ``memo_counts`` by brute force."""
+    re-checks the counted systems of ``memo_counts`` by brute force.
+
+    ``memo_all`` is keyed by canonicalize's flat tuple of ints and
+    ``memo_at`` by that tuple with the position of z appended; the
+    pattern path keys ``memo_pattern`` by a poset's successor bitmasks.
+    The Census values of these three memos are interned: ``censuses``
+    maps each distinct stored value to the one object all memos share.
+    """
 
     def __init__(self, max_nodes: int = 500_000_000, validate: bool = False):
-        # keyed by canonicalize's tuples, and (tuple, position of z)
-        self.memo_all: dict[tuple, Census] = {}
-        self.memo_at: dict[tuple[tuple, int], Census] = {}
-        self.memo_pattern: dict = {}
+        self.memo_all: dict[tuple[int, ...], Census] = {}
+        self.memo_at: dict[tuple[int, ...], Census] = {}
+        self.memo_pattern: dict[tuple[int, ...], Census] = {}
         self.memo_counts: dict = {}
+        self.censuses: dict[Census, Census] = {}
         self.max_nodes = max_nodes
         self.validate = validate
         self.nodes = 0
@@ -110,6 +121,10 @@ class EngineContext:
 
     def bump(self, key: str, n: int = 1):
         self.stats[key] = self.stats.get(key, 0) + n
+
+    def intern(self, c: Census) -> Census:
+        """The first stored Census equal to c, which becomes it if there is none."""
+        return self.censuses.setdefault(c, c)
 
     def count(self, params, restrictions) -> solcount.CountResult:
         key = (tuple(params), tuple(r.sort_key() for r in restrictions))
@@ -150,8 +165,7 @@ def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     key = canonicalize(data, params, restrictions)
     hit = ctx.memo_all.get(key)
     if hit is None:
-        hit = _census_core(AlgebraicData.from_key(key), ctx)
-        ctx.memo_all[key] = hit
+        hit = ctx.memo_all[key] = ctx.intern(_census_core(AlgebraicData.from_key(key), ctx))
     return scale_census(hit, k, l, 0)
 
 
@@ -195,10 +209,11 @@ def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     k, l, params, restrictions = reduced
     key = canonicalize(data, params, restrictions)
     z_pos = data.pos(z)
-    hit = ctx.memo_at.get((key, z_pos))
+    at_key = key + (z_pos,)
+    hit = ctx.memo_at.get(at_key)
     if hit is None:
-        hit = _census_at_core(AlgebraicData.from_key(key), z_pos, ctx)
-        ctx.memo_at[(key, z_pos)] = hit
+        hit = ctx.memo_at[at_key] = ctx.intern(
+            _census_at_core(AlgebraicData.from_key(key), z_pos, ctx))
     return scale_census(hit, k, l, 0)
 
 

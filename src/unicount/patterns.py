@@ -27,13 +27,14 @@ from .polyring import CountPoly
 class Poset:
     """A finite strict partial order; elements are ints, ambient order is <."""
 
-    __slots__ = ("elems", "rel", "_hash")
+    __slots__ = ("elems", "rel", "_hash", "_rank")
 
     def __init__(self, elems: Iterable[int], rel: Iterable[tuple[int, int]],
                  check: bool = True):
         self.elems = tuple(sorted(elems))
         self.rel = frozenset((a, b) for a, b in rel)
         self._hash = None
+        self._rank = None
         if check:
             es = set(self.elems)
             if len(es) != len(self.elems):
@@ -148,7 +149,11 @@ def _extension_rank(poset: Poset) -> dict[int, int]:
     """Positions in the lexicographically least linear extension of poset.
 
     When the labels already extend the order, this is their sorted order.
+    Computed once per Poset: every antichain of a pattern node ranks the
+    same poset.
     """
+    if poset._rank is not None:
+        return poset._rank
     indeg = {e: 0 for e in poset.elems}
     succ: dict[int, list[int]] = {e: [] for e in poset.elems}
     for a, b in poset.rel:
@@ -164,6 +169,7 @@ def _extension_rank(poset: Poset) -> dict[int, int]:
             indeg[b] -= 1
             if not indeg[b]:
                 heapq.heappush(ready, b)
+    poset._rank = rank
     return rank
 
 
@@ -261,15 +267,19 @@ def pattern_census(poset: Poset, ctx: EngineContext) -> Census:
     key = _canon_key(poset)
     hit = ctx.memo_pattern.get(key)
     if hit is None:
-        hit = _pattern_core(poset, ctx)
-        ctx.memo_pattern[key] = hit
+        hit = ctx.memo_pattern[key] = ctx.intern(_pattern_core(poset, ctx))
     return hit
 
 
-def _canon_key(poset: Poset):
-    relabel = {e: i for i, e in enumerate(poset.elems)}
-    return (len(poset.elems),
-            frozenset((relabel[a], relabel[b]) for a, b in poset.rel))
+def _canon_key(poset: Poset) -> tuple[int, ...]:
+    """The memo key of poset: for each element by position, the bitmask
+    of the positions of its successors.  Two posets get the same key
+    exactly when relabelling each by position gives the same relation."""
+    bit = {e: 1 << i for i, e in enumerate(poset.elems)}
+    succ = dict.fromkeys(poset.elems, 0)
+    for a, b in poset.rel:
+        succ[a] |= bit[b]
+    return tuple(succ.values())
 
 
 def _pattern_core(poset: Poset, ctx: EngineContext) -> Census:

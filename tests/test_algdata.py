@@ -169,6 +169,26 @@ def test_canonical_equality_and_hash():
     a = t3_data()
     b = AlgebraicData((), (), (0, 1, 2), {(0, 1): [(2, frozenset())]})
     assert a == b and hash(a) == hash(b)
+    # the same positions under other labels: equal keys, but a Family
+    # names its z by label, so the data differ
+    c = AlgebraicData((), (), (2, 1, 0), {(2, 1): [(0, frozenset())]})
+    assert c.key() == a.key() and c != a
+
+
+def test_key_round_trip_keeps_unbounded_coefficients():
+    p = ParamPoly.var
+    big = Equation(p(5) * p(5) * p(2) - ParamPoly.const(-10 ** 30) * p(3))
+    data = AlgebraicData((2, 3, 5), (NonZero(5), big, NonZero(2)), (4, 7, 9, 11),
+                         {(4, 7): [(9, frozenset([2, 5])), (11, frozenset())],
+                          (7, 9): [(11, frozenset([3]))]})
+    key = data.key()
+    assert type(key) is tuple and all(type(v) is int for v in key)
+    again = AlgebraicData.from_key(key)
+    assert again.key() == key
+    assert again.basis == (0, 1, 2, 3)
+    assert (again.params, again.restrictions) == (data.params, data.restrictions)
+    assert again.prods == ((0, 1, ((2, frozenset([2, 5])), (3, frozenset()))),
+                           (1, 2, ((3, frozenset([3])),)))
 
 
 def test_json_round_trip():

@@ -302,3 +302,18 @@ def test_bad_arguments_give_usage(tmp_path, capsys, argv):
         main(["--cache-dir", str(tmp_path)] + argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["compute", "--n", "6"], ["regress"]])
+def test_running_out_of_memory_is_an_honest_exit(tmp_path, capsys, monkeypatch, argv):
+    # a MemoryError deep in the recursion once ended in a traceback
+    from unicount import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "unitriangular_census", exhausted)
+    assert main(["--cache-dir", str(tmp_path)] + argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{argv[0]}: out of memory; the run did not finish\n"

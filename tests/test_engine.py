@@ -332,6 +332,43 @@ def relabelled(data, rng):
                          [new_b[b] for b in data.basis], products)
 
 
+def nested_key(data, params, restrictions):
+    """The former memo key, kept as a reference for the flat one: nested
+    tuples (params, restriction sort keys, dim, products by position),
+    renamed as canonicalize renames."""
+    pos = data._pos
+    p_map = {}
+    pk = []
+    for x, y, ts in data.prods:
+        tk = []
+        for z, fs in ts:
+            for p in sorted(fs):
+                p_map.setdefault(p, len(p_map))
+            tk.append((pos[z], tuple(sorted(p_map[p] for p in fs))))
+        pk.append((pos[x], pos[y], tuple(tk)))
+    for p in params:
+        p_map.setdefault(p, len(p_map))
+    rk = sorted((0, p_map[r.sym]) if isinstance(r, NonZero) else
+                (1, tuple(sorted((tuple(sorted((p_map[s], e) for s, e in m)), c)
+                                 for m, c in r.poly.key())))
+                for r in restrictions)
+    return tuple(range(len(p_map))), tuple(rk), len(data.basis), tuple(pk)
+
+
+def assert_same_grouping(pairs):
+    """Each (key, reference key) pair: keys are equal exactly when their
+    reference keys are."""
+    by_key, by_ref = {}, {}
+    for key, ref in pairs:
+        assert by_key.setdefault(key, ref) == ref, key
+        assert by_ref.setdefault(ref, key) == key, ref
+    return len(by_key)
+
+
+def is_flat(key):
+    return type(key) is tuple and all(type(v) is int for v in key)
+
+
 def assert_key_matches_reference(data, params, restrictions):
     key = canonicalize(data, params, restrictions)
     ref = positional_relabelling(data, params, restrictions)
@@ -346,6 +383,7 @@ def assert_key_matches_reference(data, params, restrictions):
 class TestMemoKey:
     def test_split_cases_of_random_families(self):
         rng = random.Random(23)
+        pairs = []
         for _ in range(60):
             data = random_algebraic_data(rng, max_dim=5, max_params=3)
             # without the inequations, splitting has work to do
@@ -356,9 +394,13 @@ class TestMemoKey:
             for case, twin in zip(cases, moved):
                 key = assert_key_matches_reference(case, case.params, case.restrictions)
                 assert canonicalize(twin, twin.params, twin.restrictions) == key
+                pairs.append((key, nested_key(case, case.params, case.restrictions)))
                 reduced = _reduce(case)
                 if reduced is not None:
-                    assert_key_matches_reference(case, reduced[2], reduced[3])
+                    key = assert_key_matches_reference(case, reduced[2], reduced[3])
+                    pairs.append((key, nested_key(case, reduced[2], reduced[3])))
+        assert all(is_flat(key) for key, _ in pairs)
+        assert assert_same_grouping(pairs) < len(pairs)
 
     def test_every_lookup_of_the_general_engine(self, monkeypatch):
         # T_8 is the smallest chain whose reduced lookups keep equations
@@ -374,10 +416,22 @@ class TestMemoKey:
         census(encode_pattern(chain(8)), ctx)
         assert any(isinstance(r, Equation) for _, _, rs in seen for r in rs)
         keys = set()
+        pairs = []
         for data, params, restrictions in seen:
-            keys.add(assert_key_matches_reference(data, params, restrictions))
+            key = assert_key_matches_reference(data, params, restrictions)
+            keys.add(key)
+            pairs.append((key, nested_key(data, params, restrictions)))
             assert_key_matches_reference(data, data.params, data.restrictions)
-        assert keys == set(ctx.memo_all) | {k for k, _ in ctx.memo_at}
+        assert assert_same_grouping(pairs) < len(pairs)
+        # a census_at key is the data key with the position of z appended
+        assert keys == set(ctx.memo_all) | {k[:-1] for k in ctx.memo_at}
+
+    def test_engine_memo_keys_are_flat_int_tuples(self):
+        ctx = EngineContext()
+        unitriangular_census(9, ctx)
+        assert ctx.memo_all and ctx.memo_at
+        assert all(is_flat(key) for key in ctx.memo_all)
+        assert all(is_flat(key) for key in ctx.memo_at)
 
     def test_memo_holds_no_algebraic_data(self):
         def contains_data(x):
@@ -394,6 +448,18 @@ class TestMemoKey:
         assert ctx.memo_all and ctx.memo_at
         assert not contains_data(ctx.memo_all)
         assert not contains_data(ctx.memo_at)
+
+
+def test_equal_memo_values_are_one_object():
+    ctx = EngineContext()
+    unitriangular_census(10, ctx)
+    first = {}
+    stored = 0
+    for memo in (ctx.memo_all, ctx.memo_at, ctx.memo_pattern):
+        for value in memo.values():
+            assert first.setdefault(value, value) is value
+            stored += 1
+    assert len(first) < stored
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,60 @@ def test_pair_stabilizer_dimension_matches_linear_algebra():
                 left[len(E)] -= 1
 
 
+def test_one_node_ranks_its_poset_once(monkeypatch):
+    # the node's row D = {2, 3, 4, 5} has two antichains of size 2, and
+    # both stabilisers order E by the same least linear extension
+    from unicount import patterns
+    real = patterns._extension_rank
+    p = Poset(range(1, 6), [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (3, 5)])
+    ranks = []
+
+    def recorded(poset):
+        rank = real(poset)
+        if poset is p:
+            ranks.append(rank)
+        return rank
+
+    monkeypatch.setattr(patterns, "_extension_rank", recorded)
+    patterns._pattern_core(p, EngineContext())
+    assert len(ranks) == 2
+    assert ranks[0] is ranks[1]
+
+
+def reference_pattern_key(poset: Poset):
+    """The former pattern memo key: the relation relabelled by position."""
+    relabel = {e: i for i, e in enumerate(poset.elems)}
+    return len(poset.elems), frozenset((relabel[a], relabel[b]) for a, b in poset.rel)
+
+
+def test_pattern_keys_group_posets_as_the_reference(monkeypatch):
+    # every poset looked up under T_8 and under 40 random posets, whose
+    # sub-posets skip labels, grouped by the bitmask key as by the pair set
+    from unicount import patterns
+    real = patterns.pattern_census
+    seen = []
+
+    def recorded(poset, ctx):
+        seen.append(poset)
+        return real(poset, ctx)
+
+    monkeypatch.setattr(patterns, "pattern_census", recorded)
+    unitriangular_census(8, EngineContext())
+    rng = random.Random(53)
+    for _ in range(40):
+        m, rel = random_poset_pairs(rng, max_elems=7)
+        perm = dict(zip(range(1, m + 1), rng.sample(range(1, 30), m)))
+        patterns.pattern_census(Poset(perm.values(), [(perm[a], perm[b]) for a, b in rel]),
+                                EngineContext())
+    by_key, by_ref = {}, {}
+    for poset in seen:
+        key, ref = patterns._canon_key(poset), reference_pattern_key(poset)
+        assert type(key) is tuple and all(type(m) is int for m in key)
+        assert by_key.setdefault(key, ref) == ref, poset
+        assert by_ref.setdefault(ref, key) == key, poset
+    assert len(by_key) < len(seen)
+
+
 class TestPatternCensus:
     def test_zero_relation_base_case(self, ctx):
         # T_{C, empty} is the zero algebra: exactly one character
