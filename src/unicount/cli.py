@@ -2,9 +2,10 @@
 check formal identities, and run brute-force verification.
 
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
-survived, the count audit (--debug-counts) found violations, an
-argument was rejected, a --poset file is missing or malformed, or the
-run ran out of memory, 3 regression mismatch.
+survived, the node budget (--max-nodes) ran out, the count audit
+(--debug-counts) found violations, an argument was rejected, a --poset
+file is missing or malformed, or the run ran out of memory, 3
+regression mismatch.
 """
 from __future__ import annotations
 
@@ -42,6 +43,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n is not None and self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be at least 1")
         if not self.oracle_qs or not set(self.oracle_qs) <= {2, 3, 4, 5}:
             raise ValueError("oracle fields must be one or more of q in {2,3,4,5}")
 
@@ -235,6 +238,16 @@ def _audit_failed(cfg: RunConfig, memos: list[dict]) -> bool:
     return bool(audit.violations)
 
 
+def _budget_exhausted(ctx: EngineContext) -> bool:
+    """Print one line to stderr if the node budget left families
+    uncontracted; True if it did."""
+    k = ctx.stats.get("budget_families", 0)
+    if k:
+        print(f"node budget of {ctx.max_nodes} exhausted: {k} families left uncontracted",
+              file=sys.stderr)
+    return bool(k)
+
+
 def cmd_compute(cfg: RunConfig) -> int:
     ctx = make_context(cfg)
     poset = None
@@ -253,9 +266,11 @@ def cmd_compute(cfg: RunConfig) -> int:
             table = load_or_compute(cfg.n, cfg, ctx)
     except UnknownCore as exc:
         print(f"unresolvable family survived: {exc}", file=sys.stderr)
+        _budget_exhausted(ctx)
         return 2
     print(format_table(table, cfg.fmt))
-    if _audit_failed(cfg, [ctx.memo_counts]):
+    exhausted = _budget_exhausted(ctx)
+    if _audit_failed(cfg, [ctx.memo_counts]) or exhausted:
         return 2
     if table.unresolved:
         print(f"{len(table.unresolved)} unresolved count records", file=sys.stderr)
@@ -274,8 +289,11 @@ def cmd_regress(cfg: RunConfig, golden=None) -> int:
             table = load_or_compute(n, cfg, ctx)
         except UnknownCore as exc:
             print(f"unresolvable family survived: {exc}", file=sys.stderr)
+            _budget_exhausted(ctx)
             return 2
         memos.append(ctx.memo_counts)
+        if _budget_exhausted(ctx):
+            status = 2
         for e in sorted(set(golden[n]) | set(table.entries)):
             want = golden[n].get(e)
             got = table.entries.get(e)
@@ -304,6 +322,7 @@ def cmd_identities(cfg: RunConfig, max_n: int) -> int:
             table = load_or_compute(n, cfg, ctx)
         except UnknownCore as exc:
             print(f"unresolvable family survived: {exc}", file=sys.stderr)
+            _budget_exhausted(ctx)
             return 2
         report = check_identities(table)
         flag = "ok" if report["pass"] else "FAIL"
@@ -311,6 +330,8 @@ def cmd_identities(cfg: RunConfig, max_n: int) -> int:
               f"shifted_nonnegative={report['shifted_nonnegative']} [{flag}]")
         if not report["pass"]:
             status = 2
+    if _budget_exhausted(ctx):
+        status = 2
     if _audit_failed(cfg, [ctx.memo_counts]):
         status = 2
     return status
@@ -342,7 +363,7 @@ def cmd_dump_families(cfg: RunConfig) -> int:
             "kind": f.kind, "k": f.k, "l": f.l, "m": f.m}
            for f in c.families]
     print(json.dumps(out, indent=1, sort_keys=True))
-    return 0
+    return 2 if _budget_exhausted(ctx) else 0
 
 
 def _int_at_least(low: int):
@@ -363,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Character degree counts for U_n(q)")
     ap.add_argument("--cache-dir", default=None,
                     help="report cache (default $UNICOUNT_CACHE_DIR or ./.unicount-cache)")
-    ap.add_argument("--max-nodes", type=int, default=500_000_000)
+    ap.add_argument("--max-nodes", type=_int_at_least(1), default=500_000_000)
     ap.add_argument("--debug-counts", action="store_true",
                     help="audit the counted systems against exhaustive enumeration")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -10,7 +10,9 @@ closure of the induced order), and the stabiliser of each orbit
 representative is again an explicitly describable algebra: for
 |E| <= 1 a smaller pattern algebra, recursed into, and for |E| >= 2
 one change of basis of the complement algebra, handed to the general
-engine.
+engine.  Pattern data has one basis order, ``_unit_order``: matrix units
+by rows descending, then columns ascending, in the least linear
+extension of the order, so that every product lands later.
 """
 from __future__ import annotations
 
@@ -173,6 +175,15 @@ def _extension_rank(poset: Poset) -> dict[int, int]:
     return rank
 
 
+def _unit_order(pairs: Iterable[tuple[int, int]], rank: dict[int, int]) -> list[tuple[int, int]]:
+    """The matrix units e_p, p in pairs, in the one basis order of pattern
+    data: rows descending, then columns ascending, by their positions in
+    rank, a linear extension.  Every product e_{ij} e_{jk} = e_{ik} lands
+    after both factors: after e_{ij} in the same row, as j precedes k,
+    and after e_{jk}, whose row j comes first, as i precedes j."""
+    return sorted(pairs, key=lambda p: (-rank[p[0]], rank[p[1]]))
+
+
 def _pattern_data(pairs: list[tuple[int, int]]) -> AlgebraicData:
     """Parameter-free data for the matrix units e_p, p in pairs, each
     labelled by its position in pairs: e_{ij} e_{jk} = e_{ik}."""
@@ -186,18 +197,9 @@ def _pattern_data(pairs: list[tuple[int, int]]) -> AlgebraicData:
 
 
 def encode_pattern(poset: Poset) -> AlgebraicData:
-    """Parameter-free algebraic data for T_{C,R}: one vector per pair of R."""
-    longest: dict[tuple[int, int], int] = {}
-
-    def lpath(p):
-        if p not in longest:
-            i, j = p
-            longest[p] = 1
-            longest[p] = 1 + max((lpath((i, m)) for (i2, m) in poset.rel
-                                  if i2 == i and (m, j) in poset.rel), default=0)
-        return longest[p]
-
-    return _pattern_data(sorted(poset.rel, key=lambda p: (lpath(p), p)))
+    """Parameter-free algebraic data for T_{C,R}: one vector per pair of
+    R, in the order of ``_unit_order`` under the least linear extension."""
+    return _pattern_data(_unit_order(poset.rel, _extension_rank(poset)))
 
 
 def _small_stabilizer(B: list[int], P: frozenset, D: set[int], E: frozenset) -> Poset:
@@ -217,27 +219,22 @@ def stabilizer_data(poset: Poset, c0: int, E: frozenset) -> AlgebraicData:
 
     The stabiliser is the annihilator of sum_{d in E} eps_d e_{c0,d}: the
     x in T_{B,P} with sum_{d in E} eps_d x_{id} = 0 for every row i in D.
-    E empty gives the full complement subalgebra, and a singleton
-    deletes the column of its element from the rows in D.
 
-    For |E| >= 2, with E in the least linear extension and eps
-    alternating +1, -1 along it, a row i of D that sees the columns
-    S_i of E keeps no entry in them if |S_i| = 1, and otherwise the
-    vectors f_{id} = e_{id} - eps_d eps_a e_{ia} for d in S_i other than
-    its latest element a; every other e_{ij} stays.  ``_change_basis``
-    reads the products of T_{B,P} off in that basis, a -1 coefficient
-    becoming a fresh parameter.  Items are ordered by rows descending,
-    then columns ascending, f_{id} sitting at its own column d, so every
-    product lands later: a product lands in the row of its left factor
-    and past its columns, since f_{id} e_{aj} lands at column j, past a,
-    which is past d.
+    With E in the least linear extension and eps alternating +1, -1
+    along it, a row i of D that sees the columns S_i of E keeps no entry
+    in them if |S_i| = 1, and otherwise the vectors
+    f_{id} = e_{id} - eps_d eps_a e_{ia} for d in S_i other than its
+    latest element a; every other e_{ij} stays.  So E empty gives the
+    full complement subalgebra, and a singleton deletes the column of
+    its element from the rows in D.  ``_change_basis`` reads the
+    products of T_{B,P} off in that basis, a -1 coefficient becoming a
+    fresh parameter.  Items keep the order of ``_unit_order``, f_{id}
+    sitting at its own column d, so every product still lands later:
+    f_{id} e_{aj} lands at column j, past a, which is past d.
     """
     R = poset.rel
-    B = [c for c in poset.elems if c != c0]
     D = {d for d in poset.elems if (c0, d) in R}
     P = frozenset((a, b) for a, b in R if a != c0 and b != c0)
-    if len(E) <= 1:
-        return encode_pattern(_small_stabilizer(B, P, D, E))
     rank = _extension_rank(poset)
     E = sorted(E, key=rank.__getitem__)
     eps = {d: (-1) ** n for n, d in enumerate(E)}
@@ -246,7 +243,7 @@ def stabilizer_data(poset: Poset, c0: int, E: frozenset) -> AlgebraicData:
         S = [d for d in E if (i, d) in R]
         if len(S) >= 2:
             ref[i] = S[-1]
-    old = sorted(P, key=lambda p: (-rank[p[0]], rank[p[1]]))
+    old = _unit_order(P, rank)
     # e_{ij} and f_{ij} alike take the old coordinate on e_{ij}, and no
     # two items share a cell (i, j)
     new = [(i, j) for i, j in old if i not in D or j not in eps or (i in ref and j != ref[i])]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -269,12 +270,24 @@ def test_main_entrypoint(tmp_path, capsys):
     lambda tmp: RunConfig(cache_dir=tmp, oracle_qs=()),
     lambda tmp: cmd_verify(RunConfig(cache_dir=tmp), max_n=1),
     lambda tmp: cmd_identities(RunConfig(cache_dir=tmp), 0),
-], ids=["verify-no-fields", "verify-max-n-1", "identities-max-n-0"])
+    lambda tmp: RunConfig(cache_dir=tmp, max_nodes=0),
+], ids=["verify-no-fields", "verify-max-n-1", "identities-max-n-0", "max-nodes-0"])
 def test_checking_nothing_is_refused(tmp_path, call):
     # the argparse bounds, enforced for callers from Python too: each of
     # these once returned 0 after comparing no instance
     with pytest.raises(ValueError):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [["compute", "--n", "9"], ["dump-families", "--n", "9"],
+                                  ["identities", "--max-n", "9"], ["regress"]])
+def test_exhausted_node_budget_is_named(tmp_path, capsys, argv):
+    # compute once named only the first uncontracted core, and
+    # dump-families printed the cores the budget cut as survivors, exit 0
+    assert main(["--cache-dir", str(tmp_path), "--max-nodes", "5"] + argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(re.fullmatch(r"node budget of 5 exhausted: \d+ families left uncontracted",
+                            line) for line in err), err
 
 
 def test_debug_counts_reports_what_it_audited(tmp_path, capsys):
@@ -296,7 +309,10 @@ def test_runconfig_validation():
                                   # each would check nothing
                                   ["verify", "--q"], ["verify", "--max-n", "1"],
                                   ["identities", "--max-n", "0"],
-                                  ["identities", "--max-n", "-2"]])
+                                  ["identities", "--max-n", "-2"],
+                                  # a node budget below 1 contracts nothing
+                                  ["--max-nodes", "0", "compute", "--n", "3"],
+                                  ["--max-nodes", "-3", "compute", "--n", "3"]])
 def test_bad_arguments_give_usage(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["--cache-dir", str(tmp_path)] + argv)

@@ -112,8 +112,8 @@ class TestCensusAt:
 class TestContractTypeB:
     def test_t3_contraction_leaves_single_vector(self):
         t3 = encode_pattern(chain(3))
-        z = t3.basis[-1]
-        out = contract_type_b(t3, z, 0)  # y = e12, x_1 = e23
+        ((e12, e23, ((e13, _),)),) = t3.prods
+        out = contract_type_b(t3, e13, e12)  # y = e12, x_1 = e23
         assert len(out.basis) == 1
         assert out.prods == ()
 
@@ -153,10 +153,11 @@ class TestContractTypeB:
 
     def test_bad_witness_rejected(self):
         t3 = encode_pattern(chain(3))
+        ((e12, e23, ((e13, _),)),) = t3.prods
         with pytest.raises(BadWitness):
-            contract_type_b(t3, t3.basis[-1], 1)  # a right factor cannot be y
+            contract_type_b(t3, e13, e23)  # a right factor cannot be y
         with pytest.raises(BadWitness):
-            contract_type_b(t3, t3.basis[0], 2)   # y must hit z
+            contract_type_b(t3, e12, e13)  # y must hit z
 
     def test_oracle_agreement_on_t3(self, ctx):
         # the contraction preserves the nontrivial-at-z character count
@@ -265,12 +266,13 @@ class TestOracleProperties:
                 assert report["pass"], (data, report)
 
 
-def test_general_path_t10_matches_reference_rows(shared_ctx):
+@pytest.mark.parametrize("n", [10, 11])
+def test_general_path_matches_reference_rows(shared_ctx, n):
     from unicount.cli import load_golden_tables
     from unicount.patterns import chain, encode_pattern
-    table = resolve(census(encode_pattern(chain(10)), shared_ctx), 10, shared_ctx)
-    golden = load_golden_tables()[10]
-    assert table.entries == golden
+    table = resolve(census(encode_pattern(chain(n)), shared_ctx), n, shared_ctx)
+    assert table.unresolved == ()
+    assert table.entries == load_golden_tables()[n]
 
 
 def test_split_preserves_instantiated_tables():
@@ -403,7 +405,7 @@ class TestMemoKey:
         assert assert_same_grouping(pairs) < len(pairs)
 
     def test_every_lookup_of_the_general_engine(self, monkeypatch):
-        # T_8 is the smallest chain whose reduced lookups keep equations
+        # T_9 is the smallest chain whose reduced lookups keep equations
         seen = []
         real = engine.canonicalize
 
@@ -413,7 +415,7 @@ class TestMemoKey:
 
         monkeypatch.setattr(engine, "canonicalize", spy)
         ctx = EngineContext()
-        census(encode_pattern(chain(8)), ctx)
+        census(encode_pattern(chain(9)), ctx)
         assert any(isinstance(r, Equation) for _, _, rs in seen for r in rs)
         keys = set()
         pairs = []

@@ -6,8 +6,8 @@ import pytest
 from unicount.algdata import AlgebraicData, MalformedData
 from unicount.engine import EngineContext, census, resolve
 from unicount.oracle import orbit_of_vector
-from unicount.patterns import (Poset, _extension_rank, antichains, chain,
-                               choose_order, encode_pattern, normal_closure,
+from unicount.patterns import (Poset, _extension_rank, _small_stabilizer, antichains,
+                               chain, choose_order, encode_pattern, normal_closure,
                                pattern_census, stabilizer_data,
                                top_and_closure, unitriangular_census)
 from unicount.polyring import CountPoly
@@ -519,6 +519,34 @@ class TestReversedLabels:
             want = resolve(pattern_census(natural, shared_ctx), m, shared_ctx)
             got = resolve(pattern_census(shuffled, EngineContext()), m)
             assert got.entries == want.entries, shuffled
+
+    def test_relabelled_encodings_agree_with_the_pattern_path(self, shared_ctx):
+        # labels that do not extend the order leave the unit order to the
+        # least linear extension, in encode_pattern and stabilizer_data alike
+        def table(c, n):
+            t = resolve(c, n)
+            assert not t.unresolved
+            return t.entries
+
+        rng = random.Random(47)
+        for _ in range(300):
+            m, rel = random_poset_pairs(rng, max_elems=7)
+            perm = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
+            p = Poset(perm.values(), [(perm[a], perm[b]) for a, b in rel])
+            data = encode_pattern(p)
+            data.validate()
+            want = table(pattern_census(Poset(range(1, m + 1), rel), shared_ctx), m)
+            assert table(pattern_census(p, EngineContext()), m) == want, p
+            assert table(census(data, EngineContext()), m) == want, p
+            # every |E| <= 1 stabiliser of the first node of the recursion
+            c0 = min(e for e in p.elems if all(b != e for _, b in p.rel))
+            B = [c for c in p.elems if c != c0]
+            D = {d for d in p.elems if (c0, d) in p.rel}
+            P = frozenset((a, b) for a, b in p.rel if c0 not in (a, b))
+            for E in [frozenset()] + [frozenset({d}) for d in D]:
+                got = census(stabilizer_data(p, c0, E), EngineContext())
+                ref = pattern_census(_small_stabilizer(B, P, D, E), EngineContext())
+                assert table(got, m - 1) == table(ref, m - 1), (p, E)
 
 
 class TestOrbitSizes:
