@@ -22,7 +22,7 @@ import time
 
 from unicount.engine import EngineContext, census, census_at, resolve
 from unicount.oracle import audit_counts, random_algebraic_data, verify_census
-from unicount.patterns import (Poset, antichains, choose_order, encode_pattern,
+from unicount.patterns import (Poset, antichains, encode_pattern, normal_closure,
                                pattern_census)
 
 
@@ -38,9 +38,10 @@ def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
         for i in range(m, 0, -1):
             rel |= {(i, k) for a, j in list(rel) if a == i for b, k in list(rel) if b == j}
         # the antichains the pattern path takes are those of the first
-        # row's successors in the normal closure of the rest
-        _, pbar = choose_order(range(2, m + 1), frozenset(p for p in rel if p[0] != 1))
-        if max(map(len, antichains([j for a, j in rel if a == 1], pbar))) >= 3:
+        # row's successors D in the normal closure of the rest
+        D = [j for a, j in rel if a == 1]
+        pbar = normal_closure(frozenset(p for p in rel if p[0] != 1), range(2, m + 1), D)
+        if max(map(len, antichains(D, pbar))) >= 3:
             return Poset(range(1, m + 1), rel)
 
 

@@ -2,10 +2,11 @@
 check formal identities, and run brute-force verification.
 
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
-survived, the node budget (--max-nodes) ran out, the count audit
-(--debug-counts) found violations, an argument was rejected, a --poset
-file is missing or malformed, or the run ran out of memory, 3
-regression mismatch.
+survived, the node budget of a table (--max-nodes) ran out, the count
+audit (--debug-counts) found violations, an argument was rejected, a
+verify instance is too large to count classes of, a --poset file is
+missing or malformed, or the run ran out of memory, 3 regression
+mismatch.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from pathlib import Path
 
 from .algdata import MalformedData
 from .engine import EngineContext, UnknownCore, resolve, ResolvedTable
-from .oracle import AUDIT_MAX_PARAMS, audit_counts, class_count, instantiate
+from .oracle import (AUDIT_MAX_PARAMS, CLASS_COUNT_CAP, audit_counts, class_count,
+                     instantiate)
 from .patterns import Poset, chain, encode_pattern, pattern_census, unitriangular_census
 from .polyring import CountPoly, shifted_coeffs
 
@@ -316,23 +318,25 @@ def cmd_identities(cfg: RunConfig, max_n: int) -> int:
     if max_n < 1:
         raise ValueError("identities needs max_n of at least 1")
     status = 0
-    ctx = make_context(cfg)
+    memos = []
     for n in range(1, max_n + 1):
+        ctx = make_context(cfg)
         try:
             table = load_or_compute(n, cfg, ctx)
         except UnknownCore as exc:
             print(f"unresolvable family survived: {exc}", file=sys.stderr)
             _budget_exhausted(ctx)
             return 2
+        memos.append(ctx.memo_counts)
+        if _budget_exhausted(ctx):
+            status = 2
         report = check_identities(table)
         flag = "ok" if report["pass"] else "FAIL"
         print(f"n={n}: sum_rule={report['sum_rule']} linear_rule={report['linear_rule']} "
               f"shifted_nonnegative={report['shifted_nonnegative']} [{flag}]")
         if not report["pass"]:
             status = 2
-    if _budget_exhausted(ctx):
-        status = 2
-    if _audit_failed(cfg, [ctx.memo_counts]):
+    if _audit_failed(cfg, memos):
         status = 2
     return status
 
@@ -341,10 +345,21 @@ def cmd_verify(cfg: RunConfig, max_n: int = 5) -> int:
     """Brute-force agreement: engine totals vs conjugacy-class counts."""
     if max_n < 2:
         raise ValueError("verify needs max_n of at least 2")
-    ctx = make_context(cfg)
+    for n in range(2, max_n + 1):
+        for q0 in sorted(cfg.oracle_qs):
+            if q0 ** (n * (n - 1) // 2) > CLASS_COUNT_CAP:
+                print(f"U_{n}({q0}) has order {q0}^{n * (n - 1) // 2}, over the "
+                      f"class-count cap of {CLASS_COUNT_CAP}", file=sys.stderr)
+                return 2
     reports = []
     for n in range(2, max_n + 1):
-        table = compute_table(n, ctx)
+        ctx = make_context(cfg)
+        try:
+            table = compute_table(n, ctx)
+        except UnknownCore as exc:
+            print(f"unresolvable family survived: {exc}", file=sys.stderr)
+            _budget_exhausted(ctx)
+            return 2
         for q0 in cfg.oracle_qs:
             expected = class_count(instantiate(encode_pattern(chain(n)), {}, q0))
             actual = sum(p.eval_at(q0) for p in table.entries.values())
@@ -384,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Character degree counts for U_n(q)")
     ap.add_argument("--cache-dir", default=None,
                     help="report cache (default $UNICOUNT_CACHE_DIR or ./.unicount-cache)")
-    ap.add_argument("--max-nodes", type=_int_at_least(1), default=500_000_000)
+    ap.add_argument("--max-nodes", type=_int_at_least(1), default=500_000_000,
+                    help="engine node budget of each table")
     ap.add_argument("--debug-counts", action="store_true",
                     help="audit the counted systems against exhaustive enumeration")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -243,7 +243,11 @@ def _group_mult(alg: ConcreteAlgebra, u, v):
     return tuple(f.add(f.add(u[i], v[i]), uv[i]) for i in range(alg.dim))
 
 
-def class_count(alg: ConcreteAlgebra, cap: int = 10**6) -> int:
+# the largest group order that class_count enumerates
+CLASS_COUNT_CAP = 10**6
+
+
+def class_count(alg: ConcreteAlgebra, cap: int = CLASS_COUNT_CAP) -> int:
     """Number of conjugacy classes of 1 + J, by orbit partition.
 
     Conjugation by the generators 1 + lambda e_i suffices: the classes
@@ -313,13 +317,13 @@ def quotient_by(alg: ConcreteAlgebra, z_label: int) -> ConcreteAlgebra:
                            _skip_check=True)
 
 
-def irr_count_at_z(alg: ConcreteAlgebra, z_label: int, cap: int = 10**6) -> int:
+def irr_count_at_z(alg: ConcreteAlgebra, z_label: int, cap: int = CLASS_COUNT_CAP) -> int:
     """|Irr(1+J, <z>)| = k(1+J) - k(1+J/<z>), by inflation."""
     return class_count(alg, cap) - class_count(quotient_by(alg, z_label), cap)
 
 
 def class_count_report(alg: ConcreteAlgebra, z_label: int | None = None,
-                       cap: int = 10**6) -> dict:
+                       cap: int = CLASS_COUNT_CAP) -> dict:
     """Group order and class counts, optionally also for the quotient by <z>."""
     out = {"group_order": alg.q**alg.dim, "class_count": class_count(alg, cap),
            "quotient_class_count": None}
@@ -349,7 +353,7 @@ def _oracle_totals(data: AlgebraicData, z: int | None, q0: int,
     return count, weight
 
 
-def census_totals_at(c: Census, q0: int, cap: int = 10**6) -> tuple[int, int]:
+def census_totals_at(c: Census, q0: int, cap: int = CLASS_COUNT_CAP) -> tuple[int, int]:
     """Evaluate a census at q = q0: (count at t:=1, count weighted by q^(2e)).
 
     Unresolved records and families are folded in by brute force, so the
@@ -372,7 +376,7 @@ def census_totals_at(c: Census, q0: int, cap: int = 10**6) -> tuple[int, int]:
 
 
 def verify_census(data: AlgebraicData, c: Census, q0: int, z: int | None = None,
-                  cap: int = 10**6) -> dict:
+                  cap: int = CLASS_COUNT_CAP) -> dict:
     """Compare census totals with conjugacy-class counts at q = q0.
 
     For z = None the census must cover all characters of every encoded

@@ -5,8 +5,8 @@ R; the chain on [1, n] gives the strictly upper triangular algebra of
 U_n(q).  ``pattern_census`` exploits the row structure: fixing a
 minimal element c_0, the linear characters of the first row K are
 classified by antichains of the successor set D (up to the action of
-the complementary subalgebra group, coarsened through the normal
-closure of the induced order), and the stabiliser of each orbit
+the complementary subalgebra group, coarsened through the greatest
+normal closure of the induced order), and the stabiliser of each orbit
 representative is again an explicitly describable algebra: for
 |E| <= 1 a smaller pattern algebra, recursed into, and for |E| >= 2
 one change of basis of the complement algebra, handed to the general
@@ -99,52 +99,27 @@ def antichains(D: Iterable[int], rel: frozenset) -> list[frozenset]:
     return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
-def normal_closure(rel: frozenset, order: Iterable[int]) -> frozenset:
-    """Pairs whose adjunction keeps the relation transitive.
+def normal_closure(rel: frozenset, ground: Iterable[int], within: Iterable[int]) -> frozenset:
+    """The greatest normal closure of (ground, rel), on the elements of within.
 
-    For k before l in the total order, (k, l) is in the closure iff every
-    predecessor of k precedes l and every successor of l succeeds k.  The
-    result contains rel and is itself transitive.
+    With pred and succ read from rel on ground, (k, l) is in it iff
+    k != l, pred(k) <= pred(l) and succ(l) <= succ(k), and k < l when
+    k and l have equal pred and equal succ.  These are the pairs, k
+    before l, whose adjunction keeps rel transitive, in the linear
+    extension sorted by (-|succ|, |pred|, label): the normal closure of
+    that extension, so the result contains rel and is transitive.  The
+    closure of any linear extension keeps at most one of (k, l) and
+    (l, k) of these pairs and no other pair, so none is larger.
     """
-    order = list(order)
-    idx = {e: i for i, e in enumerate(order)}
-    pred = {e: set() for e in order}
-    succ = {e: set() for e in order}
+    pred = {e: set() for e in ground}
+    succ = {e: set() for e in ground}
     for a, b in rel:
         pred[b].add(a)
         succ[a].add(b)
-    out = set()
-    for k in order:
-        for ll in order:
-            if idx[k] < idx[ll] and pred[k] <= pred[ll] and succ[ll] <= succ[k]:
-                out.add((k, ll))
-    return frozenset(out)
-
-
-def choose_order(elems: Iterable[int], rel: frozenset) -> tuple[list[int], frozenset]:
-    """A linear extension trying to maximise the normal closure, and that closure.
-
-    Candidates: descending out-degree (always an extension), and
-    ascending in-degree when it happens to extend rel; the larger
-    closure wins, the first candidate on ties.
-    """
-    elems = sorted(elems)
-    outdeg = {e: 0 for e in elems}
-    indeg = {e: 0 for e in elems}
-    for a, b in rel:
-        outdeg[a] += 1
-        indeg[b] += 1
-
-    def consistent(order):
-        ix = {e: i for i, e in enumerate(order)}
-        return all(ix[a] < ix[b] for a, b in rel)
-
-    candidates = [sorted(elems, key=lambda e: (-outdeg[e], e))]
-    cand = sorted(elems, key=lambda e: (indeg[e], e))
-    if consistent(cand) and cand not in candidates:
-        candidates.append(cand)
-    return max(((o, normal_closure(rel, o)) for o in candidates),
-               key=lambda oc: len(oc[1]))
+    within = list(within)
+    return frozenset((k, ll) for k in within for ll in within
+                     if k != ll and pred[k] <= pred[ll] and succ[ll] <= succ[k]
+                     and (k < ll or pred[k] != pred[ll] or succ[k] != succ[ll]))
 
 
 def _extension_rank(poset: Poset) -> dict[int, int]:
@@ -289,10 +264,9 @@ def _pattern_core(poset: Poset, ctx: EngineContext) -> Census:
     D = sorted(d for d in poset.elems if (c0, d) in R)
     B = [c for c in poset.elems if c != c0]
     P = frozenset((a, b) for a, b in R if a != c0 and b != c0)
-    _, pbar = choose_order(B, P)
+    pbar1 = normal_closure(P, B, D)
     dset = set(D)
     r1 = frozenset(p for p in R if p[0] in dset and p[1] in dset)
-    pbar1 = frozenset(p for p in pbar if p[0] in dset and p[1] in dset)
 
     parts = []
     for E in antichains(D, pbar1):

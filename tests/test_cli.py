@@ -13,7 +13,7 @@ from unicount.cli import (RunConfig, check_identities, cmd_compute, cmd_regress,
                           cmd_identities, cmd_verify, cmd_dump_families,
                           compute_table, format_table, load_golden_tables,
                           load_or_compute, main, make_context, parse_q_poly)
-from unicount.engine import ResolvedTable
+from unicount.engine import ResolvedTable, UnknownCore
 from unicount.polyring import CountPoly
 
 
@@ -120,6 +120,18 @@ class TestComputeCommand:
         cfg = RunConfig(poset_file=str(poset_file), cache_dir=tmp_path, max_nodes=1)
         assert cmd_compute(cfg) == 2
 
+    def test_large_sparse_poset(self, tmp_path, capsys):
+        # 300 disjoint relations on 600 elements: a node's normal closure
+        # covers its first row only, so this stays well under a second, and
+        # the pattern recursion nests deeper than the default recursion limit
+        poset_file = tmp_path / "poset.json"
+        rel = [[2 * i + 1, 2 * i + 2] for i in range(300)]
+        poset_file.write_text(json.dumps({"elems": list(range(1, 601)), "rel": rel}))
+        argv = ["--cache-dir", str(tmp_path), "compute", "--poset", str(poset_file),
+                "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "n,e,polynomial\n600,0,q^300\n\n"
+
     @pytest.mark.parametrize("text", [
         # a repeated element once gave a wrong table and exit 0
         '{"elems": [1, 2, 2, 3], "rel": [[1, 2], [2, 3], [1, 3]]}',
@@ -176,7 +188,9 @@ class TestAuditedCommands:
     def test_identities(self, tmp_path, capsys):
         cfg = RunConfig(cache_dir=tmp_path, debug_counts=True)
         assert cmd_identities(cfg, 8) == 2
-        assert "count audit violations: 4" in capsys.readouterr().err
+        # each n has its own memos: n = 7 and n = 8 each count one
+        # system, and each disagrees at the four audited fields
+        assert "count audit violations: 8; systems audited: 2;" in capsys.readouterr().err
 
     def test_regress(self, tmp_path, capsys):
         cfg = RunConfig(cache_dir=tmp_path, debug_counts=True)
@@ -203,6 +217,21 @@ class TestUnresolvableFamily:
         assert "unresolvable family survived" in capsys.readouterr().err
 
 
+def test_identities_node_budget_is_per_table(tmp_path, capsys):
+    # identities names, for the n it stops at, as many uncontracted
+    # families as compute --n names for that n under the same budget
+    budget = re.compile(r"node budget of 50 exhausted: (\d+) families left uncontracted")
+    assert main(["--cache-dir", str(tmp_path / "i"), "--max-nodes", "50",
+                 "identities", "--max-n", "12"]) == 2
+    out = capsys.readouterr()
+    n = out.out.count("[ok]") + 1
+    named = budget.findall(out.err)
+    assert main(["--cache-dir", str(tmp_path / "c"), "--max-nodes", "50",
+                 "compute", "--n", str(n)]) == 2
+    alone = budget.findall(capsys.readouterr().err)
+    assert alone and named[-1:] == alone
+
+
 def test_identities_command(tmp_path, capsys):
     cfg = RunConfig(cache_dir=tmp_path)
     assert cmd_identities(cfg, 5) == 0
@@ -216,6 +245,30 @@ def test_verify_command(tmp_path, capsys):
     reports = json.loads(capsys.readouterr().out)
     assert all(r["pass"] for r in reports)
     assert {r["instance"] for r in reports} == {"U_2(2)", "U_3(2)", "U_4(2)"}
+
+
+def test_verify_refuses_an_instance_over_the_class_count_cap(tmp_path, capsys, monkeypatch):
+    # U_6(3) has order 3^15, too many elements to count classes of; this
+    # once ended in a traceback after computing every table
+    from unicount import cli
+    monkeypatch.setattr(cli, "compute_table", lambda n, ctx: pytest.fail("table computed"))
+    assert main(["--cache-dir", str(tmp_path), "verify", "--max-n", "6"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "U_6(3) has order 3^15, over the class-count cap of 1000000\n"
+
+
+def test_verify_refuses_an_unknown_core(tmp_path, capsys, monkeypatch):
+    # verify's instances are too small to exhaust a node budget, so the
+    # unrecognised core is forced
+    from unicount import cli
+
+    def unknown(n, ctx):
+        raise UnknownCore("forced")
+
+    monkeypatch.setattr(cli, "compute_table", unknown)
+    assert main(["--cache-dir", str(tmp_path), "verify"]) == 2
+    assert capsys.readouterr().err == "unresolvable family survived: forced\n"
 
 
 def test_dump_families_n5_empty(tmp_path, capsys):

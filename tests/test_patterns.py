@@ -7,7 +7,7 @@ from unicount.algdata import AlgebraicData, MalformedData
 from unicount.engine import EngineContext, census, resolve
 from unicount.oracle import orbit_of_vector
 from unicount.patterns import (Poset, _extension_rank, _small_stabilizer, antichains,
-                               chain, choose_order, encode_pattern, normal_closure,
+                               chain, encode_pattern, normal_closure,
                                pattern_census, stabilizer_data,
                                top_and_closure, unitriangular_census)
 from unicount.polyring import CountPoly
@@ -49,62 +49,103 @@ class TestTopAndClosure:
         assert top == {3} and clos == {1, 2, 3}
 
 
+def _closure_of_order(rel: frozenset, order) -> frozenset:
+    """Reference: the normal closure of the linear extension order.
+
+    For k before l in the total order, (k, l) is in the closure iff every
+    predecessor of k precedes l and every successor of l succeeds k.
+    """
+    order = list(order)
+    idx = {e: i for i, e in enumerate(order)}
+    pred = {e: set() for e in order}
+    succ = {e: set() for e in order}
+    for a, b in rel:
+        pred[b].add(a)
+        succ[a].add(b)
+    out = set()
+    for k in order:
+        for ll in order:
+            if idx[k] < idx[ll] and pred[k] <= pred[ll] and succ[ll] <= succ[k]:
+                out.add((k, ll))
+    return frozenset(out)
+
+
+def _linear_extensions(elems, rel):
+    elems = list(elems)
+    if not elems:
+        yield []
+        return
+    for e in elems:
+        if not any((a, e) in rel for a in elems):
+            for rest in _linear_extensions([x for x in elems if x != e], rel):
+                yield [e] + rest
+
+
 class TestNormalClosure:
     def test_total_order_is_fixed_point(self):
         p = chain(3)
-        assert normal_closure(p.rel, [1, 2, 3]) == p.rel
+        assert normal_closure(p.rel, [1, 2, 3], [1, 2, 3]) == p.rel
 
     def test_single_pair_completes(self):
-        out = normal_closure(frozenset({(1, 3)}), [1, 2, 3])
+        out = normal_closure(frozenset({(1, 3)}), [1, 2, 3], [1, 2, 3])
         assert out == frozenset({(1, 2), (1, 3), (2, 3)})
 
     def test_empty_relation_completes(self):
-        out = normal_closure(frozenset(), [1, 2, 3])
+        out = normal_closure(frozenset(), [1, 2, 3], [1, 2, 3])
         assert out == frozenset({(1, 2), (1, 3), (2, 3)})
 
-    def test_result_transitive_and_contains_input(self):
+    def test_greatest_closure_of_any_linear_extension(self):
         rng = random.Random(17)
-        for _ in range(40):
-            m, rel = random_poset_pairs(rng)
-            order, out = choose_order(range(1, m + 1), frozenset(rel))
-            assert out == normal_closure(frozenset(rel), order)
-            assert frozenset(rel) <= out
-            for a, b in out:
-                for c, d in out:
-                    if b == c:
-                        assert (a, d) in out
+        for _ in range(300):
+            m, rel = random_poset_pairs(rng, max_elems=6)
+            rel, elems = frozenset(rel), range(1, m + 1)
+            out = normal_closure(rel, elems, elems)
+            assert rel <= out
+            assert all((a, d) in out for a, b in out for c, d in out if b == c)
+            twins = {(k, ll) for k in elems for ll in elems if k != ll and
+                     {a for a, b in rel if b == k} == {a for a, b in rel if b == ll} and
+                     {b for a, b in rel if a == k} == {b for a, b in rel if a == ll}}
+            closures = []
+            for order in _linear_extensions(elems, rel):
+                clos = _closure_of_order(rel, order)
+                closures.append(clos)
+                # an extension that orders elements of equal pred and succ
+                # by label, as the result does, has no pair outside it
+                if all(order.index(k) < order.index(ll) for k, ll in twins if k < ll):
+                    assert clos <= out
+            assert out in closures
+            assert len(out) == max(map(len, closures))
+            D = [b for a, b in rel if a == 1]
+            assert normal_closure(rel, elems, D) == frozenset(
+                (k, ll) for k, ll in out if k in D and ll in D)
 
 
-def test_pattern_core_reuses_the_chosen_closure(monkeypatch):
-    # each _pattern_core computes one normal closure per candidate order,
-    # all inside choose_order, and none again for the winner
+def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
+    # each _pattern_core coarsens its first row D through one normal
+    # closure, computed on D only
     from unicount import patterns
-    calls = []          # per open _pattern_core: [closures inside, outside choose_order]
-    inside = []
-    real_core, real_choose, real_closure = (patterns._pattern_core, patterns.choose_order,
-                                            patterns.normal_closure)
+    calls = []          # per open _pattern_core: the within of each closure
+    real_core, real_closure = patterns._pattern_core, patterns.normal_closure
 
     def core(poset, ctx):
-        calls.append([0, 0])
+        calls.append([])
         try:
             return real_core(poset, ctx)
         finally:
-            chosen, again = calls.pop()
-            assert chosen <= 2 and again == 0
+            made = calls.pop()
+            rows = []
+            if poset.rel:
+                has_pred = {b for _, b in poset.rel}
+                c0 = min(e for e in poset.elems if e not in has_pred)
+                rows = [sorted(d for d in poset.elems if (c0, d) in poset.rel)]
+            assert made == rows
 
-    def choose(elems, rel):
-        inside.append(True)
-        try:
-            return real_choose(elems, rel)
-        finally:
-            inside.pop()
-
-    def closure(rel, order):
-        calls[-1][0 if inside else 1] += 1
-        return real_closure(rel, order)
+    def closure(rel, ground, within):
+        within = sorted(within)
+        calls[-1].append(within)
+        return real_closure(rel, ground, within)
 
     monkeypatch.setattr(patterns, "_pattern_core", core)
-    monkeypatch.setattr(patterns, "choose_order", choose)
     monkeypatch.setattr(patterns, "normal_closure", closure)
     unitriangular_census(8, EngineContext())
     rng = random.Random(5)
@@ -463,7 +504,7 @@ class TestPatternCensus:
                 continue
             # skip, without computing it, a poset whose first row sees no
             # 3-antichain in the order the pattern path coarsens to
-            _, pbar = choose_order(range(2, m + 1), frozenset((a, b) for a, b in rel if a != 1))
+            pbar = normal_closure(frozenset((a, b) for a, b in rel if a != 1), range(2, m + 1), D)
             if max(map(len, antichains(D, pbar))) < 3:
                 continue
             p = Poset(range(1, m + 1), rel)
