@@ -80,18 +80,21 @@ def scale_census(c: Census, k: int, l: int, m: int) -> Census:
     """Multiply all character counts by (q-1)^k q^l and all degrees by t^m."""
     if k == 0 and l == 0 and m == 0:
         return c
-    return Census(
-        c.resolved.scale(k, l, m),
-        tuple(r._replace(u=r.u + k, v=r.v + l, e=r.e + m) for r in c.unresolved),
-        tuple(f._replace(k=f.k + k, l=f.l + l, m=f.m + m) for f in c.families),
-    )
+    return aggregate(((c, k, l, m),))
 
 
-def aggregate(parts: Iterable[Census]) -> Census:
+def aggregate(parts: Iterable[tuple[Census, int, int, int]]) -> Census:
+    """The sum over parts (c, k, l, m) of the census c scaled by
+    (q-1)^k q^l t^m.  The resolved parts are merged in one pass into one
+    compacted term map (``CountPoly.scaled_sum``); records and families
+    take the scale into their own exponents."""
     parts = tuple(parts)
-    return Census(CountPoly.sum(p.resolved for p in parts),
-                  tuple(r for p in parts for r in p.unresolved),
-                  tuple(f for p in parts for f in p.families))
+    return Census(
+        CountPoly.scaled_sum((c.resolved, k, l, m) for c, k, l, m in parts),
+        tuple(r._replace(u=r.u + k, v=r.v + l, e=r.e + m)
+              for c, k, l, m in parts for r in c.unresolved),
+        tuple(f._replace(k=f.k + k, l=f.l + l, m=f.m + m)
+              for c, k, l, m in parts for f in c.families))
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +106,12 @@ class EngineContext:
 
     ``memo_all`` is keyed by canonicalize's flat tuple of ints and
     ``memo_at`` by that tuple with the position of z appended; the
-    pattern path keys ``memo_pattern`` by a poset's successor bitmasks.
-    The Census values of these three memos are interned: ``censuses``
-    maps each distinct stored value to the one object all memos share.
+    pattern path keys ``memo_pattern`` by the order it recurses on, the
+    tuple of successor bitmasks by position.  The Census values of these
+    three memos are interned: ``censuses`` maps each distinct stored
+    value to the one object all memos share.  Each value is built by
+    ``aggregate``, whose merged term map is compact: it keeps no zero
+    coefficient and no deleted entry.
     """
 
     def __init__(self, max_nodes: int = 500_000_000, validate: bool = False):
@@ -189,7 +195,7 @@ def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
     z = _choose_z(data)
     trivial_on_z = census(data.remove_basis(z), ctx)
     nontrivial = census_at(data, z, ctx)
-    return aggregate((trivial_on_z, nontrivial))
+    return aggregate(((trivial_on_z, 0, 0, 0), (nontrivial, 0, 0, 0)))
 
 
 def _choose_z(data: AlgebraicData) -> int:
@@ -236,14 +242,14 @@ def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     y = _good_pair_witness(data, z)
     if y is not None:
         contracted = contract_type_b(data, z, y)
-        parts = [census_at(case, z, ctx) for case in split_into_cases(contracted)]
-        return scale_census(aggregate(parts), 0, 0, 1)
+        return aggregate((census_at(case, z, ctx), 0, 0, 1)
+                         for case in split_into_cases(contracted))
 
     pick = _fold_witness(data, z)
     if pick is not None:
         contracted = contract_type_a(data, z, pick)
-        parts = [census_at(case, z, ctx) for case in split_into_cases(contracted)]
-        return aggregate(parts)
+        return aggregate((census_at(case, z, ctx), 0, 0, 0)
+                         for case in split_into_cases(contracted))
 
     ctx.bump("giveup_families")
     return Census(CountPoly.zero(), (), (Family("at_z", data, z, 0, 0, 0),))
@@ -468,7 +474,7 @@ class ResolvedTable:
         self.unresolved = tuple(unresolved)
 
     def full_poly(self) -> CountPoly:
-        return CountPoly.sum(p.scale(0, 0, e) for e, p in self.entries.items())
+        return CountPoly.scaled_sum((p, 0, 0, e) for e, p in self.entries.items())
 
     def to_json(self) -> dict:
         out = {"n": self.n,

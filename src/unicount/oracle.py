@@ -15,7 +15,7 @@ import random
 from typing import Iterable, Mapping, NamedTuple
 
 from .algdata import AlgebraicData, MalformedData, NonZero, restriction_from_key
-from .engine import Census
+from .engine import Census, EngineContext, resolve
 from .ffield import get_field
 from .polyring import ParamPoly
 
@@ -394,6 +394,25 @@ def verify_census(data: AlgebraicData, c: Census, q0: int, z: int | None = None,
         "weight_actual": actual_weight,
         "pass": expected_count == actual_count and expected_weight == actual_weight,
     }
+
+
+def census_disagreement(a: Census, b: Census, n: int,
+                        ctx: EngineContext | None = None) -> str | None:
+    """Why two censuses of one algebra on n elements give different
+    tables, or None when they agree.
+
+    The resolved tables are compared entry by entry when neither keeps an
+    unresolved count record.  A table lacks the rows of its records, so
+    otherwise the totals at q = 2 and 3 are compared, with every record
+    counted by brute force in ``census_totals_at``.
+    """
+    ta, tb = resolve(a, n, ctx), resolve(b, n, ctx)
+    if not (ta.unresolved or tb.unresolved):
+        return None if ta.entries == tb.entries else "resolved tables differ"
+    for q0 in (2, 3):
+        if census_totals_at(a, q0) != census_totals_at(b, q0):
+            return f"totals differ at q = {q0}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -10,33 +10,38 @@ normal closure of the induced order), and the stabiliser of each orbit
 representative is again an explicitly describable algebra: for
 |E| <= 1 a smaller pattern algebra, recursed into, and for |E| >= 2
 one change of basis of the complement algebra, handed to the general
-engine.  Pattern data has one basis order, ``_unit_order``: matrix units
-by rows descending, then columns ascending, in the least linear
-extension of the order, so that every product lands later.
+engine.
+
+The recursion runs on masks: an order is the tuple of its elements'
+successor bitmasks by position, which is also its memo key.  Deleting
+c_0 is a bit compression; the normal closure, the antichain walk and
+the closure sizes are mask operations.  A labelled ``Poset`` is only an
+input, turned into masks with positions in label order.  Pattern data
+has one basis order, ``_unit_order``: matrix units by rows descending,
+then columns ascending, in the least linear extension of the order, so
+that every product lands later.
 """
 from __future__ import annotations
 
-import heapq
-from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .algdata import AlgebraicData, MalformedData
-from .engine import (_ONE, Census, EngineContext, _change_basis, aggregate, census,
-                     scale_census)
+from .engine import _ONE, Census, EngineContext, _change_basis, aggregate, census
 from .polyring import CountPoly
+
+Masks = tuple[int, ...]
 
 
 class Poset:
     """A finite strict partial order; elements are ints, ambient order is <."""
 
-    __slots__ = ("elems", "rel", "_hash", "_rank")
+    __slots__ = ("elems", "rel", "_hash")
 
     def __init__(self, elems: Iterable[int], rel: Iterable[tuple[int, int]],
                  check: bool = True):
         self.elems = tuple(sorted(elems))
         self.rel = frozenset((a, b) for a, b in rel)
         self._hash = None
-        self._rank = None
         if check:
             es = set(self.elems)
             if len(es) != len(self.elems):
@@ -62,6 +67,14 @@ class Poset:
     def __repr__(self):
         return f"Poset({list(self.elems)}, {sorted(self.rel)})"
 
+    def masks(self) -> Masks:
+        """For each element by position, the mask of its successors' positions."""
+        pos = {e: i for i, e in enumerate(self.elems)}
+        succ = [0] * len(self.elems)
+        for a, b in self.rel:
+            succ[pos[a]] |= 1 << pos[b]
+        return tuple(succ)
+
     def to_json(self) -> dict:
         return {"elems": list(self.elems), "rel": sorted(map(list, self.rel))}
 
@@ -75,88 +88,93 @@ def chain(n: int) -> Poset:
                                    for j in range(i + 1, n + 1)), check=False)
 
 
-def top_and_closure(E: Iterable[int], rel: frozenset, ground: Iterable[int]):
-    """Maximal elements of E, and the downward closure of E in the ground set."""
-    E = set(E)
-    top = {d for d in E if not any(e != d and (d, e) in rel for e in E)}
-    closure = {c for c in ground if c in E or any((c, d) in rel for d in E)}
-    return top, closure
-
-
-def antichains(D: Iterable[int], rel: frozenset) -> list[frozenset]:
-    """All antichains of (D, rel), the empty one included, in lexicographic order."""
-    D = sorted(D)
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
     out = []
-
-    def rec(start: int, current: tuple[int, ...]):
-        out.append(frozenset(current))
-        for i in range(start, len(D)):
-            c = D[i]
-            if all((c, e) not in rel and (e, c) not in rel for e in current):
-                rec(i + 1, current + (c,))
-
-    rec(0, ())
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def normal_closure(rel: frozenset, ground: Iterable[int], within: Iterable[int]) -> frozenset:
-    """The greatest normal closure of (ground, rel), on the elements of within.
+def _preds(succ: Masks, cols: int = -1) -> list[int]:
+    """For each position in the mask cols, the mask of its predecessors;
+    0 for every other position."""
+    pred = [0] * len(succ)
+    for a, m in enumerate(succ):
+        for b in _bits(m & cols):
+            pred[b] |= 1 << a
+    return pred
 
-    With pred and succ read from rel on ground, (k, l) is in it iff
-    k != l, pred(k) <= pred(l) and succ(l) <= succ(k), and k < l when
-    k and l have equal pred and equal succ.  These are the pairs, k
-    before l, whose adjunction keeps rel transitive, in the linear
-    extension sorted by (-|succ|, |pred|, label): the normal closure of
-    that extension, so the result contains rel and is transitive.  The
-    closure of any linear extension keeps at most one of (k, l) and
-    (l, k) of these pairs and no other pair, so none is larger.
+
+def normal_closure(succ: Masks, pred: list[int], D: int) -> dict[int, int]:
+    """The greatest normal closure of the order, on the elements of D: for
+    each l of D, the mask of the k of D with (k, l) in it.
+
+    (k, l) is in it iff k != l, pred(k) <= pred(l) and succ(l) <= succ(k),
+    and k < l when k and l have equal pred and equal succ.  These are the
+    pairs, k before l, whose adjunction keeps the order transitive, in the
+    linear extension sorted by (-|succ|, |pred|, position): the normal
+    closure of that extension, so the result contains the order and is
+    transitive.  The closure of any linear extension keeps at most one of
+    (k, l) and (l, k) of these pairs and no other pair, so none is larger.
     """
-    pred = {e: set() for e in ground}
-    succ = {e: set() for e in ground}
-    for a, b in rel:
-        pred[b].add(a)
-        succ[a].add(b)
-    within = list(within)
-    return frozenset((k, ll) for k in within for ll in within
-                     if k != ll and pred[k] <= pred[ll] and succ[ll] <= succ[k]
-                     and (k < ll or pred[k] != pred[ll] or succ[k] != succ[ll]))
+    row = _bits(D)
+    return {ll: sum(1 << k for k in row if k != ll and not pred[k] & ~pred[ll]
+                    and not succ[ll] & ~succ[k]
+                    and (k < ll or pred[k] != pred[ll] or succ[k] != succ[ll]))
+            for ll in row}
 
 
-def _extension_rank(poset: Poset) -> dict[int, int]:
-    """Positions in the lexicographically least linear extension of poset.
+def antichains(D: int, below: dict[int, int]) -> Iterator[tuple[int, int]]:
+    """Each antichain E of the order below on D, the empty one included,
+    with its downward closure in D, in lexicographic order of positions.
 
-    When the labels already extend the order, this is their sorted order.
-    Computed once per Poset: every antichain of a pattern node ranks the
-    same poset.
+    A depth-first walk on an explicit stack: a child adds to E an element
+    c after E's last one, which is incomparable with E exactly when it is
+    outside E's closure and sees no element of E below it.
     """
-    if poset._rank is not None:
-        return poset._rank
-    indeg = {e: 0 for e in poset.elems}
-    succ: dict[int, list[int]] = {e: [] for e in poset.elems}
-    for a, b in poset.rel:
-        indeg[b] += 1
-        succ[a].append(b)
-    ready = [e for e in poset.elems if not indeg[e]]
-    heapq.heapify(ready)
-    rank: dict[int, int] = {}
-    while ready:
-        e = heapq.heappop(ready)
-        rank[e] = len(rank)
-        for b in succ[e]:
-            indeg[b] -= 1
-            if not indeg[b]:
-                heapq.heappush(ready, b)
-    poset._rank = rank
+    stack = [(0, 0, D)]         # (E, its closure, the elements after E's last)
+    while stack:
+        E, clos, after = stack.pop()
+        yield E, clos
+        later = 0               # children go on the stack latest first
+        while after:
+            c = after.bit_length() - 1
+            bit = 1 << c
+            after ^= bit
+            if not (clos & bit or below[c] & E):
+                stack.append((E | bit, clos | bit | below[c], later))
+            later |= bit
+
+
+def _extension_rank(succ: Masks) -> list[int]:
+    """For each position, its rank in the lexicographically least linear
+    extension of the order: the sorted order when positions extend it."""
+    pred, rank = _preds(succ), [0] * len(succ)
+    free = (1 << len(succ)) - 1
+    for r in range(len(succ)):
+        cand = free
+        while pred[c := (cand & -cand).bit_length() - 1] & free:
+            cand ^= 1 << c
+        rank[c] = r
+        free ^= 1 << c
     return rank
 
 
-def _unit_order(pairs: Iterable[tuple[int, int]], rank: dict[int, int]) -> list[tuple[int, int]]:
+def _unit_order(pairs: Iterable[tuple[int, int]], rank: list[int]) -> list[tuple[int, int]]:
     """The matrix units e_p, p in pairs, in the one basis order of pattern
     data: rows descending, then columns ascending, by their positions in
     rank, a linear extension.  Every product e_{ij} e_{jk} = e_{ik} lands
     after both factors: after e_{ij} in the same row, as j precedes k,
     and after e_{jk}, whose row j comes first, as i precedes j."""
     return sorted(pairs, key=lambda p: (-rank[p[0]], rank[p[1]]))
+
+
+def _pairs(succ: Masks, skip: int = -1) -> list[tuple[int, int]]:
+    """The pairs of the order, those of row skip left out."""
+    return [(a, b) for a, m in enumerate(succ) if a != skip for b in _bits(m)]
 
 
 def _pattern_data(pairs: list[tuple[int, int]]) -> AlgebraicData:
@@ -174,23 +192,13 @@ def _pattern_data(pairs: list[tuple[int, int]]) -> AlgebraicData:
 def encode_pattern(poset: Poset) -> AlgebraicData:
     """Parameter-free algebraic data for T_{C,R}: one vector per pair of
     R, in the order of ``_unit_order`` under the least linear extension."""
-    return _pattern_data(_unit_order(poset.rel, _extension_rank(poset)))
+    succ = poset.masks()
+    return _pattern_data(_unit_order(_pairs(succ), _extension_rank(succ)))
 
 
-def _small_stabilizer(B: list[int], P: frozenset, D: set[int], E: frozenset) -> Poset:
-    """The stabiliser poset of an antichain E with |E| <= 1.
-
-    E empty gives the complement (B, P); a singleton {d_0} also deletes
-    the column of d_0 from the rows in D.
-    """
-    if not E:
-        return Poset(B, P, check=False)
-    (d0,) = E
-    return Poset(B, frozenset(p for p in P if not (p[1] == d0 and p[0] in D)), check=False)
-
-
-def stabilizer_data(poset: Poset, c0: int, E: frozenset) -> AlgebraicData:
-    """Algebraic data for the stabiliser algebra of the antichain E.
+def stabilizer_data(succ: Masks, c0: int, E: int) -> AlgebraicData:
+    """Algebraic data for the stabiliser algebra of the antichain E, a
+    mask of successors of the minimal position c0 of the order succ.
 
     The stabiliser is the annihilator of sum_{d in E} eps_d e_{c0,d}: the
     x in T_{B,P} with sum_{d in E} eps_d x_{id} = 0 for every row i in D.
@@ -207,21 +215,20 @@ def stabilizer_data(poset: Poset, c0: int, E: frozenset) -> AlgebraicData:
     sitting at its own column d, so every product still lands later:
     f_{id} e_{aj} lands at column j, past a, which is past d.
     """
-    R = poset.rel
-    D = {d for d in poset.elems if (c0, d) in R}
-    P = frozenset((a, b) for a, b in R if a != c0 and b != c0)
-    rank = _extension_rank(poset)
-    E = sorted(E, key=rank.__getitem__)
+    D = succ[c0]
+    rank = _extension_rank(succ)
+    E = sorted(_bits(E), key=rank.__getitem__)
     eps = {d: (-1) ** n for n, d in enumerate(E)}
     ref = {}                    # row i of D with |S_i| >= 2 -> its latest column a
-    for i in D:
-        S = [d for d in E if (i, d) in R]
+    for i in _bits(D):
+        S = [d for d in E if succ[i] >> d & 1]
         if len(S) >= 2:
             ref[i] = S[-1]
-    old = _unit_order(P, rank)
+    old = _unit_order(_pairs(succ, c0), rank)
     # e_{ij} and f_{ij} alike take the old coordinate on e_{ij}, and no
     # two items share a cell (i, j)
-    new = [(i, j) for i, j in old if i not in D or j not in eps or (i in ref and j != ref[i])]
+    new = [(i, j) for i, j in old
+           if not D >> i & 1 or j not in eps or (i in ref and j != ref[i])]
     olabel = {p: n for n, p in enumerate(old)}
     uses = {olabel[p]: [(n, _ONE)] for n, p in enumerate(new)}
     coord = {olabel[p]: (n, _ONE) for n, p in enumerate(new)}
@@ -234,60 +241,53 @@ def stabilizer_data(poset: Poset, c0: int, E: frozenset) -> AlgebraicData:
     return data
 
 
-def pattern_census(poset: Poset, ctx: EngineContext) -> Census:
-    """A correct breakdown of the characters of 1 + T_{C,R}(q)."""
-    key = _canon_key(poset)
-    hit = ctx.memo_pattern.get(key)
+def pattern_census(poset: Poset | Masks, ctx: EngineContext) -> Census:
+    """A correct breakdown of the characters of 1 + T_{C,R}(q), for a
+    labelled Poset or the successor masks of an order."""
+    succ = poset.masks() if isinstance(poset, Poset) else poset
+    hit = ctx.memo_pattern.get(succ)
     if hit is None:
-        hit = ctx.memo_pattern[key] = ctx.intern(_pattern_core(poset, ctx))
+        hit = ctx.memo_pattern[succ] = ctx.intern(_pattern_core(succ, ctx))
     return hit
 
 
-def _canon_key(poset: Poset) -> tuple[int, ...]:
-    """The memo key of poset: for each element by position, the bitmask
-    of the positions of its successors.  Two posets get the same key
-    exactly when relabelling each by position gives the same relation."""
-    bit = {e: 1 << i for i, e in enumerate(poset.elems)}
-    succ = dict.fromkeys(poset.elems, 0)
-    for a, b in poset.rel:
-        succ[a] |= bit[b]
-    return tuple(succ.values())
-
-
-def _pattern_core(poset: Poset, ctx: EngineContext) -> Census:
-    if not poset.rel:
+def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
+    has_pred = 0
+    for m in succ:
+        has_pred |= m
+    if not has_pred:
         # the zero algebra: the trivial group has a single character
         return Census(CountPoly.one(), (), ())
-    has_pred = {b for _, b in poset.rel}
-    c0 = min(e for e in poset.elems if e not in has_pred)
-    R = poset.rel
-    D = sorted(d for d in poset.elems if (c0, d) in R)
-    B = [c for c in poset.elems if c != c0]
-    P = frozenset((a, b) for a, b in R if a != c0 and b != c0)
-    pbar1 = normal_closure(P, B, D)
-    dset = set(D)
-    r1 = frozenset(p for p in R if p[0] in dset and p[1] in dset)
+    c0 = (~has_pred & has_pred + 1).bit_length() - 1
+    D = succ[c0]
+    # c0 is below every element of D: dropping it leaves their closure as is
+    pred = _preds(succ, D)
+    below = normal_closure(succ, pred, D)
+    # deleting c0: positions past it move down by one
+    low = (1 << c0) - 1
+    rest = [m & low | m >> 1 & ~low for j, m in enumerate(succ) if j != c0]
+    rows = _bits(D & low | D >> 1 & ~low)
 
     parts = []
-    for E in antichains(D, pbar1):
-        if len(E) <= 1:
-            part = pattern_census(_small_stabilizer(B, P, dset, E), ctx)
+    for E, clos_p in antichains(D, below):
+        k = E.bit_count()
+        if k <= 1:
+            # the complement, with the column of E's element deleted from the rows in D
+            keep, sub = ~(E & low | E >> 1 & ~low), rest[:]
+            for j in rows:
+                sub[j] &= keep
+            part = pattern_census(tuple(sub), ctx)
         else:
-            part = census(stabilizer_data(poset, c0, E), ctx)
-        _, clos_r = top_and_closure(E, r1, D)
-        _, clos_p = top_and_closure(E, pbar1, D)
-        parts.append(scale_census(part, len(E),
-                                  len(clos_p - clos_r), len(clos_r - E)))
+            part = census(stabilizer_data(succ, c0, E), ctx)
+        clos_r = E
+        for d in _bits(E):
+            clos_r |= pred[d] & D
+        parts.append((part, k, (clos_p & ~clos_r).bit_count(), clos_r.bit_count() - k))
     return aggregate(parts)
-
-
-@lru_cache(maxsize=None)
-def _chain_poset(n: int) -> Poset:
-    return chain(n)
 
 
 def unitriangular_census(n: int, ctx: EngineContext) -> Census:
     """Character breakdown of U_n(q) via the pattern fast path."""
     if n < 1:
         raise ValueError("n must be positive")
-    return pattern_census(_chain_poset(n), ctx)
+    return pattern_census(chain(n).masks(), ctx)

@@ -55,16 +55,35 @@ class CountPoly:
         return self._hash
 
     @staticmethod
-    def sum(polys: Iterable["CountPoly"]) -> "CountPoly":
-        """The sum of polys: one copy of the first nonzero term map, the rest merged in."""
-        nonzero = [p for p in polys if p._terms]
-        if len(nonzero) < 2:
-            return nonzero[0] if nonzero else _ZERO
-        return _merged(dict(nonzero[0]._terms),
-                       (kc for p in nonzero[1:] for kc in p._terms.items()))
+    def scaled_sum(parts: Iterable[tuple["CountPoly", int, int, int]]) -> "CountPoly":
+        """The sum over parts (p, k, l, m) of p (q-1)^k q^l t^m, in one pass.
+
+        Every scaled term goes straight into one term map, with the
+        binomial row of (q-1)^k q^l made once per (k, l); the zeros are
+        dropped at the end, which also leaves the stored map compact.
+        """
+        t: dict[tuple[int, int], int] = {}
+        rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for p, k, l, m in parts:
+            if not (k or l or m):
+                # the term keys of an unscaled part are shared, not rebuilt
+                for key, c in p._terms.items():
+                    t[key] = t.get(key, 0) + c
+                continue
+            row = rows.get((k, l))
+            if row is None:
+                row = rows[k, l] = [(l + i, comb(k, i) * (-1) ** (k - i)) for i in range(k + 1)]
+            for (dq, dt), c in p._terms.items():
+                dt += m
+                for i, b in row:
+                    key = (dq + i, dt)
+                    t[key] = t.get(key, 0) + b * c
+        r = CountPoly()
+        r._terms = {key: c for key, c in t.items() if c}
+        return r
 
     def __add__(self, other: "CountPoly") -> "CountPoly":
-        return CountPoly.sum((self, other))
+        return CountPoly.scaled_sum(((self, 0, 0, 0), (other, 0, 0, 0)))
 
     def __neg__(self) -> "CountPoly":
         r = CountPoly()
@@ -81,22 +100,7 @@ class CountPoly:
 
     def scale(self, k: int, l: int, m: int) -> "CountPoly":
         """Multiply by (q-1)^k * q^l * t^m."""
-        if not self._terms:
-            return self
-        # merged inline rather than through _merged: scale runs on every
-        # memo hit, where the generator's per-term overhead shows
-        t: dict[tuple[int, int], int] = {}
-        for (dq, dt), c in self._terms.items():
-            for i in range(k + 1):
-                key = (dq + l + i, dt + m)
-                nc = t.get(key, 0) + c * comb(k, i) * (-1) ** (k - i)
-                if nc:
-                    t[key] = nc
-                elif key in t:
-                    del t[key]
-        r = CountPoly()
-        r._terms = t
-        return r
+        return CountPoly.scaled_sum(((self, k, l, m),))
 
     def eval_at(self, q0: int, t_mode="sum") -> int:
         """Evaluate at q = q0.

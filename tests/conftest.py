@@ -44,3 +44,29 @@ def random_poset_pairs(rng: random.Random, max_elems: int = 5):
                     rel.add((a, d))
                     changed = True
     return m, rel
+
+
+def top_and_closure(E, rel: frozenset, ground):
+    """Reference: the maximal elements of E, and the downward closure of E
+    in the ground set, on a labelled relation."""
+    E = set(E)
+    top = {d for d in E if not any(e != d and (d, e) in rel for e in E)}
+    closure = {c for c in ground if c in E or any((c, d) in rel for d in E)}
+    return top, closure
+
+
+def reference_antichains(D, rel: frozenset) -> list[frozenset]:
+    """Reference: all antichains of (D, rel), the empty one included, in
+    lexicographic order, on a labelled relation."""
+    D = sorted(D)
+    out = []
+
+    def rec(start: int, current: tuple[int, ...]):
+        out.append(frozenset(current))
+        for i in range(start, len(D)):
+            c = D[i]
+            if all((c, e) not in rel and (e, c) not in rel for e in current):
+                rec(i + 1, current + (c,))
+
+    rec(0, ())
+    return sorted(out, key=lambda s: tuple(sorted(s)))

@@ -16,11 +16,10 @@ from unicount.cli import check_identities, load_golden_tables
 from unicount.engine import EngineContext, census, census_at, resolve
 from unicount.oracle import (audit_counts, class_count, instantiate, orbit_of_vector,
                              verify_census)
-from unicount.patterns import (Poset, chain, encode_pattern,
-                               top_and_closure, unitriangular_census)
+from unicount.patterns import Poset, chain, encode_pattern, unitriangular_census
 from unicount.polyring import CountPoly
 
-from conftest import random_algebraic_data, random_poset_pairs
+from conftest import random_algebraic_data, random_poset_pairs, top_and_closure
 
 
 def report(number: int, passed: bool, text: str):

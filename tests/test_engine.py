@@ -46,14 +46,26 @@ class TestScaleAggregate:
 
     def test_aggregate_single(self):
         c = Census(qt(2), (), ())
-        assert aggregate([c]) == c
+        assert aggregate([(c, 0, 0, 0)]) == c
 
     def test_aggregate_sums_resolved(self):
         a = Census(qt(2), (), ())
         b = Census(qt(1), (URecord((), (), 0, 0, 0),), ())
-        out = aggregate([a, b])
+        out = aggregate([(a, 0, 0, 0), (b, 0, 0, 0)])
         assert out.resolved == qt(2) + qt(1)
         assert len(out.unresolved) == 1
+
+    def test_aggregate_scales_each_part_in_one_pass(self):
+        # merging scaled parts equals scaling each part and then summing
+        a = Census(qt(2) + qt(0, 1, -1), (URecord((), (), 0, 1, 0),), ())
+        b = Census(qt(1, 1), (), (Family("at_z", core_2dim(), 1, 0, 0, 0),))
+        out = aggregate([(a, 2, 1, 0), (b, 1, 0, 3), (a, 0, 0, 0)])
+        want = aggregate([(scale_census(a, 2, 1, 0), 0, 0, 0),
+                          (scale_census(b, 1, 0, 3), 0, 0, 0), (a, 0, 0, 0)])
+        assert out == want
+        assert out.unresolved == (URecord((), (), 2, 2, 0), URecord((), (), 0, 1, 0))
+        assert out.families[0][3:] == (1, 0, 3)
+        assert all(out.resolved.terms.values())
 
 
 class TestCensusSmall:
@@ -86,7 +98,7 @@ class TestCensusSmall:
         whole = census(t3, ctx)
         trivial = census(t3.remove_basis(z), ctx)
         at = census_at(t3, z, ctx)
-        assert whole == aggregate([trivial, at])
+        assert whole == aggregate([(trivial, 0, 0, 0), (at, 0, 0, 0)])
 
 
 class TestCensusAt:

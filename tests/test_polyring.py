@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -107,8 +108,21 @@ def test_sum_matches_pairwise_addition(polys):
     for p in polys:
         for k, c in p.terms.items():
             want[k] = want.get(k, 0) + c
-    assert CountPoly.sum(polys) == CountPoly(want)
+    assert CountPoly.scaled_sum((p, 0, 0, 0) for p in polys) == CountPoly(want)
     assert [p.terms for p in polys] == before  # inputs are not modified
+
+
+@given(st.lists(st.tuples(count_polys(), st.integers(0, 4), st.integers(0, 3),
+                          st.integers(0, 3)), max_size=4))
+def test_scaled_sum_matches_scaling_each_part(parts):
+    # one pass over all parts equals scaling each by (q-1)^k q^l t^m alone
+    # and adding; the stored map keeps no zero coefficient
+    want = CountPoly.zero()
+    for p, k, l, m in parts:
+        want = want + CountPoly({(l + i, m): (-1) ** (k - i) * math.comb(k, i)
+                                 for i in range(k + 1)}) * p
+    out = CountPoly.scaled_sum(parts)
+    assert out == want and all(out.terms.values())
 
 
 @given(count_polys(), count_polys())
