@@ -100,10 +100,21 @@ class Equation:
 Restriction = NonZero | Equation
 
 
-def restriction_from_key(k: tuple) -> Restriction:
-    """The restriction whose ``sort_key()`` is k."""
-    kind, v = k
-    return NonZero(v) if kind == 0 else Equation(ParamPoly(dict(v)))
+def set_zero(params: Iterable[int], restrictions: Iterable[Restriction],
+             x: int) -> tuple[tuple[int, ...], tuple[Restriction, ...]]:
+    """The system with x := 0: x leaves the parameters, its inequation is
+    dropped, every equation loses its terms in x, and an equation left
+    with no terms is dropped."""
+    out = []
+    for r in restrictions:
+        if isinstance(r, NonZero):
+            if r.sym != x:
+                out.append(r)
+        else:
+            poly = r.poly.drop_symbol(x)
+            if not poly.is_zero():
+                out.append(Equation(poly))
+    return tuple(p for p in params if p != x), tuple(out)
 
 
 # products maps an ordered factor pair to its targets with factor sets;
@@ -451,8 +462,9 @@ def split_into_cases(data: AlgebraicData) -> list[AlgebraicData]:
     """Split until every structure-constant parameter carries an inequation.
 
     The substitution sets of the returned data partition the original
-    one: the witness parameter is either forced nonzero or set to zero
-    (zeroing the products containing it and erasing it from equations).
+    one: the witness parameter is either forced nonzero or set to zero,
+    by ``set_zero`` in the restrictions and by dropping every product
+    target whose structure constant contains it.
     """
     witness = None
     nz = data.nz_params
@@ -471,16 +483,7 @@ def split_into_cases(data: AlgebraicData) -> list[AlgebraicData]:
                                          data.restrictions + (NonZero(witness),),
                                          data.basis, data.prods, data._pos)
 
-    new_params = tuple(p for p in data.params if p != witness)
-    new_restrictions = []
-    for r in data.restrictions:
-        if isinstance(r, NonZero):
-            if r.sym != witness:
-                new_restrictions.append(r)
-        else:
-            poly = r.poly.drop_symbol(witness)
-            if not poly.is_zero():
-                new_restrictions.append(Equation(poly))
+    new_params, new_restrictions = set_zero(data.params, data.restrictions, witness)
     new_prods = []
     for x, y, ts in data.prods:
         kept = tuple([(z, fs) for z, fs in ts if witness not in fs])

@@ -375,7 +375,7 @@ def cmd_dump_families(cfg: RunConfig) -> int:
     ctx = make_context(cfg)
     c = unitriangular_census(cfg.n, ctx)
     out = [{"core": f.data.to_json(), "z": f"e{f.z}" if f.z is not None else None,
-            "kind": f.kind, "k": f.k, "l": f.l, "m": f.m}
+            "kind": "all" if f.z is None else "at_z", "k": f.k, "l": f.l, "m": f.m}
            for f in c.families]
     print(json.dumps(out, indent=1, sort_keys=True))
     return 2 if _budget_exhausted(ctx) else 0

@@ -58,8 +58,11 @@ class URecord(NamedTuple):
 
 
 class Family(NamedTuple):
-    """An uncontracted family, with count scale (q-1)^k q^l and degree shift t^m."""
-    kind: str                 # "all" or "at_z"
+    """An uncontracted family, with count scale (q-1)^k q^l and degree shift t^m.
+
+    z is None for a family of all characters (from census) and the
+    central vector of a family from census_at otherwise.
+    """
     data: AlgebraicData
     z: int | None
     k: int
@@ -112,13 +115,18 @@ class EngineContext:
     value to the one object all memos share.  Each value is built by
     ``aggregate``, whose merged term map is compact: it keeps no zero
     coefficient and no deleted entry.
+
+    ``memo_counts`` is keyed by the pair (params, restrictions) as
+    ``count`` is given it, both as tuples; restrictions compare and hash
+    by value.  Its value is the CountPoly of ``solcount.count_solutions``,
+    or None when the system was not counted.
     """
 
     def __init__(self, max_nodes: int = 500_000_000, validate: bool = False):
         self.memo_all: dict[tuple[int, ...], Census] = {}
         self.memo_at: dict[tuple[int, ...], Census] = {}
         self.memo_pattern: dict[tuple[int, ...], Census] = {}
-        self.memo_counts: dict = {}
+        self.memo_counts: dict[tuple[tuple, tuple], CountPoly | None] = {}
         self.censuses: dict[Census, Census] = {}
         self.max_nodes = max_nodes
         self.validate = validate
@@ -132,31 +140,11 @@ class EngineContext:
         """The first stored Census equal to c, which becomes it if there is none."""
         return self.censuses.setdefault(c, c)
 
-    def count(self, params, restrictions) -> solcount.CountResult:
-        key = (tuple(params), tuple(r.sort_key() for r in restrictions))
-        res = self.memo_counts.get(key)
-        if res is None:
-            res = self.memo_counts[key] = solcount.count_solutions(params, restrictions)
-        return res
-
-
-# ---------------------------------------------------------------------------
-# restriction pruning
-
-def _reduce(data: AlgebraicData):
-    """Strip restriction content that does not interact with the products.
-
-    Returns (k, l, params, restrictions): census(data) is (q-1)^k q^l
-    times the census of data with these parameters and restrictions.
-    Returns None when the restrictions are contradictory.  Keeping data
-    lean here is what lets isomorphic subproblems from different
-    branches share memo entries.
-    """
-    k, l, params, restrictions, empty = solcount.reduce_system(
-        data.params, data.restrictions, protected=data.symbols_in_products())
-    if empty:
-        return None
-    return k, l, params, restrictions
+    def count(self, params, restrictions) -> CountPoly | None:
+        key = (tuple(params), tuple(restrictions))
+        if key not in self.memo_counts:
+            self.memo_counts[key] = solcount.count_solutions(*key)
+        return self.memo_counts[key]
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +152,10 @@ def _reduce(data: AlgebraicData):
 
 def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     """A correct breakdown of all irreducible characters encoded by data."""
-    reduced = _reduce(data)
-    if reduced is None:
+    k, l, params, restrictions, empty = solcount.reduce_system(
+        data.params, data.restrictions, data.symbols_in_products())
+    if empty:
         return ZERO_CENSUS
-    k, l, params, restrictions = reduced
     key = canonicalize(data, params, restrictions)
     hit = ctx.memo_all.get(key)
     if hit is None:
@@ -183,15 +171,15 @@ def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
     if not data.prods:
         # every encoded algebra has zero multiplication: q^dim linear
         # characters per admissible substitution
-        res = ctx.count(data.params, data.restrictions)
-        if res.counted:
-            return Census(res.poly.scale(0, len(data.basis), 0), (), ())
+        poly = ctx.count(data.params, data.restrictions)
+        if poly is not None:
+            return Census(poly.scale(0, len(data.basis), 0), (), ())
         return Census(CountPoly.zero(),
                       (URecord(data.params, data.restrictions, 0, len(data.basis), 0),),
                       ())
     if ctx.nodes > ctx.max_nodes:
         ctx.bump("budget_families")
-        return Census(CountPoly.zero(), (), (Family("all", data, None, 0, 0, 0),))
+        return Census(CountPoly.zero(), (), (Family(data, None, 0, 0, 0),))
     z = _choose_z(data)
     trivial_on_z = census(data.remove_basis(z), ctx)
     nontrivial = census_at(data, z, ctx)
@@ -209,10 +197,10 @@ def _choose_z(data: AlgebraicData) -> int:
 
 def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     """A correct breakdown of the characters nontrivial on 1 + <z>."""
-    reduced = _reduce(data)
-    if reduced is None:
+    k, l, params, restrictions, empty = solcount.reduce_system(
+        data.params, data.restrictions, data.symbols_in_products())
+    if empty:
         return ZERO_CENSUS
-    k, l, params, restrictions = reduced
     key = canonicalize(data, params, restrictions)
     z_pos = data.pos(z)
     at_key = key + (z_pos,)
@@ -237,7 +225,7 @@ def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
 
     if ctx.nodes > ctx.max_nodes:
         ctx.bump("budget_families")
-        return Census(CountPoly.zero(), (), (Family("at_z", data, z, 0, 0, 0),))
+        return Census(CountPoly.zero(), (), (Family(data, z, 0, 0, 0),))
 
     y = _good_pair_witness(data, z)
     if y is not None:
@@ -252,7 +240,7 @@ def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
                          for case in split_into_cases(contracted))
 
     ctx.bump("giveup_families")
-    return Census(CountPoly.zero(), (), (Family("at_z", data, z, 0, 0, 0),))
+    return Census(CountPoly.zero(), (), (Family(data, z, 0, 0, 0),))
 
 
 def _good_pair_witness(data: AlgebraicData, z: int) -> int | None:
@@ -495,7 +483,7 @@ class ResolvedTable:
         for fj in obj.get("families", ()):
             data = AlgebraicData.from_json(fj["core"])
             z = int(fj["z"][1:])
-            fam = Family("at_z", data, z, fj["k"], fj["l"], fj["m"])
+            fam = Family(data, z, fj["k"], fj["l"], fj["m"])
             exceptional.append((fam, CountPoly.from_json(fj["count"])))
         unresolved = []
         for uj in obj.get("unresolved_counts", ()):
@@ -533,14 +521,14 @@ def resolve(c: Census, n: int, ctx: EngineContext | None = None) -> ResolvedTabl
     exceptional = []
     for fam in c.families:
         cnt = ctx.count(fam.data.params, fam.data.restrictions)
-        if not cnt.counted:
+        if cnt is None:
             raise UnknownCore("family with unresolved substitution count")
-        if cnt.poly.is_zero():
+        if cnt.is_zero():
             continue
-        if fam.kind != "at_z" or not _is_small_core(fam.data, fam.z):
+        if fam.z is None or not _is_small_core(fam.data, fam.z):
             raise UnknownCore(f"unrecognised family core: {fam.data!r}")
         per_sub = CountPoly({(2, 0): 1, (1, 0): -1})  # q(q-1) characters each
-        total = (cnt.poly * per_sub).scale(fam.k, fam.l, 0)
+        total = (cnt * per_sub).scale(fam.k, fam.l, 0)
         exceptional.append((fam, total))
         entries[fam.m] = entries.get(fam.m, CountPoly.zero()) + total
     return ResolvedTable(n, entries, exceptional, c.unresolved)

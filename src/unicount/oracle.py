@@ -14,7 +14,7 @@ import itertools
 import random
 from typing import Iterable, Mapping, NamedTuple
 
-from .algdata import AlgebraicData, MalformedData, NonZero, restriction_from_key
+from .algdata import AlgebraicData, MalformedData, NonZero
 from .engine import Census, EngineContext, resolve
 from .ffield import get_field
 from .polyring import ParamPoly
@@ -104,19 +104,18 @@ def audit_counts(*memos: Mapping) -> CountAudit:
     """
     audited = skipped = 0
     violations = []
-    for (params, rkeys), res in (item for memo in memos for item in memo.items()):
-        if not res.counted:
+    for (params, restrictions), poly in (item for memo in memos for item in memo.items()):
+        if poly is None:
             continue
         if len(params) > AUDIT_MAX_PARAMS:
             skipped += 1
             continue
         audited += 1
-        restrictions = [restriction_from_key(k) for k in rkeys]
         for q0 in AUDIT_QS:
             brute = count_values_bruteforce(params, restrictions, q0)
-            got = res.poly.eval_at(q0)
+            got = poly.eval_at(q0)
             if got != brute:
-                violations.append({"params": params, "q": q0, "poly": repr(res.poly),
+                violations.append({"params": params, "q": q0, "poly": repr(poly),
                                    "expected": brute, "got": got})
     return CountAudit(audited, skipped, violations)
 
@@ -359,15 +358,15 @@ def census_totals_at(c: Census, q0: int, cap: int = CLASS_COUNT_CAP) -> tuple[in
     Unresolved records and families are folded in by brute force, so the
     totals are exact whenever the pieces are small enough to enumerate.
     """
-    count = c.resolved.eval_at(q0, "sum")
-    weight = c.resolved.eval_at(q0, "weight_q2e")
+    count = c.resolved.eval_at(q0)
+    weight = c.resolved.eval_at(q0, q0**2)
     for r in c.unresolved:
         nsub = len(enumerate_param_values(r.params, r.restrictions, q0))
         contrib = (q0 - 1) ** r.u * q0**r.v * nsub
         count += contrib
         weight += contrib * q0 ** (2 * r.e)
     for fam in c.families:
-        # an "all" family has z None, an "at_z" family its z
+        # a family from census has z None, one from census_at its z
         fc, fw = _oracle_totals(fam.data, fam.z, q0, cap)
         scale = (q0 - 1) ** fam.k * q0**fam.l
         count += scale * fc

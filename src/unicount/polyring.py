@@ -102,24 +102,15 @@ class CountPoly:
         """Multiply by (q-1)^k * q^l * t^m."""
         return CountPoly.scaled_sum(((self, k, l, m),))
 
-    def eval_at(self, q0: int, t_mode="sum") -> int:
-        """Evaluate at q = q0.
+    def eval_at(self, q0: int, t: int = 1) -> int:
+        """Evaluate at q = q0 and t = t.
 
-        t_mode 'sum' sets t := 1, 'weight_q2e' sets t^e := q0^(2e), and an
-        integer value substitutes t := value.
+        The default t = 1 counts characters; t = q0**2 weights each by its
+        squared degree, t^e := q0^(2e).
         """
         if q0 < 2:
             raise ValueError("q0 must be at least 2")
-        total = 0
-        for (dq, dt), c in self._terms.items():
-            if t_mode == "sum":
-                tv = 1
-            elif t_mode == "weight_q2e":
-                tv = q0 ** (2 * dt)
-            else:
-                tv = int(t_mode) ** dt
-            total += c * q0**dq * tv
-        return total
+        return sum(c * q0**dq * t**dt for (dq, dt), c in self._terms.items())
 
     def weight_formal(self) -> "CountPoly":
         """Substitute t^e := q^(2e), collapsing to a polynomial in q."""

@@ -1,47 +1,37 @@
 """Counting solutions of restriction systems over F_q.
 
 The goal is to express |V(Q, E, q)| as a single polynomial in q, valid
-for every prime power simultaneously.  Only steps that are sound in
-every characteristic are applied:
+for every prime power simultaneously.  ``count_solutions`` returns that
+CountPoly, or None when it cannot; it never risks a wrong polynomial.
+Only steps that are sound in every characteristic are applied.
+``reduce_system`` applies these rules, in this order, until none fires:
 
-  * variables not occurring anywhere contribute a factor q;
-  * variables occurring only in their own inequation contribute (q-1);
-  * a unit monomial equation whose variables are all nonzero-restricted
-    is a contradiction; with exactly one unrestricted variable it pins
-    that variable to 0;
-  * a variable appearing linearly in one equation with an invertible
-    coefficient (a signed product of nonzero-restricted parameters) is
-    substituted away, preserving the solution count exactly;
-  * an inequation x != 0 entangled with the equations is removed by
-    inclusion-exclusion: count(E) = count(E minus x!=0) - count(E, x=0).
+  1. a unit monomial equation whose variables are all nonzero-restricted
+     is a contradiction: the system has no solutions;
+  2. monomial content in nonzero-restricted variables is divided out of
+     an equation;
+  3. a unit monomial equation with exactly one unrestricted variable x
+     pins it: x := 0;
+  4. a parameter occurring in no equation contributes a factor q when
+     free and q-1 when restricted nonzero;
+  5. a variable appearing linearly in one equation with an invertible
+     coefficient (a signed product of nonzero-restricted parameters) is
+     substituted away, preserving the solution count exactly.
 
-Anything that survives the pipeline is reported as unresolved rather
-than risking a wrong polynomial.
+On what survives, the count branches:
+
+  * an inequation x != 0 that blocks an elimination is removed by
+    inclusion-exclusion: count(E) = count(E minus x!=0) - count(E, x := 0);
+  * an unrestricted equation variable x is split into x := 0 and x != 0.
+
+Every x := 0 above is ``algdata.set_zero``.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .algdata import Equation, NonZero, Restriction
+from .algdata import Equation, NonZero, Restriction, set_zero
 from .polyring import CountPoly, ParamPoly
-
-
-class Unresolved(NamedTuple):
-    params: tuple[int, ...]
-    restrictions: tuple[Restriction, ...]
-
-
-class CountResult(NamedTuple):
-    poly: CountPoly | None          # set when counted
-    record: Unresolved | None       # set when not
-
-    @property
-    def counted(self) -> bool:
-        return self.poly is not None
-
-
-def counted(poly: CountPoly) -> CountResult:
-    return CountResult(poly, None)
 
 
 def _invertible_monomial(poly: ParamPoly, nz: frozenset[int]) -> bool:
@@ -74,9 +64,13 @@ def _substitute_linear(g: ParamPoly, x: int, coeff: ParamPoly, rest: ParamPoly) 
 
 
 def _eliminate_step(params: tuple, restrictions: tuple, protected: frozenset):
-    """One sound linear elimination, or None.  Pivot variables stay out
-    of ``protected``.  A forced contradiction is signalled by returning
-    the unit equation as the whole system."""
+    """Substitute out one linearly determined variable, or None.
+
+    Returns (params', restrictions') with |V(Q', E', q)| = |V(Q, E, q)|
+    for every q; the pivot is never in ``protected``.  A forced
+    contradiction is signalled by returning the unit equation as the
+    whole system.
+    """
     nz = frozenset(r.sym for r in restrictions if isinstance(r, NonZero))
     for eq in restrictions:
         if not isinstance(eq, Equation):
@@ -110,15 +104,6 @@ def _eliminate_step(params: tuple, restrictions: tuple, protected: frozenset):
                     new_restrictions.append(r)
             return tuple(p for p in params if p != x), tuple(new_restrictions)
     return None
-
-
-def eliminate_linear(params: Iterable[int], restrictions: Iterable[Restriction]):
-    """Substitute out one linearly determined variable, or None.
-
-    Returns (params', restrictions') with |V(Q', E', q)| = |V(Q, E, q)|
-    for every q.
-    """
-    return _eliminate_step(tuple(params), tuple(restrictions), frozenset())
 
 
 def reduce_system(params: Iterable[int], restrictions: Iterable[Restriction],
@@ -167,22 +152,10 @@ def reduce_system(params: Iterable[int], restrictions: Iterable[Restriction],
                 continue
             free_vars = [s for s, _ in m if s not in nz]
             if len(free_vars) == 1 and free_vars[0] not in protected:
-                pinned = (eq, free_vars[0])
+                pinned = free_vars[0]
                 break
         if pinned is not None:
-            peq, x = pinned
-            new_restrictions = []
-            for r in restrictions:
-                if r is peq:
-                    continue
-                if isinstance(r, Equation):
-                    p = r.poly.drop_symbol(x)
-                    if not p.is_zero():
-                        new_restrictions.append(Equation(p))
-                else:
-                    new_restrictions.append(r)
-            restrictions = new_restrictions
-            params = [p for p in params if p != x]
+            params, restrictions = set_zero(params, restrictions, pinned)
             changed = True
             continue
 
@@ -190,20 +163,13 @@ def reduce_system(params: Iterable[int], restrictions: Iterable[Restriction],
         for eq in equations:
             used |= eq.poly.symbols()
 
-        free = [p for p in params if p not in used and p not in nz and p not in protected]
-        if free:
-            l += len(free)
-            drop = set(free)
-            params = [p for p in params if p not in drop]
-            changed = True
-            continue
-        nz_only = [p for p in params if p not in used and p not in protected and p in nz]
-        if nz_only:
-            k += len(nz_only)
-            drop = set(nz_only)
-            params = [p for p in params if p not in drop]
+        unused = {p for p in params if p not in used and p not in protected}
+        if unused:
+            k += len(unused & nz)
+            l += len(unused - nz)
+            params = [p for p in params if p not in unused]
             restrictions = [r for r in restrictions
-                            if not (isinstance(r, NonZero) and r.sym in drop)]
+                            if not (isinstance(r, NonZero) and r.sym in unused)]
             changed = True
             continue
 
@@ -214,23 +180,6 @@ def reduce_system(params: Iterable[int], restrictions: Iterable[Restriction],
             continue
 
     return k, l, tuple(params), tuple(restrictions), False
-
-
-def _without_nz(restrictions: tuple, x: int) -> tuple:
-    return tuple(r for r in restrictions
-                 if not (isinstance(r, NonZero) and r.sym == x))
-
-
-def _at_zero(restrictions: tuple, x: int) -> tuple:
-    out = []
-    for r in restrictions:
-        if isinstance(r, Equation):
-            p = r.poly.drop_symbol(x)
-            if not p.is_zero():
-                out.append(Equation(p))
-        else:
-            out.append(r)
-    return tuple(out)
 
 
 def _ie_count(params: tuple, restrictions: tuple, depth: int) -> CountPoly | None:
@@ -250,26 +199,25 @@ def _ie_count(params: tuple, restrictions: tuple, depth: int) -> CountPoly | Non
             used |= r.poly.symbols()
 
     # inclusion-exclusion on an inequation that blocks a linear elimination:
-    # count(E) = count(E minus x!=0) - count(E minus x!=0, x = 0).  Progress
-    # in the first branch is guaranteed because dropping the inequation is
-    # exactly what lets the elimination fire.
+    # count(E) = count(E minus x!=0) - count(E, x := 0).  Progress in the
+    # first branch is guaranteed because dropping the inequation is exactly
+    # what lets the elimination fire.
     for x in sorted(used & nz):
-        without = _without_nz(restrictions, x)
+        without = tuple(r for r in restrictions
+                        if not (isinstance(r, NonZero) and r.sym == x))
         if _eliminate_step(params, without, frozenset()) is None:
             continue
         total = _ie_count(params, without, depth + 1)
         if total is None:
             return None
-        rest = _ie_count(tuple(p for p in params if p != x),
-                         _at_zero(_without_nz(restrictions, x), x), depth + 1)
+        rest = _ie_count(*set_zero(params, restrictions, x), depth + 1)
         if rest is None:
             return None
         return (total - rest) * factor
 
-    # split an unrestricted equation variable into x = 0 and x != 0
+    # split an unrestricted equation variable into x := 0 and x != 0
     for x in sorted(used - nz):
-        zero_branch = _ie_count(tuple(p for p in params if p != x),
-                                _at_zero(restrictions, x), depth + 1)
+        zero_branch = _ie_count(*set_zero(params, restrictions, x), depth + 1)
         if zero_branch is None:
             return None
         nonzero_branch = _ie_count(params, restrictions + (NonZero(x),), depth + 1)
@@ -280,15 +228,7 @@ def _ie_count(params: tuple, restrictions: tuple, depth: int) -> CountPoly | Non
     return None
 
 
-def count_solutions(params: Iterable[int], restrictions: Iterable[Restriction]) -> CountResult:
-    """Try to express |V(Q, E, q)| as a polynomial in q.
-
-    Failure is the Unresolved variant, carrying the input system
-    verbatim.
-    """
-    orig_params = tuple(params)
-    orig_restrictions = tuple(restrictions)
-    poly = _ie_count(orig_params, orig_restrictions, 0)
-    if poly is None:
-        return CountResult(None, Unresolved(orig_params, orig_restrictions))
-    return counted(poly)
+def count_solutions(params: Iterable[int],
+                    restrictions: Iterable[Restriction]) -> CountPoly | None:
+    """|V(Q, E, q)| as a polynomial in q, or None when it cannot be found."""
+    return _ie_count(tuple(params), tuple(restrictions), 0)

@@ -91,8 +91,7 @@ def test_criterion_3_exceptional_family(tables):
 def _contradictory_count(c, ctx) -> int:
     n = 0
     for f in c.families:
-        res = ctx.count(f.data.params, f.data.restrictions)
-        if res.counted and res.poly.is_zero():
+        if ctx.count(f.data.params, f.data.restrictions) == CountPoly.zero():
             n += 1
     return n
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from unicount import engine
+from unicount import engine, solcount
 from unicount.algdata import (AlgebraicData, Equation, NonZero, canonicalize,
                               split_into_cases)
 from unicount.engine import (BadWitness, Census, EngineContext, Family, ResolvedTable,
-                             URecord, UnknownCore, _reduce, aggregate, census,
+                             URecord, UnknownCore, aggregate, census,
                              census_at, contract_type_a, contract_type_b, resolve,
                              scale_census)
 from unicount.oracle import verify_census
@@ -30,7 +30,7 @@ def core_2dim():
 class TestScaleAggregate:
     def test_scale_shifts_degrees_and_records(self):
         c = Census(qt(1), (URecord((), (), 0, 0, 0),),
-                   (Family("at_z", core_2dim(), 1, 0, 0, 0),))
+                   (Family(core_2dim(), 1, 0, 0, 0),))
         out = scale_census(c, 0, 0, 1)
         assert out.resolved == qt(1, 1)
         assert out.unresolved[0].e == 1
@@ -58,13 +58,14 @@ class TestScaleAggregate:
     def test_aggregate_scales_each_part_in_one_pass(self):
         # merging scaled parts equals scaling each part and then summing
         a = Census(qt(2) + qt(0, 1, -1), (URecord((), (), 0, 1, 0),), ())
-        b = Census(qt(1, 1), (), (Family("at_z", core_2dim(), 1, 0, 0, 0),))
+        b = Census(qt(1, 1), (), (Family(core_2dim(), 1, 0, 0, 0),))
         out = aggregate([(a, 2, 1, 0), (b, 1, 0, 3), (a, 0, 0, 0)])
         want = aggregate([(scale_census(a, 2, 1, 0), 0, 0, 0),
                           (scale_census(b, 1, 0, 3), 0, 0, 0), (a, 0, 0, 0)])
         assert out == want
         assert out.unresolved == (URecord((), (), 2, 2, 0), URecord((), (), 0, 1, 0))
-        assert out.families[0][3:] == (1, 0, 3)
+        f = out.families[0]
+        assert (f.k, f.l, f.m) == (1, 0, 3)
         assert all(out.resolved.terms.values())
 
 
@@ -118,7 +119,7 @@ class TestCensusAt:
         assert out.resolved.is_zero()
         assert len(out.families) == 1
         fam = out.families[0]
-        assert fam.kind == "at_z" and (fam.k, fam.l, fam.m) == (0, 0, 0)
+        assert fam.z == 1 and (fam.k, fam.l, fam.m) == (0, 0, 0)
 
 
 class TestContractTypeB:
@@ -219,7 +220,7 @@ class TestResolve:
         assert not table.exceptional
 
     def test_recognised_family_folds_in(self, ctx):
-        fam = Family("at_z", core_2dim(), 1, 12, 0, 16)
+        fam = Family(core_2dim(), 1, 12, 0, 16)
         table = resolve(Census(CountPoly.zero(), (), (fam,)), 13, ctx)
         total = table.entries[16]
         # (q-1)^12 * (q-1) * q(q-1) = q (q-1)^14? no: |V| = q-1 from the nonzero
@@ -231,7 +232,7 @@ class TestResolve:
         from unicount.algdata import Equation
         bad = AlgebraicData((0,), (NonZero(0), Equation(ParamPoly.var(0))), (0, 1),
                             {(0, 0): [(1, frozenset([0]))]})
-        fam = Family("at_z", bad, 1, 0, 0, 0)
+        fam = Family(bad, 1, 0, 0, 0)
         table = resolve(Census(CountPoly.zero(), (), (fam,)), 13, ctx)
         assert not table.exceptional and not table.entries
 
@@ -239,7 +240,7 @@ class TestResolve:
         # a 3-dimensional family core is not the known shape
         data = AlgebraicData((0,), (NonZero(0),), (0, 1, 2),
                              {(0, 1): [(2, frozenset([0]))]})
-        fam = Family("at_z", data, 2, 0, 0, 0)
+        fam = Family(data, 2, 0, 0, 0)
         with pytest.raises(UnknownCore):
             resolve(Census(CountPoly.zero(), (), (fam,)), 13, ctx)
 
@@ -248,7 +249,7 @@ class TestResolve:
         a, b = ParamPoly.var(0), ParamPoly.var(1)
         record = URecord((0, 1), (NonZero(0), Equation(a * a * b - b + ParamPoly.const(1))),
                          2, 1, 3)
-        fam = Family("at_z", core_2dim(), 1, 12, 0, 16)
+        fam = Family(core_2dim(), 1, 12, 0, 16)
         table = resolve(Census(qt(2), (record,), (fam,)), 13, ctx)
         obj = table.to_json()
         assert obj["unresolved_counts"] and obj["families"]
@@ -409,10 +410,11 @@ class TestMemoKey:
                 key = assert_key_matches_reference(case, case.params, case.restrictions)
                 assert canonicalize(twin, twin.params, twin.restrictions) == key
                 pairs.append((key, nested_key(case, case.params, case.restrictions)))
-                reduced = _reduce(case)
-                if reduced is not None:
-                    key = assert_key_matches_reference(case, reduced[2], reduced[3])
-                    pairs.append((key, nested_key(case, reduced[2], reduced[3])))
+                _, _, params, restrictions, empty = solcount.reduce_system(
+                    case.params, case.restrictions, case.symbols_in_products())
+                if not empty:
+                    key = assert_key_matches_reference(case, params, restrictions)
+                    pairs.append((key, nested_key(case, params, restrictions)))
         assert all(is_flat(key) for key, _ in pairs)
         assert assert_same_grouping(pairs) < len(pairs)
 
@@ -474,6 +476,28 @@ def test_equal_memo_values_are_one_object():
             assert first.setdefault(value, value) is value
             stored += 1
     assert len(first) < stored
+
+
+def test_count_memo_groups_equal_systems(monkeypatch):
+    calls = []
+    real = solcount.count_solutions
+    monkeypatch.setattr(solcount, "count_solutions",
+                        lambda *args: calls.append(args) or real(*args))
+
+    def counted():
+        # d = a*b with a nonzero: q(q-1) solutions
+        a, b, d = (ParamPoly.var(i) for i in range(3))
+        return (0, 1, 2), [NonZero(0), Equation(a * b - d)]
+
+    def refused():
+        # 2 = 0 holds only in characteristic 2
+        return (0,), [Equation(ParamPoly.const(2))]
+
+    ctx = EngineContext()
+    assert ctx.count(*counted()) == ctx.count(*counted()) == qt(2) - qt(1)
+    assert ctx.count(*refused()) is None and ctx.count(*refused()) is None
+    assert len(calls) == len(ctx.memo_counts) == 2
+    assert list(ctx.memo_counts.values())[1] is None
 
 
 # ---------------------------------------------------------------------------

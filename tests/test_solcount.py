@@ -1,9 +1,10 @@
 import random
 
-from unicount.algdata import Equation, NonZero
+from unicount import solcount
+from unicount.algdata import Equation, NonZero, set_zero
 from unicount.oracle import enumerate_param_values
 from unicount.polyring import CountPoly, ParamPoly
-from unicount.solcount import count_solutions, eliminate_linear, reduce_system
+from unicount.solcount import _eliminate_step, count_solutions, reduce_system
 
 
 def v(i):
@@ -15,18 +16,17 @@ def c(n):
 
 
 def assert_counts_match(params, restrictions, qs=(2, 3, 4, 5)):
-    res = count_solutions(params, restrictions)
-    assert res.counted, f"pipeline gave up on {restrictions}"
+    poly = count_solutions(params, restrictions)
+    assert poly is not None, f"pipeline gave up on {restrictions}"
     for q in qs:
         want = len(enumerate_param_values(params, restrictions, q))
-        assert res.poly.eval_at(q) == want, (q, res.poly)
-    return res.poly
+        assert poly.eval_at(q) == want, (q, poly)
+    return poly
 
 
 class TestCountSolutions:
     def test_empty_system(self):
-        res = count_solutions((), ())
-        assert res.poly == CountPoly.one()
+        assert count_solutions((), ()) == CountPoly.one()
 
     def test_free_and_nonzero(self):
         poly = assert_counts_match((0, 1), (NonZero(0),))
@@ -40,12 +40,10 @@ class TestCountSolutions:
 
     def test_contradiction_detected(self):
         eq = Equation(v(0) * v(1))
-        res = count_solutions((0, 1), (NonZero(0), NonZero(1), eq))
-        assert res.counted and res.poly.is_zero()
+        assert count_solutions((0, 1), (NonZero(0), NonZero(1), eq)) == CountPoly.zero()
 
     def test_unit_contradiction(self):
-        res = count_solutions((), (Equation(c(1)),))
-        assert res.counted and res.poly.is_zero()
+        assert count_solutions((), (Equation(c(1)),)) == CountPoly.zero()
 
     def test_division_equation_shape(self):
         # d * c0 = a * b with everything nonzero: d is determined
@@ -92,19 +90,16 @@ class TestCountSolutions:
                     poly = poly + m
                 if not poly.is_zero():
                     restrictions.append(Equation(poly))
-            res = count_solutions(tuple(range(nparams)), tuple(restrictions))
-            if res.counted:
+            poly = count_solutions(tuple(range(nparams)), tuple(restrictions))
+            if poly is not None:
                 for q in (2, 3, 4, 5):
                     want = len(enumerate_param_values(range(nparams), restrictions, q))
-                    assert res.poly.eval_at(q) == want
+                    assert poly.eval_at(q) == want
 
     def test_unresolved_carries_input_verbatim(self):
         # a characteristic-dependent system the pipeline must refuse
         eq = Equation(c(2))
-        res = count_solutions((0,), (eq,))
-        assert not res.counted
-        assert res.record.params == (0,)
-        assert res.record.restrictions == (eq,)
+        assert count_solutions((0,), (eq,)) is None
 
 
 class TestEliminateLinear:
@@ -113,7 +108,7 @@ class TestEliminateLinear:
         # variable is substituted away and the equation disappears
         eq = Equation(v(3) * v(0) - v(1) * v(2))
         restrictions = (NonZero(0), NonZero(1), NonZero(2), NonZero(3), eq)
-        out = eliminate_linear((0, 1, 2, 3), restrictions)
+        out = _eliminate_step((0, 1, 2, 3), restrictions, frozenset())
         assert out is not None
         params, reduced = out
         assert len(params) == 3
@@ -124,15 +119,15 @@ class TestEliminateLinear:
 
     def test_quadratic_only_no_progress(self):
         eq = Equation(v(0) * v(0) - v(1))
-        assert eliminate_linear((0, 1), (NonZero(1), eq)) is None or \
-            eliminate_linear((0, 1), (NonZero(1), eq))[0] == (0,)
+        out = _eliminate_step((0, 1), (NonZero(1), eq), frozenset())
+        assert out is None or out[0] == (0,)
         # x appears only quadratically: the pivot must not pick x
-        out = eliminate_linear((0, 1), (eq,))
+        out = _eliminate_step((0, 1), (eq,), frozenset())
         assert out is None or 0 in out[0]
 
     def test_equal_variables_substituted(self):
         eq = Equation(v(0) - v(1))
-        out = eliminate_linear((0, 1), (eq,))
+        out = _eliminate_step((0, 1), (eq,), frozenset())
         assert out is not None
         params, restrictions = out
         assert len(params) == 1 and restrictions == ()
@@ -145,7 +140,7 @@ class TestEliminateLinear:
             poly = v(0) * ParamPoly.monomial([rng.randrange(1, nparams)]) - \
                 ParamPoly.monomial([rng.randrange(nparams) for _ in range(2)])
             restrictions.append(Equation(poly))
-            out = eliminate_linear(tuple(range(nparams)), tuple(restrictions))
+            out = _eliminate_step(tuple(range(nparams)), tuple(restrictions), frozenset())
             if out is None:
                 continue
             for q in (2, 3, 4):
@@ -174,10 +169,7 @@ def test_confluence_under_relabelling():
         mapping = dict(enumerate(perm))
         relabeled = [NonZero(mapping[r.sym]) if isinstance(r, NonZero)
                      else Equation(r.poly.rename(mapping)) for r in restrictions]
-        other = count_solutions(tuple(perm), tuple(relabeled))
-        assert base.counted == other.counted
-        if base.counted:
-            assert base.poly == other.poly
+        assert count_solutions(tuple(perm), tuple(relabeled)) == base
 
 
 def test_reduce_system_factors_are_exact():
@@ -196,3 +188,88 @@ def test_reduce_system_factors_are_exact():
             else:
                 reduced = len(enumerate_param_values(params, rest, q))
                 assert want == (q - 1) ** k * q**l * reduced
+
+
+def random_system(rng, nparams):
+    """Inequations and one or two equations on parameters 0..nparams-1, mixing
+    unit monomials, monomial content and linear terms."""
+    def var():
+        return rng.randrange(nparams)
+
+    restrictions = [NonZero(p) for p in range(nparams) if rng.random() < 0.5]
+    for _ in range(rng.randint(1, 2)):
+        shape = rng.randrange(3)
+        if shape == 0:
+            poly = ParamPoly.monomial([var() for _ in range(rng.randint(1, 2))],
+                                      rng.choice([-1, 1]))
+        elif shape == 1:
+            poly = ParamPoly.monomial([var()]) * (v(var()) - v(var()))
+        else:
+            poly = v(var()) * ParamPoly.monomial([var() for _ in range(rng.randint(0, 1))]) \
+                - ParamPoly.monomial([var() for _ in range(rng.randint(0, 2))])
+        if not poly.is_zero():
+            restrictions.append(Equation(poly))
+    return restrictions
+
+
+def test_reduce_system_leaves_protected_parameters(monkeypatch):
+    fired = dict.fromkeys(("pin", "division", "unused", "elimination"), 0)
+
+    def spy(rule, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            fired[rule] += out is not None
+            return out
+        return wrapper
+
+    monkeypatch.setattr(solcount, "set_zero", spy("pin", solcount.set_zero))
+    monkeypatch.setattr(solcount, "_eliminate_step",
+                        spy("elimination", solcount._eliminate_step))
+    monkeypatch.setattr(ParamPoly, "divide_monomial",
+                        spy("division", ParamPoly.divide_monomial))
+    rng = random.Random(31)
+    for _ in range(200):
+        nparams = rng.randint(1, 4)
+        restrictions = random_system(rng, nparams)
+        protected = frozenset(rng.sample(range(nparams), rng.randint(1, nparams)))
+        k, l, params, rest, empty = reduce_system(tuple(range(nparams)),
+                                                  tuple(restrictions), protected)
+        fired["unused"] += k + l > 0
+        if not empty:
+            assert protected <= set(params), (restrictions, protected, params)
+        for q in (2, 3, 4, 5):
+            want = len(enumerate_param_values(range(nparams), restrictions, q))
+            got = 0 if empty else \
+                (q - 1) ** k * q**l * len(enumerate_param_values(params, rest, q))
+            assert got == want, (restrictions, protected, q)
+    assert all(fired.values()), fired
+
+
+def test_set_zero_splits_the_count():
+    rng = random.Random(37)
+    for _ in range(150):
+        nparams = rng.randint(1, 4)
+        restrictions = random_system(rng, nparams)
+        free = [p for p in range(nparams) if NonZero(p) not in restrictions]
+        if not free:
+            continue
+        x = rng.choice(free)
+        params, zeroed = set_zero(range(nparams), restrictions, x)
+        assert x not in params
+        assert all(r != NonZero(x) for r in zeroed)
+        assert all(x not in r.poly.symbols() and not r.poly.is_zero()
+                   for r in zeroed if isinstance(r, Equation))
+        for q in (2, 3, 4, 5):
+            whole = len(enumerate_param_values(range(nparams), restrictions, q))
+            at_zero = len(enumerate_param_values(params, zeroed, q))
+            nonzero = len(enumerate_param_values(range(nparams),
+                                                 restrictions + [NonZero(x)], q))
+            assert whole == at_zero + nonzero, (restrictions, x, q)
+
+
+def test_set_zero_drops_the_inequation_and_emptied_equations():
+    eq_gone = Equation(v(0) * v(1))
+    eq_kept = Equation(v(0) * v(2) + v(1) - v(2))
+    params, restrictions = set_zero((0, 1, 2), (NonZero(0), NonZero(1), eq_gone, eq_kept), 0)
+    assert params == (1, 2)
+    assert restrictions == (NonZero(1), Equation(v(1) - v(2)))
