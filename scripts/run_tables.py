@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end table experiment: compute N_{n,e}(q) for a range of n,
 check the formal identities, and diff n = 10..13 against the vendored
-tables.  Time and the process's peak RSS so far are printed after each
-n, so the growth per increment of n is visible in both.
+tables.  Each n is computed from a fresh EngineContext, as
+`unicount compute --n N` does, and its time and engine nodes are printed
+after it, with the process's peak RSS so far.
 
 Usage:
     python scripts/run_tables.py [--max-n 13] [--audit] [--latex-dir DIR]
@@ -29,17 +30,19 @@ def main() -> int:
     ap.add_argument("--latex-dir", default=None)
     args = ap.parse_args()
 
-    ctx = EngineContext()
     golden = load_golden_tables()
     status = 0
+    memos = []
     for n in range(1, args.max_n + 1):
+        ctx = EngineContext()
+        memos.append(ctx.memo_counts)
         t0 = time.perf_counter()
         table = resolve(unitriangular_census(n, ctx), n, ctx)
         dt = time.perf_counter() - t0
         idents = check_identities(table)
         # ru_maxrss is in KiB on Linux
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        line = (f"n={n:2d}  {dt:8.2f}s  peak_rss={rss_mb:7.1f}MB  "
+        line = (f"n={n:2d}  {dt:8.2f}s  peak_rss={rss_mb:7.1f}MB  nodes={ctx.nodes:6d}  "
                 f"rows={len(table.entries):3d}  "
                 f"identities={'ok' if idents['pass'] else 'FAIL'}")
         if n in golden:
@@ -50,6 +53,8 @@ def main() -> int:
         if table.exceptional:
             for fam, total in table.exceptional:
                 line += f"  exceptional: {total!r} at degree shift {fam.m}"
+        if ctx.stats:
+            line += f"  stats: {ctx.stats}"
         if not idents["pass"]:
             status = 2
         print(line, flush=True)
@@ -58,12 +63,11 @@ def main() -> int:
             out.mkdir(parents=True, exist_ok=True)
             (out / f"table_n{n}.tex").write_text(format_table(table, "latex"))
     if args.audit:
-        audit = audit_counts(ctx.memo_counts)
+        audit = audit_counts(*memos)
         print(f"count audit: {audit.audited} systems checked, {audit.skipped} skipped, "
               f"{len(audit.violations)} violations")
         if audit.violations:
             status = 2
-    print(f"engine nodes: {ctx.nodes}, stats: {ctx.stats}")
     return status
 
 

@@ -170,12 +170,6 @@ class AlgebraicData:
     def pos(self, b: int) -> int:
         return self._pos[b]
 
-    def product(self, x: int, y: int) -> Targets:
-        d = self._cache.get("pmap")
-        if d is None:
-            d = self._cache["pmap"] = self.products_dict()
-        return d.get((x, y), ())
-
     @property
     def nz_params(self) -> frozenset[int]:
         return self._nz

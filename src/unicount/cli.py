@@ -1,5 +1,17 @@
 """Command-line driver: compute tables, regress against vendored data,
-check formal identities, and run brute-force verification.
+check formal identities, run brute-force verification, and dump the
+families a census leaves.
+
+Every command runs its tables through ``run_jobs``, each on a fresh
+``EngineContext`` with the node budget --max-nodes, and then does only
+its own work on each result: compute formats it, regress compares it
+with the vendored table, identities prints its identity line, verify
+compares its class counts, dump-families prints its families as JSON.
+compute --n, regress, identities and verify read each table from the
+cache and write it back.  Standard error gets, for each table in turn,
+an unrecognised core (which ends the run), an exhausted node budget and
+the number of surviving count records; after the last table,
+--debug-counts adds one audit line.
 
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
 survived, the node budget of a table (--max-nodes) ran out, the count
@@ -21,7 +33,7 @@ from importlib import resources
 from pathlib import Path
 
 from .algdata import MalformedData
-from .engine import EngineContext, UnknownCore, resolve, ResolvedTable
+from .engine import Census, EngineContext, UnknownCore, resolve, ResolvedTable
 from .oracle import (AUDIT_MAX_PARAMS, CLASS_COUNT_CAP, audit_counts, class_count,
                      instantiate)
 from .patterns import Poset, chain, encode_pattern, pattern_census, unitriangular_census
@@ -53,10 +65,6 @@ class RunConfig:
 
 def _default_cache_dir() -> Path:
     return Path(os.environ.get("UNICOUNT_CACHE_DIR", ".unicount-cache"))
-
-
-def make_context(cfg: RunConfig) -> EngineContext:
-    return EngineContext(max_nodes=cfg.max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +114,6 @@ def compute_table(n: int, ctx: EngineContext) -> ResolvedTable:
     return resolve(unitriangular_census(n, ctx), n, ctx)
 
 
-def _cache_path(cfg: RunConfig, n: int) -> Path:
-    return cfg.cache_dir / f"table_n{n}.json"
-
-
 def _source_digest() -> str:
     """sha256 over the package's .py sources, which a cached table must match."""
     h = hashlib.sha256()
@@ -147,23 +151,22 @@ def _write_atomically(path: Path, text: str) -> None:
         raise
 
 
-def load_or_compute(n: int, cfg: RunConfig, ctx: EngineContext | None = None) -> ResolvedTable:
-    """The cached table for n, or a fresh computation.
+def load_or_compute(n: int, cfg: RunConfig, ctx: EngineContext) -> ResolvedTable:
+    """The cached table for n, or one computed on ctx.
 
     An audited run always computes, since a cached table skips the audit.
-    A cache file that cannot be read, or that other package sources
-    wrote, counts as a miss and is rewritten.
+    A cache file that cannot be read, that other package sources wrote,
+    or that holds the table of another n counts as a miss and is
+    rewritten.
     """
-    path = _cache_path(cfg, n)
+    path = cfg.cache_dir / f"table_n{n}.json"
     if not cfg.debug_counts:
         table = _read_cached(path)
-        if table is not None:
+        if table is not None and table.n == n:
             return table
-    ctx = ctx or make_context(cfg)
     table = compute_table(n, ctx)
-    if not table.unresolved:
-        obj = dict(table.to_json(), source_sha256=_source_digest())
-        _write_atomically(path, json.dumps(obj, indent=1, sort_keys=True))
+    obj = dict(table.to_json(), source_sha256=_source_digest())
+    _write_atomically(path, json.dumps(obj, indent=1, sort_keys=True))
     return table
 
 
@@ -228,31 +231,59 @@ def check_identities(table: ResolvedTable) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def _audit_failed(cfg: RunConfig, memos: list[dict]) -> bool:
-    """With --debug-counts, audit the count memos and print one line to
-    stderr; True if the audit found a violation."""
-    if not cfg.debug_counts:
-        return False
-    audit = audit_counts(*memos)
-    print(f"count audit violations: {len(audit.violations)}; systems audited: "
-          f"{audit.audited}; skipped with more than {AUDIT_MAX_PARAMS} parameters: "
-          f"{audit.skipped}", file=sys.stderr)
-    return bool(audit.violations)
+def run_jobs(cfg: RunConfig, jobs, show) -> int:
+    """Run each job on a fresh ``EngineContext`` and pass its result to show.
+
+    A job maps a context to a ``ResolvedTable`` or a ``Census``; show
+    prints the result and returns its own status.  For each job, stderr
+    names a core that resolve does not recognise (which ends the run
+    with 2), an exhausted node budget and surviving count records; after
+    the last job, --debug-counts audits the count memos of every job.
+    The status is the largest found, and a regression mismatch (3) ends
+    the run.
+    """
+    status = 0
+    memos = []
+    for job in jobs:
+        ctx = EngineContext(max_nodes=cfg.max_nodes)
+        memos.append(ctx.memo_counts)
+        try:
+            result = job(ctx)
+        except UnknownCore as exc:
+            print(f"unresolvable family survived: {exc}", file=sys.stderr)
+            result = None
+        cut = ctx.stats.get("budget_families", 0)
+        if cut:
+            print(f"node budget of {cfg.max_nodes} exhausted: {cut} families left "
+                  "uncontracted", file=sys.stderr)
+            status = 2
+        if result is None:
+            return 2
+        if result.unresolved:
+            print(f"{len(result.unresolved)} unresolved count records", file=sys.stderr)
+            status = 2
+        status = max(status, show(result))
+        if status == 3:
+            break
+    if cfg.debug_counts:
+        audit = audit_counts(*memos)
+        print(f"count audit violations: {len(audit.violations)}; systems audited: "
+              f"{audit.audited}; skipped with more than {AUDIT_MAX_PARAMS} parameters: "
+              f"{audit.skipped}", file=sys.stderr)
+        if audit.violations:
+            status = max(status, 2)
+    return status
 
 
-def _budget_exhausted(ctx: EngineContext) -> bool:
-    """Print one line to stderr if the node budget left families
-    uncontracted; True if it did."""
-    k = ctx.stats.get("budget_families", 0)
-    if k:
-        print(f"node budget of {ctx.max_nodes} exhausted: {k} families left uncontracted",
-              file=sys.stderr)
-    return bool(k)
+def _tables(cfg: RunConfig, ns):
+    """One job per n: its table, from the cache or computed."""
+    return [lambda ctx, n=n: load_or_compute(n, cfg, ctx) for n in ns]
 
 
 def cmd_compute(cfg: RunConfig) -> int:
-    ctx = make_context(cfg)
-    poset = None
+    if bool(cfg.n) == bool(cfg.poset_file):
+        print("compute needs exactly one of --n or --poset", file=sys.stderr)
+        return 2
     if cfg.poset_file:
         try:
             poset = Poset.from_json(json.loads(Path(cfg.poset_file).read_text()))
@@ -261,124 +292,81 @@ def cmd_compute(cfg: RunConfig) -> int:
             print(f"bad poset file {cfg.poset_file}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             return 2
-    try:
-        if poset is not None:
-            table = resolve(pattern_census(poset, ctx), len(poset.elems), ctx)
-        else:
-            table = load_or_compute(cfg.n, cfg, ctx)
-    except UnknownCore as exc:
-        print(f"unresolvable family survived: {exc}", file=sys.stderr)
-        _budget_exhausted(ctx)
-        return 2
-    print(format_table(table, cfg.fmt))
-    exhausted = _budget_exhausted(ctx)
-    if _audit_failed(cfg, [ctx.memo_counts]) or exhausted:
-        return 2
-    if table.unresolved:
-        print(f"{len(table.unresolved)} unresolved count records", file=sys.stderr)
-        return 2
-    return 0
+        jobs = [lambda ctx: resolve(pattern_census(poset, ctx), len(poset.elems), ctx)]
+    else:
+        jobs = _tables(cfg, [cfg.n])
+
+    def show(table: ResolvedTable) -> int:
+        print(format_table(table, cfg.fmt))
+        return 0
+    return run_jobs(cfg, jobs, show)
 
 
 def cmd_regress(cfg: RunConfig, golden=None) -> int:
     if golden is None:
         golden = load_golden_tables()
-    status = 0
-    memos = []
-    for n in sorted(golden):
-        ctx = make_context(cfg)
-        try:
-            table = load_or_compute(n, cfg, ctx)
-        except UnknownCore as exc:
-            print(f"unresolvable family survived: {exc}", file=sys.stderr)
-            _budget_exhausted(ctx)
-            return 2
-        memos.append(ctx.memo_counts)
-        if _budget_exhausted(ctx):
-            status = 2
-        for e in sorted(set(golden[n]) | set(table.entries)):
-            want = golden[n].get(e)
-            got = table.entries.get(e)
-            if want != got:
-                print(f"MISMATCH n={n} e={e}:")
-                print(f"  golden:   {want!r}")
-                print(f"  computed: {got!r}")
-                status = 3
-                break
-        else:
-            print(f"n={n}: {len(golden[n])} rows match exactly")
-            continue
-        break
-    if _audit_failed(cfg, memos):
-        status = status or 2
-    return status
+
+    def show(table: ResolvedTable) -> int:
+        rows = golden[table.n]
+        for e in sorted(set(rows) | set(table.entries)):
+            if rows.get(e) != table.entries.get(e):
+                print(f"MISMATCH n={table.n} e={e}:")
+                print(f"  golden:   {rows.get(e)!r}")
+                print(f"  computed: {table.entries.get(e)!r}")
+                return 3
+        print(f"n={table.n}: {len(rows)} rows match exactly")
+        return 0
+    return run_jobs(cfg, _tables(cfg, sorted(golden)), show)
 
 
 def cmd_identities(cfg: RunConfig, max_n: int) -> int:
     if max_n < 1:
         raise ValueError("identities needs max_n of at least 1")
-    status = 0
-    memos = []
-    for n in range(1, max_n + 1):
-        ctx = make_context(cfg)
-        try:
-            table = load_or_compute(n, cfg, ctx)
-        except UnknownCore as exc:
-            print(f"unresolvable family survived: {exc}", file=sys.stderr)
-            _budget_exhausted(ctx)
-            return 2
-        memos.append(ctx.memo_counts)
-        if _budget_exhausted(ctx):
-            status = 2
+
+    def show(table: ResolvedTable) -> int:
         report = check_identities(table)
         flag = "ok" if report["pass"] else "FAIL"
-        print(f"n={n}: sum_rule={report['sum_rule']} linear_rule={report['linear_rule']} "
+        print(f"n={table.n}: sum_rule={report['sum_rule']} linear_rule={report['linear_rule']} "
               f"shifted_nonnegative={report['shifted_nonnegative']} [{flag}]")
-        if not report["pass"]:
-            status = 2
-    if _audit_failed(cfg, memos):
-        status = 2
-    return status
+        return 0 if report["pass"] else 2
+    return run_jobs(cfg, _tables(cfg, range(1, max_n + 1)), show)
 
 
 def cmd_verify(cfg: RunConfig, max_n: int = 5) -> int:
     """Brute-force agreement: engine totals vs conjugacy-class counts."""
     if max_n < 2:
         raise ValueError("verify needs max_n of at least 2")
+    qs = sorted(cfg.oracle_qs)
     for n in range(2, max_n + 1):
-        for q0 in sorted(cfg.oracle_qs):
+        for q0 in qs:
             if q0 ** (n * (n - 1) // 2) > CLASS_COUNT_CAP:
                 print(f"U_{n}({q0}) has order {q0}^{n * (n - 1) // 2}, over the "
                       f"class-count cap of {CLASS_COUNT_CAP}", file=sys.stderr)
                 return 2
     reports = []
-    for n in range(2, max_n + 1):
-        ctx = make_context(cfg)
-        try:
-            table = compute_table(n, ctx)
-        except UnknownCore as exc:
-            print(f"unresolvable family survived: {exc}", file=sys.stderr)
-            _budget_exhausted(ctx)
-            return 2
-        for q0 in cfg.oracle_qs:
-            expected = class_count(instantiate(encode_pattern(chain(n)), {}, q0))
+
+    def show(table: ResolvedTable) -> int:
+        # the cap keeps n below 10, so this order is that of the instance names
+        for q0 in qs:
+            expected = class_count(instantiate(encode_pattern(chain(table.n)), {}, q0))
             actual = sum(p.eval_at(q0) for p in table.entries.values())
-            reports.append({"instance": f"U_{n}({q0})", "q": q0,
+            reports.append({"instance": f"U_{table.n}({q0})", "q": q0,
                             "expected": expected, "actual": actual,
                             "pass": expected == actual})
-    reports.sort(key=lambda r: r["instance"])
-    print(json.dumps(reports, indent=1))
-    return 0 if all(r["pass"] for r in reports) else 2
+        if table.n == max_n:
+            print(json.dumps(reports, indent=1))
+        return 0 if all(r["pass"] for r in reports) else 2
+    return run_jobs(cfg, _tables(cfg, range(2, max_n + 1)), show)
 
 
 def cmd_dump_families(cfg: RunConfig) -> int:
-    ctx = make_context(cfg)
-    c = unitriangular_census(cfg.n, ctx)
-    out = [{"core": f.data.to_json(), "z": f"e{f.z}" if f.z is not None else None,
-            "kind": "all" if f.z is None else "at_z", "k": f.k, "l": f.l, "m": f.m}
-           for f in c.families]
-    print(json.dumps(out, indent=1, sort_keys=True))
-    return 2 if _budget_exhausted(ctx) else 0
+    def show(c: Census) -> int:
+        out = [{"core": f.data.to_json(), "z": f"e{f.z}" if f.z is not None else None,
+                "kind": "all" if f.z is None else "at_z", "k": f.k, "l": f.l, "m": f.m}
+               for f in c.families]
+        print(json.dumps(out, indent=1, sort_keys=True))
+        return 0
+    return run_jobs(cfg, [lambda ctx: unitriangular_census(cfg.n, ctx)], show)
 
 
 def _int_at_least(low: int):
@@ -445,11 +433,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.cache_dir:
         kwargs["cache_dir"] = Path(args.cache_dir)
     if args.command == "compute":
-        if bool(args.n) == bool(args.poset):
-            print("compute needs exactly one of --n or --poset", file=sys.stderr)
-            return 2
-        cfg = RunConfig(n=args.n, poset_file=args.poset, fmt=args.format, **kwargs)
-        return cmd_compute(cfg)
+        return cmd_compute(RunConfig(n=args.n, poset_file=args.poset, fmt=args.format,
+                                     **kwargs))
     if args.command == "regress":
         return cmd_regress(RunConfig(**kwargs))
     if args.command == "identities":

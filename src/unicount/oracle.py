@@ -422,17 +422,18 @@ def symbolically_associative(data: AlgebraicData) -> bool:
     def mono(fs):
         return ParamPoly.monomial(fs)
 
+    prods = data.products_dict()
     for a in data.basis:
         for b in data.basis:
-            prod_ab = data.product(a, b)
+            prod_ab = prods.get((a, b), ())
             for c in data.basis:
                 lhs: dict[int, ParamPoly] = {}
                 for w, f1 in prod_ab:
-                    for v, f2 in data.product(w, c):
+                    for v, f2 in prods.get((w, c), ()):
                         lhs[v] = lhs.get(v, ParamPoly.zero()) + mono(f1) * mono(f2)
                 rhs: dict[int, ParamPoly] = {}
-                for w, f1 in data.product(b, c):
-                    for v, f2 in data.product(a, w):
+                for w, f1 in prods.get((b, c), ()):
+                    for v, f2 in prods.get((a, w), ()):
                         rhs[v] = rhs.get(v, ParamPoly.zero()) + mono(f1) * mono(f2)
                 for v in set(lhs) | set(rhs):
                     if lhs.get(v, ParamPoly.zero()) != rhs.get(v, ParamPoly.zero()):

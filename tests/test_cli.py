@@ -3,17 +3,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import unicount
-from unicount import oracle
+from unicount import oracle, solcount
 from unicount.cli import (RunConfig, check_identities, cmd_compute, cmd_regress,
                           cmd_identities, cmd_verify, cmd_dump_families,
                           compute_table, format_table, load_golden_tables,
-                          load_or_compute, main, make_context, parse_q_poly)
-from unicount.engine import ResolvedTable, UnknownCore
+                          load_or_compute, main, parse_q_poly)
+from unicount.engine import EngineContext, ResolvedTable, UnknownCore
 from unicount.polyring import CountPoly
 
 
@@ -58,30 +59,51 @@ class TestComputeCommand:
 
     def test_cache_round_trip(self, tmp_path):
         cfg = RunConfig(n=6, cache_dir=tmp_path)
-        first = load_or_compute(6, cfg)
+        first = load_or_compute(6, cfg, EngineContext())
         assert (tmp_path / "table_n6.json").exists()
-        second = load_or_compute(6, cfg)
+        second = load_or_compute(6, cfg, EngineContext())
         assert first.entries == second.entries
 
     def test_unreadable_cache_is_recomputed(self, tmp_path):
         cfg = RunConfig(n=6, cache_dir=tmp_path)
-        want = load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path / "fresh"))
+        want = load_or_compute(6, RunConfig(cache_dir=tmp_path / "fresh"), EngineContext())
         (tmp_path / "table_n6.json").write_text("{")
-        assert load_or_compute(6, cfg).entries == want.entries
+        assert load_or_compute(6, cfg, EngineContext()).entries == want.entries
         stored = json.loads((tmp_path / "table_n6.json").read_text())
         assert ResolvedTable.from_json(stored).entries == want.entries
 
     def test_cache_from_other_sources_is_recomputed(self, tmp_path):
         # a table written by other package sources may be stale: here it is
         # n = 5's table stored as n = 6's, under a digest no source has
-        want = load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path / "fresh"))
-        stale = load_or_compute(5, RunConfig(n=5, cache_dir=tmp_path)).to_json()
+        cfg = RunConfig(cache_dir=tmp_path)
+        want = load_or_compute(6, RunConfig(cache_dir=tmp_path / "fresh"), EngineContext())
+        stale = load_or_compute(5, cfg, EngineContext()).to_json()
         stale.update(n=6, source_sha256="0" * 64)
         (tmp_path / "table_n6.json").write_text(json.dumps(stale))
-        assert load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path)).entries == want.entries
+        assert load_or_compute(6, cfg, EngineContext()).entries == want.entries
         stored = json.loads((tmp_path / "table_n6.json").read_text())
         assert ResolvedTable.from_json(stored).entries == want.entries
         assert stored["source_sha256"] != "0" * 64
+
+    def test_cache_for_another_n_is_recomputed(self, tmp_path):
+        # n = 5's table, stored as n = 6's under the current digest, was
+        # once served as n = 6's
+        cfg = RunConfig(cache_dir=tmp_path)
+        want = load_or_compute(6, RunConfig(cache_dir=tmp_path / "fresh"), EngineContext())
+        load_or_compute(5, cfg, EngineContext())
+        os.replace(tmp_path / "table_n5.json", tmp_path / "table_n6.json")
+        assert load_or_compute(6, cfg, EngineContext()).entries == want.entries
+        assert json.loads((tmp_path / "table_n6.json").read_text())["n"] == 6
+
+    @pytest.mark.parametrize("n, poset", [(None, False), (3, True)], ids=["neither", "both"])
+    def test_needs_exactly_one_of_n_and_poset(self, tmp_path, capsys, n, poset):
+        # from Python, neither once raised a TypeError and both ignored n
+        poset_file = tmp_path / "poset.json"
+        poset_file.write_text(json.dumps({"elems": [1, 2], "rel": [[1, 2]]}))
+        cfg = RunConfig(n=n, poset_file=str(poset_file) if poset else None,
+                        cache_dir=tmp_path)
+        assert cmd_compute(cfg) == 2
+        assert capsys.readouterr() == ("", "compute needs exactly one of --n or --poset\n")
 
     def test_cache_write_goes_through_a_rename(self, tmp_path, monkeypatch):
         # a write that dies before the rename leaves no cache file behind
@@ -90,7 +112,7 @@ class TestComputeCommand:
 
         monkeypatch.setattr(os, "replace", killed)
         with pytest.raises(OSError, match="killed"):
-            load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path))
+            load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path), EngineContext())
         assert list(tmp_path.iterdir()) == []
 
     def test_poset_input(self, tmp_path, capsys):
@@ -108,7 +130,7 @@ class TestComputeCommand:
         (tmp_path / "table_n3.json").write_text(json.dumps(bogus))
         cfg = RunConfig(n=3, cache_dir=tmp_path, debug_counts=True)
         assert cmd_compute(cfg) == 0
-        real = format_table(compute_table(3, make_context(RunConfig(n=3))), "json")
+        real = format_table(compute_table(3, EngineContext()), "json")
         assert capsys.readouterr().out == real + "\n"
 
     def test_budget_exhaustion_is_nonzero_exit(self, tmp_path, capsys):
@@ -152,7 +174,7 @@ class TestComputeCommand:
 
     def test_formats(self, tmp_path):
         cfg = RunConfig(n=3, cache_dir=tmp_path)
-        table = load_or_compute(3, cfg)
+        table = load_or_compute(3, cfg, EngineContext())
         assert "q^{2}" in format_table(table, "latex")
         csv = format_table(table, "csv")
         assert csv.splitlines()[0] == "n,e,polynomial"
@@ -245,6 +267,8 @@ def test_verify_command(tmp_path, capsys):
     reports = json.loads(capsys.readouterr().out)
     assert all(r["pass"] for r in reports)
     assert {r["instance"] for r in reports} == {"U_2(2)", "U_3(2)", "U_4(2)"}
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "table_n2.json", "table_n3.json", "table_n4.json"]
 
 
 def test_verify_refuses_an_instance_over_the_class_count_cap(tmp_path, capsys, monkeypatch):
@@ -279,11 +303,11 @@ def test_dump_families_n5_empty(tmp_path, capsys):
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
     # determinism contract: same configuration, same bytes
-    a = format_table(compute_table(6, make_context(RunConfig(n=6))), "json")
-    b = format_table(compute_table(6, make_context(RunConfig(n=6))), "json")
+    a = format_table(compute_table(6, EngineContext()), "json")
+    b = format_table(compute_table(6, EngineContext()), "json")
     assert a == b
-    la = format_table(compute_table(5, make_context(RunConfig(n=5))), "latex")
-    lb = format_table(compute_table(5, make_context(RunConfig(n=5))), "latex")
+    la = format_table(compute_table(5, EngineContext()), "latex")
+    lb = format_table(compute_table(5, EngineContext()), "latex")
     assert la == lb
 
 
@@ -348,6 +372,42 @@ def test_debug_counts_reports_what_it_audited(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "count audit violations: 0; systems audited: 1; "
         "skipped with more than 8 parameters: 0\n")
+
+
+@pytest.mark.parametrize("call, audited", [
+    (lambda cfg: cmd_regress(cfg, golden={10: load_golden_tables()[10]}), 1),
+    (lambda cfg: cmd_identities(cfg, 8), 2),
+    (lambda cfg: cmd_verify(replace(cfg, oracle_qs=(2,)), 4), 0),
+    (lambda cfg: cmd_dump_families(replace(cfg, n=8)), 1),
+], ids=["regress", "identities", "verify", "dump-families"])
+def test_every_command_reports_the_count_audit(tmp_path, capsys, call, audited):
+    # as test_debug_counts_reports_what_it_audited does for compute;
+    # verify and dump-families once ignored --debug-counts
+    assert call(RunConfig(cache_dir=tmp_path, debug_counts=True)) == 0
+    assert capsys.readouterr().err == (
+        f"count audit violations: 0; systems audited: {audited}; "
+        "skipped with more than 8 parameters: 0\n")
+
+
+@pytest.mark.parametrize("call, status, records", [
+    (lambda tmp: cmd_compute(RunConfig(n=7, cache_dir=tmp)), 2, "1"),
+    (lambda tmp: cmd_identities(RunConfig(cache_dir=tmp), 7), 2, "1"),
+    (lambda tmp: cmd_dump_families(RunConfig(n=7, cache_dir=tmp)), 2, "1"),
+    # the records leave rows out, so the comparison fails too
+    (lambda tmp: cmd_regress(RunConfig(cache_dir=tmp),
+                             golden={10: load_golden_tables()[10]}), 3, r"\d+"),
+], ids=["compute", "identities", "dump-families", "regress"])
+def test_every_command_names_surviving_count_records(tmp_path, capsys, monkeypatch,
+                                                     call, status, records):
+    # with every substitution count refused, n = 7 keeps one count record;
+    # dump-families once printed [] for it and exited 0, and identities
+    # and regress never named the records
+    monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
+    for _ in range(2):
+        # the second run reads the tables from the cache
+        assert call(tmp_path) == status
+        err = capsys.readouterr().err
+        assert re.search(rf"^{records} unresolved count records$", err, re.M), err
 
 
 def test_runconfig_validation():

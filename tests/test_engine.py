@@ -591,15 +591,17 @@ def reference_contract_type_b(data: AlgebraicData, z: int, y: int) -> AlgebraicD
     def mono(fs):
         return ParamPoly.monomial(fs)
 
+    prods = data.products_dict()
+
     def targets(a, b):
-        return {w: fs for w, fs in data.product(a, b)}
+        return dict(prods.get((a, b), ()))
 
     for u in new_basis:
         xu = old_of.get(u)
         for v in new_basis:
             xv = old_of.get(v)
             if xu is None and xv is None:
-                for w, fs in data.product(u, v):
+                for w, fs in prods.get((u, v), ()):
                     if w == y or w == xk:
                         continue
                     if w in xprime:
