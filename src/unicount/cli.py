@@ -4,9 +4,11 @@ families a census leaves.
 
 Every command runs its tables through ``run_jobs``, each on a fresh
 ``EngineContext`` with the node budget --max-nodes, and then does only
-its own work on each result: compute formats it, regress compares it
-with the vendored table, identities prints its identity line, verify
-compares its class counts, dump-families prints its families as JSON.
+its own work on each result: compute formats it, or prints nothing for
+a table with surviving count records, which lacks their rows; regress
+compares it with the vendored table, identities prints its identity
+line, verify compares its class counts, dump-families prints its
+families as JSON.
 compute --n, regress, identities and verify read each table from the
 cache and write it back.  Standard error gets, for each table in turn,
 an unrecognised core (which ends the run), an exhausted node budget and
@@ -297,7 +299,10 @@ def cmd_compute(cfg: RunConfig) -> int:
         jobs = _tables(cfg, [cfg.n])
 
     def show(table: ResolvedTable) -> int:
-        print(format_table(table, cfg.fmt))
+        # a table with count records lacks their rows; run_jobs names the
+        # records and refuses it, so none of it is printed
+        if not table.unresolved:
+            print(format_table(table, cfg.fmt))
         return 0
     return run_jobs(cfg, jobs, show)
 

@@ -7,10 +7,11 @@ minimal element c_0, the linear characters of the first row K are
 classified by antichains of the successor set D (up to the action of
 the complementary subalgebra group, coarsened through the greatest
 normal closure of the induced order), and the stabiliser of each orbit
-representative is again an explicitly describable algebra: for
-|E| <= 1 a smaller pattern algebra, recursed into, and for |E| >= 2
-one change of basis of the complement algebra, handed to the general
-engine.
+representative is again an explicitly describable algebra.  When no
+row of D sees two elements of E, |E| <= 1 included, it is a smaller
+pattern algebra, the complement with the columns of E deleted from the
+rows in D, recursed into; otherwise it is one change of basis of the
+complement algebra, handed to the general engine.
 
 The recursion runs on masks: an order is the tuple of its elements'
 successor bitmasks by position, which is also its memo key.  Deleting
@@ -207,13 +208,19 @@ def stabilizer_data(succ: Masks, c0: int, E: int) -> AlgebraicData:
     along it, a row i of D that sees the columns S_i of E keeps no entry
     in them if |S_i| = 1, and otherwise the vectors
     f_{id} = e_{id} - eps_d eps_a e_{ia} for d in S_i other than its
-    latest element a; every other e_{ij} stays.  So E empty gives the
-    full complement subalgebra, and a singleton deletes the column of
-    its element from the rows in D.  ``_change_basis`` reads the
-    products of T_{B,P} off in that basis, a -1 coefficient becoming a
-    fresh parameter.  Items keep the order of ``_unit_order``, f_{id}
+    latest element a; every other e_{ij} stays.  ``_change_basis`` reads
+    the products of T_{B,P} off in that basis, a -1 coefficient becoming
+    a fresh parameter.  Items keep the order of ``_unit_order``, f_{id}
     sitting at its own column d, so every product still lands later:
     f_{id} e_{aj} lands at column j, past a, which is past d.
+
+    When every |S_i| is at most 1, E empty included, the stabiliser is
+    the pattern algebra of the complement with the columns of E deleted
+    from the rows in D, and ``_pattern_core`` recurses into that instead:
+    it calls this builder only when some row of D sees two or more
+    elements of E.  The deleted order stays transitive: D is upward
+    closed, so if (i, j) and (j, d) are in it with i in D, then j is in D
+    and (j, d) was deleted too.
     """
     D = succ[c0]
     rank = _extension_rank(succ)
@@ -267,12 +274,14 @@ def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
     low = (1 << c0) - 1
     rest = [m & low | m >> 1 & ~low for j, m in enumerate(succ) if j != c0]
     rows = _bits(D & low | D >> 1 & ~low)
+    row_succ = [succ[i] for i in _bits(D)]
 
     parts = []
     for E, clos_p in antichains(D, below):
         k = E.bit_count()
-        if k <= 1:
-            # the complement, with the column of E's element deleted from the rows in D
+        if all((m & E).bit_count() <= 1 for m in row_succ):
+            # no row of D sees two elements of E: the complement, with the
+            # columns of E deleted from the rows in D
             keep, sub = ~(E & low | E >> 1 & ~low), rest[:]
             for j in rows:
                 sub[j] &= keep

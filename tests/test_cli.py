@@ -134,11 +134,12 @@ class TestComputeCommand:
         assert capsys.readouterr().out == real + "\n"
 
     def test_budget_exhaustion_is_nonzero_exit(self, tmp_path, capsys):
-        # the 8-element chain reaches the general engine through its pair
-        # stabilisers; a tiny node budget leaves uncontracted families behind
+        # the 9-element chain reaches the general engine through stabilisers
+        # whose antichain has two elements in one row; a tiny node budget
+        # leaves uncontracted families behind
         poset_file = tmp_path / "poset.json"
-        rel = [[i, j] for i in range(1, 9) for j in range(i + 1, 9)]
-        poset_file.write_text(json.dumps({"elems": list(range(1, 9)), "rel": rel}))
+        rel = [[i, j] for i in range(1, 10) for j in range(i + 1, 10)]
+        poset_file.write_text(json.dumps({"elems": list(range(1, 10)), "rel": rel}))
         cfg = RunConfig(poset_file=str(poset_file), cache_dir=tmp_path, max_nodes=1)
         assert cmd_compute(cfg) == 2
 
@@ -209,8 +210,8 @@ class TestAuditedCommands:
 
     def test_identities(self, tmp_path, capsys):
         cfg = RunConfig(cache_dir=tmp_path, debug_counts=True)
-        assert cmd_identities(cfg, 8) == 2
-        # each n has its own memos: n = 7 and n = 8 each count one
+        assert cmd_identities(cfg, 10) == 2
+        # each n has its own memos: n = 9 and n = 10 each count one
         # system, and each disagrees at the four audited fields
         assert "count audit violations: 8; systems audited: 2;" in capsys.readouterr().err
 
@@ -235,7 +236,7 @@ class TestUnresolvableFamily:
 
     def test_identities(self, tmp_path, capsys):
         cfg = RunConfig(cache_dir=tmp_path, max_nodes=50)
-        assert cmd_identities(cfg, 9) == 2
+        assert cmd_identities(cfg, 10) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
 
@@ -368,7 +369,7 @@ def test_exhausted_node_budget_is_named(tmp_path, capsys, argv):
 
 
 def test_debug_counts_reports_what_it_audited(tmp_path, capsys):
-    assert main(["--cache-dir", str(tmp_path), "--debug-counts", "compute", "--n", "8"]) == 0
+    assert main(["--cache-dir", str(tmp_path), "--debug-counts", "compute", "--n", "9"]) == 0
     assert capsys.readouterr().err == (
         "count audit violations: 0; systems audited: 1; "
         "skipped with more than 8 parameters: 0\n")
@@ -376,9 +377,9 @@ def test_debug_counts_reports_what_it_audited(tmp_path, capsys):
 
 @pytest.mark.parametrize("call, audited", [
     (lambda cfg: cmd_regress(cfg, golden={10: load_golden_tables()[10]}), 1),
-    (lambda cfg: cmd_identities(cfg, 8), 2),
+    (lambda cfg: cmd_identities(cfg, 10), 2),
     (lambda cfg: cmd_verify(replace(cfg, oracle_qs=(2,)), 4), 0),
-    (lambda cfg: cmd_dump_families(replace(cfg, n=8)), 1),
+    (lambda cfg: cmd_dump_families(replace(cfg, n=9)), 1),
 ], ids=["regress", "identities", "verify", "dump-families"])
 def test_every_command_reports_the_count_audit(tmp_path, capsys, call, audited):
     # as test_debug_counts_reports_what_it_audited does for compute;
@@ -390,24 +391,37 @@ def test_every_command_reports_the_count_audit(tmp_path, capsys, call, audited):
 
 
 @pytest.mark.parametrize("call, status, records", [
-    (lambda tmp: cmd_compute(RunConfig(n=7, cache_dir=tmp)), 2, "1"),
-    (lambda tmp: cmd_identities(RunConfig(cache_dir=tmp), 7), 2, "1"),
-    (lambda tmp: cmd_dump_families(RunConfig(n=7, cache_dir=tmp)), 2, "1"),
+    (lambda tmp: cmd_compute(RunConfig(n=9, cache_dir=tmp)), 2, "4"),
+    (lambda tmp: cmd_identities(RunConfig(cache_dir=tmp), 9), 2, "4"),
+    (lambda tmp: cmd_dump_families(RunConfig(n=9, cache_dir=tmp)), 2, "4"),
     # the records leave rows out, so the comparison fails too
     (lambda tmp: cmd_regress(RunConfig(cache_dir=tmp),
                              golden={10: load_golden_tables()[10]}), 3, r"\d+"),
 ], ids=["compute", "identities", "dump-families", "regress"])
 def test_every_command_names_surviving_count_records(tmp_path, capsys, monkeypatch,
                                                      call, status, records):
-    # with every substitution count refused, n = 7 keeps one count record;
-    # dump-families once printed [] for it and exited 0, and identities
-    # and regress never named the records
+    # with every substitution count refused, n = 9 keeps four count
+    # records and no smaller n keeps any; dump-families once printed []
+    # for them and exited 0, and identities and regress never named them
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
     for _ in range(2):
         # the second run reads the tables from the cache
         assert call(tmp_path) == status
         err = capsys.readouterr().err
         assert re.search(rf"^{records} unresolved count records$", err, re.M), err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex", "json"])
+def test_compute_prints_no_table_with_surviving_count_records(tmp_path, capsys,
+                                                              monkeypatch, fmt):
+    # compute once printed the table without the records' rows, a wrong
+    # N_{n,e}, and only then named the records and exited 2
+    monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
+    argv = ["--cache-dir", str(tmp_path), "compute", "--n", "9", "--format", fmt]
+    for _ in range(2):
+        # the second run reads the table from the cache
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "4 unresolved count records\n")
 
 
 def test_runconfig_validation():

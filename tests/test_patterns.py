@@ -342,31 +342,56 @@ def reference_pair_stabilizer(poset: Poset, B: list[int], D: set[int],
     return data
 
 
+def first_node(succ):
+    """The first node of the pattern recursion on the order succ: its
+    minimal position c0, the row D = succ[c0], and the normal closure on D
+    that its antichains are taken in, as ``_pattern_core`` finds them."""
+    has_pred = 0
+    for m in succ:
+        has_pred |= m
+    c0 = (~has_pred & has_pred + 1).bit_length() - 1
+    D = succ[c0]
+    return c0, D, normal_closure(succ, _preds(succ, D), D)
+
+
+def row_disjoint(succ, D: int, E: int) -> bool:
+    """No row of D sees two elements of E."""
+    return all((succ[i] & E).bit_count() <= 1 for i in _bits(D))
+
+
 def test_pair_stabilizers_match_the_reference(monkeypatch):
-    # every |E| = 2 stabiliser the pattern path reaches, on T_8 and on
-    # random posets, is the one the former pair-only builder gave
+    # every |E| = 2 antichain of every order the pattern path recurses on,
+    # under T_11 and random posets: stabilizer_data gives the stabiliser the
+    # former pair-only builder gave, both where the pattern path calls it
+    # and where it deletes cells instead
     from unicount import patterns
-    real = patterns.stabilizer_data
-    compared = []
+    real = patterns.pattern_census
+    orders = set()
 
-    def checked(succ, c0, E):
-        data = real(succ, c0, E)
-        if E.bit_count() == 2:
-            poset = poset_of(succ)
-            B = [c for c in poset.elems if c != c0]
-            D = {d for d in poset.elems if (c0, d) in poset.rel}
-            want = reference_pair_stabilizer(poset, B, D, frozenset(_bits(E)))
-            assert data.key() == want.key() and data.basis == want.basis, (poset, c0, E)
-            compared.append(E)
-        return data
+    def recorded(poset, ctx):
+        orders.add(poset.masks() if isinstance(poset, Poset) else poset)
+        return real(poset, ctx)
 
-    monkeypatch.setattr(patterns, "stabilizer_data", checked)
-    unitriangular_census(8, EngineContext())
+    monkeypatch.setattr(patterns, "pattern_census", recorded)
+    patterns.unitriangular_census(11, EngineContext())
     rng = random.Random(43)
     for _ in range(40):
         m, rel = random_poset_pairs(rng, max_elems=8)
-        pattern_census(Poset(range(1, m + 1), rel), EngineContext())
-    assert len(compared) > 40
+        patterns.pattern_census(Poset(range(1, m + 1), rel), EngineContext())
+    compared = {True: 0, False: 0}
+    for succ in sorted(orders):
+        if not any(succ):
+            continue
+        c0, D, below = first_node(succ)
+        for E, _ in antichains(D, below):
+            if E.bit_count() == 2:
+                data = stabilizer_data(succ, c0, E)
+                poset = poset_of(succ)
+                B = [c for c in poset.elems if c != c0]
+                want = reference_pair_stabilizer(poset, B, set(_bits(D)), frozenset(_bits(E)))
+                assert data.key() == want.key() and data.basis == want.basis, (poset, c0, E)
+                compared[row_disjoint(succ, D, E)] += 1
+    assert compared[True] > 40 and compared[False] > 40, compared
 
 
 def brute_force_annihilator_dimension(p: Poset, c0: int, u_coeffs: dict, q: int) -> int:
@@ -466,15 +491,17 @@ def reference_closure(rel: frozenset, ground, within) -> frozenset:
 
 
 def small_stabilizer(B: list[int], P: frozenset, D: set[int], E: frozenset) -> Poset:
-    """Reference: the former labelled stabiliser poset of an antichain E
-    with |E| <= 1, the complement (B, P) with the column of E's element
+    """Reference: the labelled stabiliser poset of an antichain E no row of
+    D sees two elements of, the complement (B, P) with the columns of E
     deleted from the rows in D."""
     return Poset(B, frozenset(p for p in P if not (p[1] in E and p[0] in D)), check=False)
 
 
 def reference_lookups(poset: Poset, out: list, seen: set) -> list:
-    """Reference: the keys the former labelled recursion looked up under
-    poset, in order; a key looked up before is not expanded again."""
+    """Reference: the keys a labelled recursion looks up under poset, in
+    order; a key looked up before is not expanded again.  It recurses into
+    the antichains no row of D sees two elements of, as the pattern path
+    does."""
     key = reference_pattern_key(poset)
     out.append(key)
     if key not in seen and poset.rel:
@@ -485,16 +512,16 @@ def reference_lookups(poset: Poset, out: list, seen: set) -> list:
         B = [c for c in poset.elems if c != c0]
         P = frozenset((a, b) for a, b in poset.rel if c0 not in (a, b))
         for E in reference_antichains(D, reference_closure(P, B, D)):
-            if len(E) <= 1:
+            if all(sum((i, d) in P for d in E) <= 1 for i in D):
                 reference_lookups(small_stabilizer(B, P, set(D), E), out, seen)
     return out
 
 
 def test_pattern_keys_group_posets_as_the_reference(monkeypatch):
     # every order looked up under T_8 and under 40 random posets with
-    # skipped and shuffled labels is the one the former labelled recursion
-    # looked up, in the same order, and the mask key groups the labelled
-    # posets as the relation relabelled by position does
+    # skipped and shuffled labels is the one the labelled reference
+    # recursion looks up, in the same order, and the mask key groups the
+    # labelled posets as the relation relabelled by position does
     from unicount import patterns
     real = patterns.pattern_census
     seen = []
@@ -716,6 +743,85 @@ class TestMaskRecursion:
                 rep = verify_census(data, out, q0)
                 assert rep["pass"], (p, rep)
             checked += 1
+
+
+class TestRowDisjointAntichains:
+    """An antichain E that no row of D sees two elements of has the pattern
+    algebra of the complement, with the columns of E deleted from the rows
+    in D, as its stabiliser; the pattern path recurses into it."""
+
+    def test_deleted_order_against_the_stabilizer_and_brute_force(self):
+        from unicount.oracle import verify_census
+        rng = random.Random(73)
+        compared = brute = 0
+        while compared < 60:
+            m, rel = random_poset_pairs(rng, max_elems=8)
+            p = Poset(range(1, m + 1), rel)
+            succ = p.masks()
+            c0, D, below = first_node(succ)
+            for E, _ in antichains(D, below):
+                if E.bit_count() < 2 or not row_disjoint(succ, D, E):
+                    continue
+                # elements are labelled by position plus one
+                rows, cols = {i + 1 for i in _bits(D)}, {d + 1 for d in _bits(E)}
+                deleted = Poset([c for c in p.elems if c != c0 + 1],
+                                [(a, b) for a, b in rel if c0 + 1 not in (a, b)
+                                 and not (a in rows and b in cols)])
+                fast = pattern_census(deleted, EngineContext())
+                data = stabilizer_data(succ, c0, E)
+                slow = census(data, EngineContext())
+                assert census_disagreement(fast, slow, m - 1) is None, (p, E)
+                if len(deleted.rel) <= 7:
+                    for q0 in (2, 3):
+                        assert verify_census(encode_pattern(deleted), fast, q0)["pass"], (p, E)
+                        assert verify_census(data, slow, q0)["pass"], (p, E)
+                    brute += 1
+                compared += 1
+        assert brute >= 20
+
+    def test_stabilizer_data_only_for_rows_that_see_two(self, monkeypatch):
+        # stabilizer_data is called for every antichain that some row of D
+        # sees two elements of, at every order recursed on, and for no other
+        from unicount import patterns
+        real_census, real_data = patterns.pattern_census, patterns.stabilizer_data
+        orders, calls = set(), []
+
+        def recorded(poset, ctx):
+            orders.add(poset.masks() if isinstance(poset, Poset) else poset)
+            return real_census(poset, ctx)
+
+        def routed(succ, c0, E):
+            assert not row_disjoint(succ, succ[c0], E), (succ, c0, E)
+            calls.append((succ, c0, E))
+            return real_data(succ, c0, E)
+
+        monkeypatch.setattr(patterns, "pattern_census", recorded)
+        monkeypatch.setattr(patterns, "stabilizer_data", routed)
+        rng = random.Random(79)
+        tops = [chain(11)] + [Poset(range(1, m + 1), rel) for m, rel in
+                              (random_poset_pairs(rng, max_elems=8) for _ in range(40))]
+        routed_total = 0
+        for top in tops:
+            orders.clear()
+            calls.clear()
+            patterns.pattern_census(top, EngineContext())
+            want = []
+            for succ in sorted(orders):
+                if any(succ):
+                    c0, D, below = first_node(succ)
+                    want += [(succ, c0, E) for E, _ in antichains(D, below)
+                             if not row_disjoint(succ, D, E)]
+            assert sorted(calls) == sorted(want), top
+            routed_total += len(want)
+        assert routed_total > 40
+
+    @pytest.mark.parametrize("n, nodes", [(9, 11), (10, 96)])
+    def test_engine_nodes_of_the_chain(self, n, nodes):
+        # deterministic: the general engine is reached only through
+        # antichains that some row sees two elements of
+        ctx = EngineContext()
+        unitriangular_census(n, ctx)
+        assert ctx.nodes == nodes
 
 
 class TestOrbitSizes:
