@@ -4,14 +4,16 @@
 Each case draws a random parametrised nilpotent family, runs both engine
 walks on it, and compares against conjugacy-class counts of the
 instantiated groups over F_2 and F_3.  It also draws a wide random
-poset, whose first row the pattern path splits by antichains of three
-or more columns, and compares the pattern path with the general engine
-run on the whole poset, with the pattern path on the dual poset and on
-a random relabelling, and with class counts when the poset has at most
-10 relations.  Tables are compared entry by entry, or by their totals
-at q = 2 and 3 when either keeps unresolved count records
-(``oracle.census_disagreement``).  Useful for soak-testing contraction
-and stabiliser changes far beyond what the fixed test seeds cover.
+poset, whose first row the pattern path splits by an antichain of three
+or more columns that some row sees two of, so that its stabiliser goes
+through the general engine.  It compares the pattern path with the
+general engine run on the whole poset, with the pattern path on the
+dual poset and on a random relabelling, and with class counts when the
+poset has at most 10 relations.  Tables are compared entry by entry, or
+by their totals at q = 2 and 3 when either keeps unresolved count
+records (``oracle.census_disagreement``).  Useful for soak-testing
+contraction and stabiliser changes far beyond what the fixed test seeds
+cover.
 
 Usage:
     python scripts/run_oracle_checks.py [--cases 500] [--seed 1] [--max-dim 5]
@@ -26,13 +28,14 @@ import time
 from unicount.engine import EngineContext, census, census_at
 from unicount.oracle import (audit_counts, census_disagreement, random_algebraic_data,
                              verify_census)
-from unicount.patterns import (Poset, _preds, antichains, encode_pattern, normal_closure,
-                               pattern_census)
+from unicount.patterns import (Poset, _bits, _preds, antichains, encode_pattern,
+                               normal_closure, pattern_census)
 
 
 def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
     """A random order on 1..m, m >= 4, drawn until the pattern path splits
-    its first row by an antichain of three or more columns."""
+    its first row by an antichain of three or more columns that it builds
+    a stabiliser for in the general engine."""
     while True:
         m = rng.randint(4, max_elems)
         rel = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
@@ -45,8 +48,13 @@ def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
         # row's successors D, at position 0, in their normal closure
         poset = Poset(range(1, m + 1), rel, check=False)
         succ = poset.masks()
-        below = normal_closure(succ, _preds(succ), succ[0])
-        if max(E.bit_count() for E, _ in antichains(succ[0], below)) >= 3:
+        D = succ[0]
+        below = normal_closure(succ, _preds(succ), D)
+        rows = [succ[i] for i in _bits(D)]
+        # the pattern path hands E to the general engine only when some
+        # row of D sees two elements of it
+        if any(E.bit_count() >= 3 and any((m & E).bit_count() >= 2 for m in rows)
+               for E, _ in antichains(D, below)):
             return Poset(range(1, m + 1), rel)
 
 

@@ -20,16 +20,20 @@ old products read off in new coordinates.  ``_change_basis`` is that
 one rewrite; each contraction only checks its witness and says which
 old vectors each new vector uses and where each old coordinate goes.
 
-Both walks are memoised per EngineContext.  A lookup first reduces the
-restrictions and then canonicalizes in one pass to a key that is one
-flat tuple of ints (its layout is in ``algdata``'s docstring);
-census_at appends the position of z.  Only on a miss is the canonical
-AlgebraicData rebuilt from the key, and the memo never keeps it: after
-the walk returns, only a Family record still refers to it.  Few stored
-results differ (at n = 13, 5,645 of the 18,959 ``memo_all`` values and
-8,821 of the 54,857 ``memo_at`` values), so every Census a memo stores
-goes through ``EngineContext.intern`` and equal results share one
-object.
+Both walks are memoised per EngineContext.  A lookup first splits off
+the spare vectors: those that are no factor and no target of any
+product, z excepted in census_at.  Each spans a direct summand of the
+algebra and multiplies both censuses by q, so data that differ only by
+spare summands share one memo entry, and no stored key holds a spare
+vector.  The lookup then reduces the restrictions and canonicalizes in
+one pass to a key that is one flat tuple of ints (its layout is in
+``algdata``'s docstring); census_at appends the position of z.  Only
+on a miss is the canonical AlgebraicData rebuilt from the key, and the
+memo never keeps it: after the walk returns, only a Family record still
+refers to it.  Few stored results differ (at n = 13, 1,594 of the 3,287
+``memo_all`` values and 2,887 of the 9,237 ``memo_at`` values), so
+every Census a memo stores goes through ``EngineContext.intern`` and
+equal results share one object.
 """
 from __future__ import annotations
 
@@ -152,6 +156,7 @@ class EngineContext:
 
 def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     """A correct breakdown of all irreducible characters encoded by data."""
+    data, s = _split_spare(data, None)
     k, l, params, restrictions, empty = solcount.reduce_system(
         data.params, data.restrictions, data.symbols_in_products())
     if empty:
@@ -160,7 +165,24 @@ def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     hit = ctx.memo_all.get(key)
     if hit is None:
         hit = ctx.memo_all[key] = ctx.intern(_census_core(AlgebraicData.from_key(key), ctx))
-    return scale_census(hit, k, l, 0)
+    return scale_census(hit, k, l + s, 0)
+
+
+def _split_spare(data: AlgebraicData, z: int | None) -> tuple[AlgebraicData, int]:
+    """data without its spare vectors, and their number s.
+
+    A spare vector is no factor and no target of any product, and not z.
+    It spans a direct summand <v> of every algebra data encodes, with
+    1 + <v> the q linear characters of (F_q, +), so both censuses of
+    data are q^s times those of what is left.  No product row names a
+    spare vector, so the rows are kept as they are.
+    """
+    left, right, hit = data._derived()
+    kept = tuple(b for b in data.basis if b in left or b in right or b in hit or b == z)
+    s = len(data.basis) - len(kept)
+    if s:
+        data = AlgebraicData._from_sorted(data.params, data.restrictions, kept, data.prods)
+    return data, s
 
 
 def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
@@ -169,14 +191,12 @@ def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
         data.validate()
         assert data.satisfies_nz(), "census requires nonzero-restricted structure constants"
     if not data.prods:
-        # every encoded algebra has zero multiplication: q^dim linear
-        # characters per admissible substitution
+        # with no products every vector was spare: the basis is empty and
+        # each admissible substitution has the one trivial character
         poly = ctx.count(data.params, data.restrictions)
         if poly is not None:
-            return Census(poly.scale(0, len(data.basis), 0), (), ())
-        return Census(CountPoly.zero(),
-                      (URecord(data.params, data.restrictions, 0, len(data.basis), 0),),
-                      ())
+            return Census(poly, (), ())
+        return Census(CountPoly.zero(), (URecord(data.params, data.restrictions, 0, 0, 0),), ())
     if ctx.nodes > ctx.max_nodes:
         ctx.bump("budget_families")
         return Census(CountPoly.zero(), (), (Family(data, None, 0, 0, 0),))
@@ -187,16 +207,15 @@ def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
 
 
 def _choose_z(data: AlgebraicData) -> int:
-    """Deterministic peel choice: last annihilated vector, preferring hit ones."""
+    """Deterministic peel choice: the last annihilated vector.  With the
+    spare vectors split off, every annihilated vector is hit."""
     factors = data.left_factors | data.right_factors
-    cands = [b for b in data.basis if b not in factors]
-    hit = data.hit_targets
-    hit_cands = [b for b in cands if b in hit]
-    return (hit_cands or cands)[-1]
+    return [b for b in data.basis if b not in factors][-1]
 
 
 def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     """A correct breakdown of the characters nontrivial on 1 + <z>."""
+    data, s = _split_spare(data, z)
     k, l, params, restrictions, empty = solcount.reduce_system(
         data.params, data.restrictions, data.symbols_in_products())
     if empty:
@@ -208,7 +227,7 @@ def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     if hit is None:
         hit = ctx.memo_at[at_key] = ctx.intern(
             _census_at_core(AlgebraicData.from_key(key), z_pos, ctx))
-    return scale_census(hit, k, l, 0)
+    return scale_census(hit, k, l + s, 0)
 
 
 def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:

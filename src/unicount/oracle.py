@@ -361,7 +361,7 @@ def census_totals_at(c: Census, q0: int, cap: int = CLASS_COUNT_CAP) -> tuple[in
     count = c.resolved.eval_at(q0)
     weight = c.resolved.eval_at(q0, q0**2)
     for r in c.unresolved:
-        nsub = len(enumerate_param_values(r.params, r.restrictions, q0))
+        nsub = count_values_bruteforce(r.params, r.restrictions, q0)
         contrib = (q0 - 1) ** r.u * q0**r.v * nsub
         count += contrib
         weight += contrib * q0 ** (2 * r.e)

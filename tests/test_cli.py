@@ -236,7 +236,7 @@ class TestUnresolvableFamily:
 
     def test_identities(self, tmp_path, capsys):
         cfg = RunConfig(cache_dir=tmp_path, max_nodes=50)
-        assert cmd_identities(cfg, 10) == 2
+        assert cmd_identities(cfg, 11) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
 

@@ -279,6 +279,81 @@ class TestOracleProperties:
                 assert report["pass"], (data, report)
 
 
+def with_spare_vector(data: AlgebraicData, rng: random.Random) -> AlgebraicData:
+    """data plus a fresh basis vector, at a random position, that no
+    product names: the algebras become J + <v> as a direct sum."""
+    basis = list(data.basis)
+    basis.insert(rng.randint(0, len(basis)), max(basis) + 1)
+    return AlgebraicData(data.params, data.restrictions, basis, data.products_dict())
+
+
+def assert_no_spare_vector(data: AlgebraicData, z: int | None = None):
+    named = data.left_factors | data.right_factors | data.hit_targets
+    assert all(b in named or b == z for b in data.basis), data
+
+
+class TestSpareSummands:
+    """A spare vector v (no factor and no target of any product) splits
+    off: census(J + <v>) = q census(J), and census_at likewise for z != v."""
+
+    def test_census_of_a_direct_sum(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            data = random_algebraic_data(rng, max_dim=5, max_params=2)
+            plus = with_spare_vector(data, rng)
+            out = census(plus, EngineContext(validate=True))
+            assert out == scale_census(census(data, EngineContext()), 0, 1, 0)
+            for q0 in (2, 3):
+                report = verify_census(plus, out, q0)
+                assert report["pass"], (plus, report)
+
+    def test_census_at_of_a_direct_sum(self):
+        rng = random.Random(62)
+        for _ in range(40):
+            data = random_algebraic_data(rng, max_dim=5, max_params=2)
+            z = rng.choice([b for b in data.basis if not data.is_factor(b)])
+            plus = with_spare_vector(data, rng)
+            out = census_at(plus, z, EngineContext(validate=True))
+            assert out == scale_census(census_at(data, z, EngineContext()), 0, 1, 0)
+            for q0 in (2, 3):
+                report = verify_census(plus, out, q0, z=z)
+                assert report["pass"], (plus, report)
+
+    def test_no_memo_key_holds_a_spare_vector(self):
+        ctx = EngineContext()
+        unitriangular_census(11, ctx)
+        assert ctx.memo_all and ctx.memo_at
+        for key in ctx.memo_all:
+            assert_no_spare_vector(AlgebraicData.from_key(key))
+        for key in ctx.memo_at:
+            assert_no_spare_vector(AlgebraicData.from_key(key[:-1]), key[-1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_choice_of_z_gives_the_same_tables(self, monkeypatch, seed):
+        # confluence: census may peel any annihilated vector
+        def table(n):
+            ctx = EngineContext()
+            out = resolve(census(encode_pattern(chain(n)), ctx), n, ctx)
+            assert out.unresolved == ()
+            return out.entries
+
+        want = {n: table(n) for n in (6, 7, 8)}
+        rng = random.Random(seed)
+        default = engine._choose_z
+        moved = []
+
+        def random_z(data):
+            factors = data.left_factors | data.right_factors
+            z = rng.choice([b for b in data.basis if b not in factors])
+            moved.append(z != default(data))
+            return z
+
+        monkeypatch.setattr(engine, "_choose_z", random_z)
+        for n in (6, 7, 8):
+            assert table(n) == want[n], (n, seed)
+        assert any(moved)
+
+
 @pytest.mark.parametrize("n", [10, 11])
 def test_general_path_matches_reference_rows(shared_ctx, n):
     from unicount.cli import load_golden_tables

@@ -144,7 +144,9 @@ class TestInvariants:
         assert class_count(alg) == class_count(relabeled)
 
 
-# case 173 of `scripts/run_oracle_checks.py --cases 200 --seed 1`
+# a wide poset on which the general engine leaves count records of six
+# parameters (case 173 of `scripts/run_oracle_checks.py --cases 200
+# --seed 1` while that sweep also drew antichains no row sees two of)
 CASE_173 = Poset(range(1, 11), [
     (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (2, 5), (2, 6),
     (2, 8), (2, 9), (2, 10), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (5, 6), (5, 8),
@@ -171,3 +173,23 @@ def test_unresolved_records_are_counted_before_tables_are_compared():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.check_poset(CASE_173, EngineContext(), random.Random(1)) == []
+
+
+# case 207 of `scripts/run_oracle_checks.py --cases 300 --seed 1`
+CASE_207 = Poset(range(1, 11), [
+    (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (2, 3), (2, 4),
+    (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (3, 4), (3, 6), (3, 7), (3, 8),
+    (3, 9), (3, 10), (4, 6), (4, 8), (4, 9), (6, 9), (7, 8), (7, 10)])
+
+
+def test_count_records_of_nine_parameters_are_counted():
+    # the general engine leaves records of nine parameters on this poset,
+    # more than enumerate_param_values takes; census_totals_at counts
+    # them with count_values_bruteforce
+    ctx = EngineContext()
+    fast = pattern_census(CASE_207, ctx)
+    slow = census(encode_pattern(CASE_207), ctx)
+    assert max(len(r.params) for r in slow.unresolved) == 9
+    assert census_disagreement(fast, slow, 10, ctx) is None
+    short = slow._replace(resolved=slow.resolved - CountPoly.one())
+    assert census_disagreement(fast, short, 10, ctx) == "totals differ at q = 2"
