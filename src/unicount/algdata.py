@@ -44,7 +44,6 @@ tuples, and gives the cyclic garbage collector nothing to follow.
 """
 from __future__ import annotations
 
-import re
 from itertools import islice
 from typing import Iterable, Mapping
 
@@ -354,31 +353,6 @@ class AlgebraicData:
                 "restrictions": restr,
                 "basis": [f"e{b}" for b in self.basis],
                 "products": prods}
-
-    @staticmethod
-    def from_json(obj: dict) -> "AlgebraicData":
-        def psym(s):
-            return int(re.fullmatch(r"p(\d+)", s).group(1))
-
-        def bsym(s):
-            return int(re.fullmatch(r"e(\d+)", s).group(1))
-
-        params = [psym(s) for s in obj["params"]]
-        restrictions = []
-        for r in obj["restrictions"]:
-            if r["kind"] == "nonzero":
-                restrictions.append(NonZero(psym(r["param"])))
-            else:
-                terms = {tuple(sorted((psym(s), e) for s, e in t["monomial"])): t["coeff"]
-                         for t in r["terms"]}
-                restrictions.append(Equation(ParamPoly(terms)))
-        basis = [bsym(s) for s in obj["basis"]]
-        products: dict[tuple[int, int], list] = {}
-        for p in obj["products"]:
-            key = (bsym(p["x"]), bsym(p["y"]))
-            products.setdefault(key, []).append(
-                (bsym(p["z"]), frozenset(psym(s) for s in p["factors"])))
-        return AlgebraicData(params, restrictions, basis, products)
 
 
 def _encode(data: AlgebraicData, p_map: dict[int, int], params: Iterable[int],

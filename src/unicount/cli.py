@@ -8,12 +8,10 @@ its own work on each result: compute formats it, or prints nothing for
 a table with surviving count records, which lacks their rows; regress
 compares it with the vendored table, identities prints its identity
 line, verify compares its class counts, dump-families prints its
-families as JSON.
-compute --n, regress, identities and verify read each table from the
-cache and write it back.  Standard error gets, for each table in turn,
-an unrecognised core (which ends the run), an exhausted node budget and
-the number of surviving count records; after the last table,
---debug-counts adds one audit line.
+families as JSON.  Standard error gets, for each table in turn, an
+unrecognised core (which ends the run), an exhausted node budget and the
+number of surviving count records; after the last table, --debug-counts
+adds one audit line.
 
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
 survived, the node budget of a table (--max-nodes) ran out, the count
@@ -25,12 +23,10 @@ mismatch.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -54,7 +50,6 @@ class RunConfig:
     oracle_qs: tuple[int, ...] = (2, 3)
     max_nodes: int = 500_000_000
     debug_counts: bool = False
-    cache_dir: Path = field(default_factory=lambda: _default_cache_dir())
 
     def __post_init__(self):
         if self.n is not None and self.n < 1:
@@ -63,10 +58,6 @@ class RunConfig:
             raise ValueError("max_nodes must be at least 1")
         if not self.oracle_qs or not set(self.oracle_qs) <= {2, 3, 4, 5}:
             raise ValueError("oracle fields must be one or more of q in {2,3,4,5}")
-
-
-def _default_cache_dir() -> Path:
-    return Path(os.environ.get("UNICOUNT_CACHE_DIR", ".unicount-cache"))
 
 
 # ---------------------------------------------------------------------------
@@ -110,66 +101,10 @@ def load_golden_tables() -> dict[int, dict[int, CountPoly]]:
 
 
 # ---------------------------------------------------------------------------
-# computing and caching
+# computing
 
 def compute_table(n: int, ctx: EngineContext) -> ResolvedTable:
     return resolve(unitriangular_census(n, ctx), n, ctx)
-
-
-def _source_digest() -> str:
-    """sha256 over the package's .py sources, which a cached table must match."""
-    h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
-def _read_cached(path: Path) -> ResolvedTable | None:
-    """The table stored at path, or None when it is missing, unreadable,
-    or written by other sources."""
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        return None
-    try:
-        obj = json.loads(text)
-        if obj["source_sha256"] != _source_digest():
-            return None
-        return ResolvedTable.from_json(obj)
-    except (ValueError, KeyError, TypeError, AttributeError):
-        # truncated or malformed: the caller recomputes and overwrites it
-        return None
-
-
-def _write_atomically(path: Path, text: str) -> None:
-    """Write to a temporary file beside path, then rename it over path."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def load_or_compute(n: int, cfg: RunConfig, ctx: EngineContext) -> ResolvedTable:
-    """The cached table for n, or one computed on ctx.
-
-    An audited run always computes, since a cached table skips the audit.
-    A cache file that cannot be read, that other package sources wrote,
-    or that holds the table of another n counts as a miss and is
-    rewritten.
-    """
-    path = cfg.cache_dir / f"table_n{n}.json"
-    if not cfg.debug_counts:
-        table = _read_cached(path)
-        if table is not None and table.n == n:
-            return table
-    table = compute_table(n, ctx)
-    obj = dict(table.to_json(), source_sha256=_source_digest())
-    _write_atomically(path, json.dumps(obj, indent=1, sort_keys=True))
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +212,9 @@ def run_jobs(cfg: RunConfig, jobs, show) -> int:
     return status
 
 
-def _tables(cfg: RunConfig, ns):
-    """One job per n: its table, from the cache or computed."""
-    return [lambda ctx, n=n: load_or_compute(n, cfg, ctx) for n in ns]
+def _tables(ns):
+    """One job per n: its table."""
+    return [lambda ctx, n=n: compute_table(n, ctx) for n in ns]
 
 
 def cmd_compute(cfg: RunConfig) -> int:
@@ -296,7 +231,7 @@ def cmd_compute(cfg: RunConfig) -> int:
             return 2
         jobs = [lambda ctx: resolve(pattern_census(poset, ctx), len(poset.elems), ctx)]
     else:
-        jobs = _tables(cfg, [cfg.n])
+        jobs = _tables([cfg.n])
 
     def show(table: ResolvedTable) -> int:
         # a table with count records lacks their rows; run_jobs names the
@@ -321,7 +256,7 @@ def cmd_regress(cfg: RunConfig, golden=None) -> int:
                 return 3
         print(f"n={table.n}: {len(rows)} rows match exactly")
         return 0
-    return run_jobs(cfg, _tables(cfg, sorted(golden)), show)
+    return run_jobs(cfg, _tables(sorted(golden)), show)
 
 
 def cmd_identities(cfg: RunConfig, max_n: int) -> int:
@@ -334,7 +269,7 @@ def cmd_identities(cfg: RunConfig, max_n: int) -> int:
         print(f"n={table.n}: sum_rule={report['sum_rule']} linear_rule={report['linear_rule']} "
               f"shifted_nonnegative={report['shifted_nonnegative']} [{flag}]")
         return 0 if report["pass"] else 2
-    return run_jobs(cfg, _tables(cfg, range(1, max_n + 1)), show)
+    return run_jobs(cfg, _tables(range(1, max_n + 1)), show)
 
 
 def cmd_verify(cfg: RunConfig, max_n: int = 5) -> int:
@@ -361,7 +296,7 @@ def cmd_verify(cfg: RunConfig, max_n: int = 5) -> int:
         if table.n == max_n:
             print(json.dumps(reports, indent=1))
         return 0 if all(r["pass"] for r in reports) else 2
-    return run_jobs(cfg, _tables(cfg, range(2, max_n + 1)), show)
+    return run_jobs(cfg, _tables(range(2, max_n + 1)), show)
 
 
 def cmd_dump_families(cfg: RunConfig) -> int:
@@ -390,8 +325,6 @@ def _int_at_least(low: int):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="unicount",
                                  description="Character degree counts for U_n(q)")
-    ap.add_argument("--cache-dir", default=None,
-                    help="report cache (default $UNICOUNT_CACHE_DIR or ./.unicount-cache)")
     ap.add_argument("--max-nodes", type=_int_at_least(1), default=500_000_000,
                     help="engine node budget of each table")
     ap.add_argument("--debug-counts", action="store_true",
@@ -435,8 +368,6 @@ def main(argv=None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     kwargs = dict(max_nodes=args.max_nodes, debug_counts=args.debug_counts)
-    if args.cache_dir:
-        kwargs["cache_dir"] = Path(args.cache_dir)
     if args.command == "compute":
         return cmd_compute(RunConfig(n=args.n, poset_file=args.poset, fmt=args.format,
                                      **kwargs))

@@ -495,22 +495,6 @@ class ResolvedTable:
                     "u": r.u, "v": r.v, "e": r.e} for r in self.unresolved]}
         return out
 
-    @staticmethod
-    def from_json(obj: dict) -> "ResolvedTable":
-        entries = {row["e"]: CountPoly.from_json(row["poly"]) for row in obj["table"]}
-        exceptional = []
-        for fj in obj.get("families", ()):
-            data = AlgebraicData.from_json(fj["core"])
-            z = int(fj["z"][1:])
-            fam = Family(data, z, fj["k"], fj["l"], fj["m"])
-            exceptional.append((fam, CountPoly.from_json(fj["count"])))
-        unresolved = []
-        for uj in obj.get("unresolved_counts", ()):
-            system = AlgebraicData.from_json(uj["system"])
-            unresolved.append(URecord(system.params, system.restrictions,
-                                      uj["u"], uj["v"], uj["e"]))
-        return ResolvedTable(obj["n"], entries, exceptional, unresolved)
-
 
 def _is_small_core(data: AlgebraicData, z: int) -> bool:
     """Basis {y, z} with y*y spanning <z> and no other products."""

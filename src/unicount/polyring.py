@@ -128,10 +128,6 @@ class CountPoly:
         items = sorted(self._terms.items(), key=lambda kv: (kv[0][1], -kv[0][0]))
         return {"terms": [{"q": dq, "t": dt, "c": c} for (dq, dt), c in items]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "CountPoly":
-        return CountPoly({(t["q"], t["t"]): t["c"] for t in obj["terms"]})
-
     def __repr__(self) -> str:
         if not self._terms:
             return "0"

@@ -12,8 +12,8 @@ import unicount
 from unicount import oracle, solcount
 from unicount.cli import (RunConfig, check_identities, cmd_compute, cmd_regress,
                           cmd_identities, cmd_verify, cmd_dump_families,
-                          compute_table, format_table, load_golden_tables,
-                          load_or_compute, main, parse_q_poly)
+                          compute_table, format_table, load_golden_tables, main,
+                          parse_q_poly)
 from unicount.engine import EngineContext, ResolvedTable, UnknownCore
 from unicount.polyring import CountPoly
 
@@ -45,93 +45,35 @@ def test_golden_tables_internally_consistent():
 
 
 class TestComputeCommand:
-    def test_trivial_group(self, tmp_path, capsys):
-        cfg = RunConfig(n=1, cache_dir=tmp_path)
+    def test_trivial_group(self, capsys):
+        cfg = RunConfig(n=1)
         assert cmd_compute(cfg) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["table"] == [{"e": 0, "poly": {"terms": [{"q": 0, "t": 0, "c": 1}]}}]
 
-    def test_n10_has_21_rows(self, tmp_path, capsys):
-        cfg = RunConfig(n=10, cache_dir=tmp_path)
+    def test_n10_has_21_rows(self, capsys):
+        cfg = RunConfig(n=10)
         assert cmd_compute(cfg) == 0
         obj = json.loads(capsys.readouterr().out)
         assert [row["e"] for row in obj["table"]] == list(range(21))
-
-    def test_cache_round_trip(self, tmp_path):
-        cfg = RunConfig(n=6, cache_dir=tmp_path)
-        first = load_or_compute(6, cfg, EngineContext())
-        assert (tmp_path / "table_n6.json").exists()
-        second = load_or_compute(6, cfg, EngineContext())
-        assert first.entries == second.entries
-
-    def test_unreadable_cache_is_recomputed(self, tmp_path):
-        cfg = RunConfig(n=6, cache_dir=tmp_path)
-        want = load_or_compute(6, RunConfig(cache_dir=tmp_path / "fresh"), EngineContext())
-        (tmp_path / "table_n6.json").write_text("{")
-        assert load_or_compute(6, cfg, EngineContext()).entries == want.entries
-        stored = json.loads((tmp_path / "table_n6.json").read_text())
-        assert ResolvedTable.from_json(stored).entries == want.entries
-
-    def test_cache_from_other_sources_is_recomputed(self, tmp_path):
-        # a table written by other package sources may be stale: here it is
-        # n = 5's table stored as n = 6's, under a digest no source has
-        cfg = RunConfig(cache_dir=tmp_path)
-        want = load_or_compute(6, RunConfig(cache_dir=tmp_path / "fresh"), EngineContext())
-        stale = load_or_compute(5, cfg, EngineContext()).to_json()
-        stale.update(n=6, source_sha256="0" * 64)
-        (tmp_path / "table_n6.json").write_text(json.dumps(stale))
-        assert load_or_compute(6, cfg, EngineContext()).entries == want.entries
-        stored = json.loads((tmp_path / "table_n6.json").read_text())
-        assert ResolvedTable.from_json(stored).entries == want.entries
-        assert stored["source_sha256"] != "0" * 64
-
-    def test_cache_for_another_n_is_recomputed(self, tmp_path):
-        # n = 5's table, stored as n = 6's under the current digest, was
-        # once served as n = 6's
-        cfg = RunConfig(cache_dir=tmp_path)
-        want = load_or_compute(6, RunConfig(cache_dir=tmp_path / "fresh"), EngineContext())
-        load_or_compute(5, cfg, EngineContext())
-        os.replace(tmp_path / "table_n5.json", tmp_path / "table_n6.json")
-        assert load_or_compute(6, cfg, EngineContext()).entries == want.entries
-        assert json.loads((tmp_path / "table_n6.json").read_text())["n"] == 6
 
     @pytest.mark.parametrize("n, poset", [(None, False), (3, True)], ids=["neither", "both"])
     def test_needs_exactly_one_of_n_and_poset(self, tmp_path, capsys, n, poset):
         # from Python, neither once raised a TypeError and both ignored n
         poset_file = tmp_path / "poset.json"
         poset_file.write_text(json.dumps({"elems": [1, 2], "rel": [[1, 2]]}))
-        cfg = RunConfig(n=n, poset_file=str(poset_file) if poset else None,
-                        cache_dir=tmp_path)
+        cfg = RunConfig(n=n, poset_file=str(poset_file) if poset else None)
         assert cmd_compute(cfg) == 2
         assert capsys.readouterr() == ("", "compute needs exactly one of --n or --poset\n")
-
-    def test_cache_write_goes_through_a_rename(self, tmp_path, monkeypatch):
-        # a write that dies before the rename leaves no cache file behind
-        def killed(src, dst):
-            raise OSError("killed")
-
-        monkeypatch.setattr(os, "replace", killed)
-        with pytest.raises(OSError, match="killed"):
-            load_or_compute(6, RunConfig(n=6, cache_dir=tmp_path), EngineContext())
-        assert list(tmp_path.iterdir()) == []
 
     def test_poset_input(self, tmp_path, capsys):
         poset_file = tmp_path / "poset.json"
         poset_file.write_text(json.dumps(
             {"elems": [1, 2, 3], "rel": [[1, 2], [1, 3], [2, 3]]}))
-        cfg = RunConfig(poset_file=str(poset_file), cache_dir=tmp_path)
+        cfg = RunConfig(poset_file=str(poset_file))
         assert cmd_compute(cfg) == 0
         obj = json.loads(capsys.readouterr().out)
         assert {row["e"] for row in obj["table"]} == {0, 1}
-
-    def test_debug_counts_skips_cached_table(self, tmp_path, capsys):
-        # a cached table would skip the count audit, so an audited run recomputes
-        bogus = {"n": 3, "table": [{"e": 0, "poly": {"terms": [{"q": 7, "t": 0, "c": 1}]}}]}
-        (tmp_path / "table_n3.json").write_text(json.dumps(bogus))
-        cfg = RunConfig(n=3, cache_dir=tmp_path, debug_counts=True)
-        assert cmd_compute(cfg) == 0
-        real = format_table(compute_table(3, EngineContext()), "json")
-        assert capsys.readouterr().out == real + "\n"
 
     def test_budget_exhaustion_is_nonzero_exit(self, tmp_path, capsys):
         # the 9-element chain reaches the general engine through stabilisers
@@ -140,7 +82,7 @@ class TestComputeCommand:
         poset_file = tmp_path / "poset.json"
         rel = [[i, j] for i in range(1, 10) for j in range(i + 1, 10)]
         poset_file.write_text(json.dumps({"elems": list(range(1, 10)), "rel": rel}))
-        cfg = RunConfig(poset_file=str(poset_file), cache_dir=tmp_path, max_nodes=1)
+        cfg = RunConfig(poset_file=str(poset_file), max_nodes=1)
         assert cmd_compute(cfg) == 2
 
     def test_large_sparse_poset(self, tmp_path, capsys):
@@ -150,8 +92,7 @@ class TestComputeCommand:
         poset_file = tmp_path / "poset.json"
         rel = [[2 * i + 1, 2 * i + 2] for i in range(300)]
         poset_file.write_text(json.dumps({"elems": list(range(1, 601)), "rel": rel}))
-        argv = ["--cache-dir", str(tmp_path), "compute", "--poset", str(poset_file),
-                "--format", "csv"]
+        argv = ["compute", "--poset", str(poset_file), "--format", "csv"]
         assert main(argv) == 0
         assert capsys.readouterr().out == "n,e,polynomial\n600,0,q^300\n\n"
 
@@ -167,32 +108,35 @@ class TestComputeCommand:
         poset_file = tmp_path / "poset.json"
         if text is not None:
             poset_file.write_text(text)
-        cfg = RunConfig(poset_file=str(poset_file), cache_dir=tmp_path)
+        cfg = RunConfig(poset_file=str(poset_file))
         assert cmd_compute(cfg) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("bad poset file") and out.err.count("\n") == 1
 
-    def test_formats(self, tmp_path):
-        cfg = RunConfig(n=3, cache_dir=tmp_path)
-        table = load_or_compute(3, cfg, EngineContext())
+    def test_formats(self):
+        table = compute_table(3, EngineContext())
         assert "q^{2}" in format_table(table, "latex")
         csv = format_table(table, "csv")
         assert csv.splitlines()[0] == "n,e,polynomial"
         assert len(csv.strip().splitlines()) == 3
-        obj = json.loads(format_table(table, "json"))
-        assert ResolvedTable.from_json(obj).entries == table.entries
+        assert json.loads(format_table(table, "json")) == {
+            "n": 3,
+            "table": [{"e": 0, "poly": {"terms": [{"q": 2, "t": 0, "c": 1}]}},
+                      {"e": 1, "poly": {"terms": [{"q": 1, "t": 0, "c": 1},
+                                                  {"q": 0, "t": 0, "c": -1}]}}],
+            "families": [], "unresolved_counts": []}
 
 
 class TestRegressCommand:
-    def test_passes_on_small_subset(self, tmp_path, capsys):
-        cfg = RunConfig(cache_dir=tmp_path)
+    def test_passes_on_small_subset(self, capsys):
+        cfg = RunConfig()
         golden = {n: rows for n, rows in load_golden_tables().items() if n == 10}
         assert cmd_regress(cfg, golden=golden) == 0
         assert "21 rows match exactly" in capsys.readouterr().out
 
-    def test_perturbed_golden_fails_with_location(self, tmp_path, capsys):
-        cfg = RunConfig(cache_dir=tmp_path)
+    def test_perturbed_golden_fails_with_location(self, capsys):
+        cfg = RunConfig()
         golden = {n: dict(rows) for n, rows in load_golden_tables().items() if n == 10}
         golden[10][7] = golden[10][7] + CountPoly.one()
         assert cmd_regress(cfg, golden=golden) == 3
@@ -208,15 +152,15 @@ class TestAuditedCommands:
     def disagreeing_audit(self, monkeypatch):
         monkeypatch.setattr(oracle, "count_values_bruteforce", lambda *a, **k: -1)
 
-    def test_identities(self, tmp_path, capsys):
-        cfg = RunConfig(cache_dir=tmp_path, debug_counts=True)
+    def test_identities(self, capsys):
+        cfg = RunConfig(debug_counts=True)
         assert cmd_identities(cfg, 10) == 2
         # each n has its own memos: n = 9 and n = 10 each count one
         # system, and each disagrees at the four audited fields
         assert "count audit violations: 8; systems audited: 2;" in capsys.readouterr().err
 
-    def test_regress(self, tmp_path, capsys):
-        cfg = RunConfig(cache_dir=tmp_path, debug_counts=True)
+    def test_regress(self, capsys):
+        cfg = RunConfig(debug_counts=True)
         golden = {n: rows for n, rows in load_golden_tables().items() if n == 10}
         assert cmd_regress(cfg, golden=golden) == 2
         out = capsys.readouterr()
@@ -228,62 +172,58 @@ class TestUnresolvableFamily:
     """A node budget too small to finish leaves a family that resolve does
     not recognise; the command reports it and exits 2."""
 
-    def test_regress(self, tmp_path, capsys):
-        cfg = RunConfig(cache_dir=tmp_path, max_nodes=5)
+    def test_regress(self, capsys):
+        cfg = RunConfig(max_nodes=5)
         golden = {n: rows for n, rows in load_golden_tables().items() if n == 10}
         assert cmd_regress(cfg, golden=golden) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
-    def test_identities(self, tmp_path, capsys):
-        cfg = RunConfig(cache_dir=tmp_path, max_nodes=50)
+    def test_identities(self, capsys):
+        cfg = RunConfig(max_nodes=50)
         assert cmd_identities(cfg, 11) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
 
-def test_identities_node_budget_is_per_table(tmp_path, capsys):
+def test_identities_node_budget_is_per_table(capsys):
     # identities names, for the n it stops at, as many uncontracted
     # families as compute --n names for that n under the same budget
     budget = re.compile(r"node budget of 50 exhausted: (\d+) families left uncontracted")
-    assert main(["--cache-dir", str(tmp_path / "i"), "--max-nodes", "50",
-                 "identities", "--max-n", "12"]) == 2
+    assert main(["--max-nodes", "50", "identities", "--max-n", "12"]) == 2
     out = capsys.readouterr()
     n = out.out.count("[ok]") + 1
     named = budget.findall(out.err)
-    assert main(["--cache-dir", str(tmp_path / "c"), "--max-nodes", "50",
-                 "compute", "--n", str(n)]) == 2
+    assert main(["--max-nodes", "50", "compute", "--n", str(n)]) == 2
     alone = budget.findall(capsys.readouterr().err)
     assert alone and named[-1:] == alone
 
 
-def test_identities_command(tmp_path, capsys):
-    cfg = RunConfig(cache_dir=tmp_path)
+def test_identities_command(capsys):
+    cfg = RunConfig()
     assert cmd_identities(cfg, 5) == 0
     out = capsys.readouterr().out
     assert out.count("[ok]") == 5
 
 
-def test_verify_command(tmp_path, capsys):
-    cfg = RunConfig(cache_dir=tmp_path, oracle_qs=(2,))
+def test_verify_command(capsys):
+    cfg = RunConfig(oracle_qs=(2,))
     assert cmd_verify(cfg, max_n=4) == 0
     reports = json.loads(capsys.readouterr().out)
     assert all(r["pass"] for r in reports)
     assert {r["instance"] for r in reports} == {"U_2(2)", "U_3(2)", "U_4(2)"}
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "table_n2.json", "table_n3.json", "table_n4.json"]
 
 
-def test_verify_refuses_an_instance_over_the_class_count_cap(tmp_path, capsys, monkeypatch):
+def test_verify_refuses_an_instance_over_the_class_count_cap(capsys, monkeypatch):
     # U_6(3) has order 3^15, too many elements to count classes of; this
     # once ended in a traceback after computing every table
     from unicount import cli
     monkeypatch.setattr(cli, "compute_table", lambda n, ctx: pytest.fail("table computed"))
-    assert main(["--cache-dir", str(tmp_path), "verify", "--max-n", "6"]) == 2
+    assert main(["verify", "--max-n", "6"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "U_6(3) has order 3^15, over the class-count cap of 1000000\n"
 
 
-def test_verify_refuses_an_unknown_core(tmp_path, capsys, monkeypatch):
+def test_verify_refuses_an_unknown_core(capsys, monkeypatch):
     # verify's instances are too small to exhaust a node budget, so the
     # unrecognised core is forced
     from unicount import cli
@@ -292,17 +232,17 @@ def test_verify_refuses_an_unknown_core(tmp_path, capsys, monkeypatch):
         raise UnknownCore("forced")
 
     monkeypatch.setattr(cli, "compute_table", unknown)
-    assert main(["--cache-dir", str(tmp_path), "verify"]) == 2
+    assert main(["verify"]) == 2
     assert capsys.readouterr().err == "unresolvable family survived: forced\n"
 
 
-def test_dump_families_n5_empty(tmp_path, capsys):
-    cfg = RunConfig(n=5, cache_dir=tmp_path)
+def test_dump_families_n5_empty(capsys):
+    cfg = RunConfig(n=5)
     assert cmd_dump_families(cfg) == 0
     assert json.loads(capsys.readouterr().out) == []
 
 
-def test_reports_are_byte_identical_across_runs(tmp_path):
+def test_reports_are_byte_identical_across_runs():
     # determinism contract: same configuration, same bytes
     a = format_table(compute_table(6, EngineContext()), "json")
     b = format_table(compute_table(6, EngineContext()), "json")
@@ -327,49 +267,62 @@ def test_import_leaves_recursion_limit_alone():
     assert out.strip() == "True"
 
 
-def test_numpy_stays_out_of_the_engine(tmp_path):
+def test_numpy_stays_out_of_the_engine():
     # only the oracle's vectorised helpers import numpy
     out = _run_fresh(
         "import sys; import unicount.cli as cli; print('numpy' in sys.modules); "
-        f"rc = cli.main(['--cache-dir', {str(tmp_path)!r}, 'compute', '--n', '6']); "
+        "rc = cli.main(['compute', '--n', '6']); "
         "print(rc, 'numpy' in sys.modules)")
     lines = out.splitlines()
     assert lines[0] == "False"
     assert lines[-1] == "0 False"
 
 
-def test_main_entrypoint(tmp_path, capsys):
-    rc = main(["--cache-dir", str(tmp_path), "compute", "--n", "3", "--format", "csv"])
+def test_main_entrypoint(capsys):
+    rc = main(["compute", "--n", "3", "--format", "csv"])
     assert rc == 0
     assert "q^2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("call", [
-    lambda tmp: RunConfig(cache_dir=tmp, oracle_qs=()),
-    lambda tmp: cmd_verify(RunConfig(cache_dir=tmp), max_n=1),
-    lambda tmp: cmd_identities(RunConfig(cache_dir=tmp), 0),
-    lambda tmp: RunConfig(cache_dir=tmp, max_nodes=0),
+    lambda: RunConfig(oracle_qs=()),
+    lambda: cmd_verify(RunConfig(), max_n=1),
+    lambda: cmd_identities(RunConfig(), 0),
+    lambda: RunConfig(max_nodes=0),
 ], ids=["verify-no-fields", "verify-max-n-1", "identities-max-n-0", "max-nodes-0"])
-def test_checking_nothing_is_refused(tmp_path, call):
+def test_checking_nothing_is_refused(call):
     # the argparse bounds, enforced for callers from Python too: each of
     # these once returned 0 after comparing no instance
     with pytest.raises(ValueError):
-        call(tmp_path)
+        call()
 
 
 @pytest.mark.parametrize("argv", [["compute", "--n", "9"], ["dump-families", "--n", "9"],
                                   ["identities", "--max-n", "9"], ["regress"]])
-def test_exhausted_node_budget_is_named(tmp_path, capsys, argv):
+def test_exhausted_node_budget_is_named(capsys, argv):
     # compute once named only the first uncontracted core, and
     # dump-families printed the cores the budget cut as survivors, exit 0
-    assert main(["--cache-dir", str(tmp_path), "--max-nodes", "5"] + argv) == 2
+    assert main(["--max-nodes", "5"] + argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert any(re.fullmatch(r"node budget of 5 exhausted: \d+ families left uncontracted",
                             line) for line in err), err
 
 
-def test_debug_counts_reports_what_it_audited(tmp_path, capsys):
-    assert main(["--cache-dir", str(tmp_path), "--debug-counts", "compute", "--n", "9"]) == 0
+def test_node_budget_binds_after_an_earlier_run(tmp_path, capsys, monkeypatch):
+    # a table that an earlier run had written to the report cache was once
+    # served without applying --max-nodes, exit 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["compute", "--n", "9"]) == 0
+    capsys.readouterr()
+    assert main(["--max-nodes", "5", "compute", "--n", "9"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(re.fullmatch(r"node budget of 5 exhausted: \d+ families left uncontracted",
+                            line) for line in err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_debug_counts_reports_what_it_audited(capsys):
+    assert main(["--debug-counts", "compute", "--n", "9"]) == 0
     assert capsys.readouterr().err == (
         "count audit violations: 0; systems audited: 1; "
         "skipped with more than 8 parameters: 0\n")
@@ -381,47 +334,40 @@ def test_debug_counts_reports_what_it_audited(tmp_path, capsys):
     (lambda cfg: cmd_verify(replace(cfg, oracle_qs=(2,)), 4), 0),
     (lambda cfg: cmd_dump_families(replace(cfg, n=9)), 1),
 ], ids=["regress", "identities", "verify", "dump-families"])
-def test_every_command_reports_the_count_audit(tmp_path, capsys, call, audited):
+def test_every_command_reports_the_count_audit(capsys, call, audited):
     # as test_debug_counts_reports_what_it_audited does for compute;
     # verify and dump-families once ignored --debug-counts
-    assert call(RunConfig(cache_dir=tmp_path, debug_counts=True)) == 0
+    assert call(RunConfig(debug_counts=True)) == 0
     assert capsys.readouterr().err == (
         f"count audit violations: 0; systems audited: {audited}; "
         "skipped with more than 8 parameters: 0\n")
 
 
 @pytest.mark.parametrize("call, status, records", [
-    (lambda tmp: cmd_compute(RunConfig(n=9, cache_dir=tmp)), 2, "4"),
-    (lambda tmp: cmd_identities(RunConfig(cache_dir=tmp), 9), 2, "4"),
-    (lambda tmp: cmd_dump_families(RunConfig(n=9, cache_dir=tmp)), 2, "4"),
+    (lambda: cmd_compute(RunConfig(n=9)), 2, "4"),
+    (lambda: cmd_identities(RunConfig(), 9), 2, "4"),
+    (lambda: cmd_dump_families(RunConfig(n=9)), 2, "4"),
     # the records leave rows out, so the comparison fails too
-    (lambda tmp: cmd_regress(RunConfig(cache_dir=tmp),
-                             golden={10: load_golden_tables()[10]}), 3, r"\d+"),
+    (lambda: cmd_regress(RunConfig(), golden={10: load_golden_tables()[10]}), 3, r"\d+"),
 ], ids=["compute", "identities", "dump-families", "regress"])
-def test_every_command_names_surviving_count_records(tmp_path, capsys, monkeypatch,
-                                                     call, status, records):
+def test_every_command_names_surviving_count_records(capsys, monkeypatch, call, status,
+                                                     records):
     # with every substitution count refused, n = 9 keeps four count
     # records and no smaller n keeps any; dump-families once printed []
     # for them and exited 0, and identities and regress never named them
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
-    for _ in range(2):
-        # the second run reads the tables from the cache
-        assert call(tmp_path) == status
-        err = capsys.readouterr().err
-        assert re.search(rf"^{records} unresolved count records$", err, re.M), err
+    assert call() == status
+    err = capsys.readouterr().err
+    assert re.search(rf"^{records} unresolved count records$", err, re.M), err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "latex", "json"])
-def test_compute_prints_no_table_with_surviving_count_records(tmp_path, capsys,
-                                                              monkeypatch, fmt):
+def test_compute_prints_no_table_with_surviving_count_records(capsys, monkeypatch, fmt):
     # compute once printed the table without the records' rows, a wrong
     # N_{n,e}, and only then named the records and exited 2
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
-    argv = ["--cache-dir", str(tmp_path), "compute", "--n", "9", "--format", fmt]
-    for _ in range(2):
-        # the second run reads the table from the cache
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", "4 unresolved count records\n")
+    assert main(["compute", "--n", "9", "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", "4 unresolved count records\n")
 
 
 def test_runconfig_validation():
@@ -439,16 +385,18 @@ def test_runconfig_validation():
                                   ["identities", "--max-n", "-2"],
                                   # a node budget below 1 contracts nothing
                                   ["--max-nodes", "0", "compute", "--n", "3"],
-                                  ["--max-nodes", "-3", "compute", "--n", "3"]])
-def test_bad_arguments_give_usage(tmp_path, capsys, argv):
+                                  ["--max-nodes", "-3", "compute", "--n", "3"],
+                                  # the option of the deleted report cache
+                                  ["--cache-dir", "x", "compute", "--n", "3"]])
+def test_bad_arguments_give_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["--cache-dir", str(tmp_path)] + argv)
+        main(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["compute", "--n", "6"], ["regress"]])
-def test_running_out_of_memory_is_an_honest_exit(tmp_path, capsys, monkeypatch, argv):
+def test_running_out_of_memory_is_an_honest_exit(capsys, monkeypatch, argv):
     # a MemoryError deep in the recursion once ended in a traceback
     from unicount import cli
 
@@ -456,7 +404,7 @@ def test_running_out_of_memory_is_an_honest_exit(tmp_path, capsys, monkeypatch, 
         raise MemoryError
 
     monkeypatch.setattr(cli, "unitriangular_census", exhausted)
-    assert main(["--cache-dir", str(tmp_path)] + argv) == 2
+    assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"{argv[0]}: out of memory; the run did not finish\n"
