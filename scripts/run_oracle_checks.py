@@ -94,13 +94,13 @@ def check_poset(poset: Poset, ctx, rng: random.Random) -> list[str]:
     return fails
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--cases", type=int, default=500)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--max-dim", type=int, default=5)
     ap.add_argument("--max-params", type=int, default=2)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
     ctx = EngineContext()

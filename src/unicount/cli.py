@@ -31,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 
 from .algdata import MalformedData
-from .engine import Census, EngineContext, UnknownCore, resolve, ResolvedTable
+from .engine import DEFAULT_MAX_NODES, Census, EngineContext, UnknownCore, resolve, ResolvedTable
 from .oracle import (AUDIT_MAX_PARAMS, CLASS_COUNT_CAP, audit_counts, class_count,
                      instantiate)
 from .patterns import Poset, chain, encode_pattern, pattern_census, unitriangular_census
@@ -48,7 +48,7 @@ class RunConfig:
     poset_file: str | None = None
     fmt: str = "json"
     oracle_qs: tuple[int, ...] = (2, 3)
-    max_nodes: int = 500_000_000
+    max_nodes: int = DEFAULT_MAX_NODES
     debug_counts: bool = False
 
     def __post_init__(self):
@@ -300,6 +300,10 @@ def cmd_verify(cfg: RunConfig, max_n: int = 5) -> int:
 
 
 def cmd_dump_families(cfg: RunConfig) -> int:
+    if cfg.n is None:
+        print("dump-families needs --n", file=sys.stderr)
+        return 2
+
     def show(c: Census) -> int:
         out = [{"core": f.data.to_json(), "z": f"e{f.z}" if f.z is not None else None,
                 "kind": "all" if f.z is None else "at_z", "k": f.k, "l": f.l, "m": f.m}
@@ -325,7 +329,7 @@ def _int_at_least(low: int):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="unicount",
                                  description="Character degree counts for U_n(q)")
-    ap.add_argument("--max-nodes", type=_int_at_least(1), default=500_000_000,
+    ap.add_argument("--max-nodes", type=_int_at_least(1), default=DEFAULT_MAX_NODES,
                     help="engine node budget of each table")
     ap.add_argument("--debug-counts", action="store_true",
                     help="audit the counted systems against exhaustive enumeration")

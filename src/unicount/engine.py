@@ -10,9 +10,9 @@ family records that the engine could not contract to dimension <= 1.
 The two functions call each other: census strips an annihilated basis
 vector z and splits Irr into the characters trivial on 1 + <z> (a
 smaller census) and the rest (census_at).  census_at applies, in order,
-a direct-sum peel, a good-pair contraction that removes two dimensions
-and multiplies degrees by t, a central-column fold that introduces free
-parameters, and finally gives up, emitting a family record.
+a good-pair contraction that removes two dimensions and multiplies
+degrees by t, a central-column fold that introduces free parameters,
+and finally gives up, emitting a family record.
 
 Both contractions are the same change of basis: every new basis vector
 is a combination of old ones, and the new structure constants are the
@@ -20,18 +20,18 @@ old products read off in new coordinates.  ``_change_basis`` is that
 one rewrite; each contraction only checks its witness and says which
 old vectors each new vector uses and where each old coordinate goes.
 
-Both walks are memoised per EngineContext.  A lookup first splits off
-the spare vectors: those that are no factor and no target of any
-product, z excepted in census_at.  Each spans a direct summand of the
-algebra and multiplies both censuses by q, so data that differ only by
-spare summands share one memo entry, and no stored key holds a spare
-vector.  The lookup then reduces the restrictions and canonicalizes in
-one pass to a key that is one flat tuple of ints (its layout is in
+Both walks first split off the spare vectors: those that are no factor
+and no target of any product.  Each spans a direct summand <v> of the
+algebra and multiplies the census by q, or by q - 1 when it is the z of
+census_at.  So data that differ only by spare summands share one memo
+entry, and no stored key holds a spare vector.  Then one memoised
+lookup serves both walks: it reduces the restrictions and canonicalizes
+in one pass to a key that is one flat tuple of ints (its layout is in
 ``algdata``'s docstring); census_at appends the position of z.  Only
 on a miss is the canonical AlgebraicData rebuilt from the key, and the
 memo never keeps it: after the walk returns, only a Family record still
 refers to it.  Few stored results differ (at n = 13, 1,594 of the 3,287
-``memo_all`` values and 2,887 of the 9,237 ``memo_at`` values), so
+``memo_all`` values and 2,402 of the 7,894 ``memo_at`` values), so
 every Census a memo stores goes through ``EngineContext.intern`` and
 equal results share one object.
 """
@@ -107,6 +107,9 @@ def aggregate(parts: Iterable[tuple[Census, int, int, int]]) -> Census:
 # ---------------------------------------------------------------------------
 # context
 
+DEFAULT_MAX_NODES = 500_000_000
+
+
 class EngineContext:
     """Per-run state: memo tables and the node budget.  ``oracle.audit_counts``
     re-checks the counted systems of ``memo_counts`` by brute force.
@@ -126,7 +129,7 @@ class EngineContext:
     or None when the system was not counted.
     """
 
-    def __init__(self, max_nodes: int = 500_000_000, validate: bool = False):
+    def __init__(self, max_nodes: int = DEFAULT_MAX_NODES, validate: bool = False):
         self.memo_all: dict[tuple[int, ...], Census] = {}
         self.memo_at: dict[tuple[int, ...], Census] = {}
         self.memo_pattern: dict[tuple[int, ...], Census] = {}
@@ -156,33 +159,51 @@ class EngineContext:
 
 def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     """A correct breakdown of all irreducible characters encoded by data."""
-    data, s = _split_spare(data, None)
+    data, s = _split_spare(data)
+    return _lookup(data, s, ctx.memo_all, (), _census_core, ctx)
+
+
+def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
+    """A correct breakdown of the characters nontrivial on 1 + <z>."""
+    data, s = _split_spare(data)
+    if z not in data.basis:
+        # z was spare: 1 + <z> has q - 1 nontrivial characters
+        return scale_census(census(data, ctx), 1, s - 1, 0)
+    return _lookup(data, s, ctx.memo_at, (data.pos(z),), _census_at_core, ctx)
+
+
+def _split_spare(data: AlgebraicData) -> tuple[AlgebraicData, int]:
+    """data without its spare vectors, and their number s.
+
+    A spare vector is no factor and no target of any product.  It spans
+    a direct summand <v> of every algebra data encodes, with 1 + <v> the
+    q linear characters of (F_q, +), so both censuses of data are q^s
+    times those of what is left, except that a spare z of census_at
+    counts q - 1.  No product row names a spare vector, so the rows are
+    kept as they are.
+    """
+    left, right, hit = data._derived()
+    kept = tuple(b for b in data.basis if b in left or b in right or b in hit)
+    s = len(data.basis) - len(kept)
+    if s:
+        data = AlgebraicData._from_sorted(data.params, data.restrictions, kept, data.prods)
+    return data, s
+
+
+def _lookup(data: AlgebraicData, s: int, memo: dict, tail: tuple[int, ...], core,
+            ctx: EngineContext) -> Census:
+    """q^s times the census core gives of data, memoised under the canonical
+    key of data followed by tail, which core takes after the data rebuilt
+    from the key: nothing for census, the position of z for census_at."""
     k, l, params, restrictions, empty = solcount.reduce_system(
         data.params, data.restrictions, data.symbols_in_products())
     if empty:
         return ZERO_CENSUS
     key = canonicalize(data, params, restrictions)
-    hit = ctx.memo_all.get(key)
+    hit = memo.get(key + tail)
     if hit is None:
-        hit = ctx.memo_all[key] = ctx.intern(_census_core(AlgebraicData.from_key(key), ctx))
+        hit = memo[key + tail] = ctx.intern(core(AlgebraicData.from_key(key), *tail, ctx))
     return scale_census(hit, k, l + s, 0)
-
-
-def _split_spare(data: AlgebraicData, z: int | None) -> tuple[AlgebraicData, int]:
-    """data without its spare vectors, and their number s.
-
-    A spare vector is no factor and no target of any product, and not z.
-    It spans a direct summand <v> of every algebra data encodes, with
-    1 + <v> the q linear characters of (F_q, +), so both censuses of
-    data are q^s times those of what is left.  No product row names a
-    spare vector, so the rows are kept as they are.
-    """
-    left, right, hit = data._derived()
-    kept = tuple(b for b in data.basis if b in left or b in right or b in hit or b == z)
-    s = len(data.basis) - len(kept)
-    if s:
-        data = AlgebraicData._from_sorted(data.params, data.restrictions, kept, data.prods)
-    return data, s
 
 
 def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
@@ -213,34 +234,11 @@ def _choose_z(data: AlgebraicData) -> int:
     return [b for b in data.basis if b not in factors][-1]
 
 
-def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
-    """A correct breakdown of the characters nontrivial on 1 + <z>."""
-    data, s = _split_spare(data, z)
-    k, l, params, restrictions, empty = solcount.reduce_system(
-        data.params, data.restrictions, data.symbols_in_products())
-    if empty:
-        return ZERO_CENSUS
-    key = canonicalize(data, params, restrictions)
-    z_pos = data.pos(z)
-    at_key = key + (z_pos,)
-    hit = ctx.memo_at.get(at_key)
-    if hit is None:
-        hit = ctx.memo_at[at_key] = ctx.intern(
-            _census_at_core(AlgebraicData.from_key(key), z_pos, ctx))
-    return scale_census(hit, k, l + s, 0)
-
-
 def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     ctx.nodes += 1
     if ctx.validate:
         data.validate()
         assert not data.is_factor(z), "census_at requires an annihilated z"
-
-    # direct sum peel: nothing multiplies into z, so <z> splits off and
-    # contributes the q-1 nontrivial characters of 1 + <z>
-    if z not in data.hit_targets:
-        part = census(data.remove_basis(z), ctx)
-        return scale_census(part, 1, 0, 0)
 
     if ctx.nodes > ctx.max_nodes:
         ctx.bump("budget_families")

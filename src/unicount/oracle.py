@@ -246,15 +246,15 @@ def _group_mult(alg: ConcreteAlgebra, u, v):
 CLASS_COUNT_CAP = 10**6
 
 
-def class_count(alg: ConcreteAlgebra, cap: int = CLASS_COUNT_CAP) -> int:
+def class_count(alg: ConcreteAlgebra) -> int:
     """Number of conjugacy classes of 1 + J, by orbit partition.
 
     Conjugation by the generators 1 + lambda e_i suffices: the classes
     are the orbits of the generated group, which is all of 1 + J.
     """
     n = alg.q**alg.dim
-    if n > cap:
-        raise TooLarge(f"group of order {n} exceeds cap {cap}")
+    if n > CLASS_COUNT_CAP:
+        raise TooLarge(f"group of order {n} exceeds cap {CLASS_COUNT_CAP}")
     if alg.dim == 0:
         return 1
     gens = [(i, lam) for i in range(alg.dim) for lam in range(1, alg.q)]
@@ -316,26 +316,24 @@ def quotient_by(alg: ConcreteAlgebra, z_label: int) -> ConcreteAlgebra:
                            _skip_check=True)
 
 
-def irr_count_at_z(alg: ConcreteAlgebra, z_label: int, cap: int = CLASS_COUNT_CAP) -> int:
+def irr_count_at_z(alg: ConcreteAlgebra, z_label: int) -> int:
     """|Irr(1+J, <z>)| = k(1+J) - k(1+J/<z>), by inflation."""
-    return class_count(alg, cap) - class_count(quotient_by(alg, z_label), cap)
+    return class_count(alg) - class_count(quotient_by(alg, z_label))
 
 
-def class_count_report(alg: ConcreteAlgebra, z_label: int | None = None,
-                       cap: int = CLASS_COUNT_CAP) -> dict:
+def class_count_report(alg: ConcreteAlgebra, z_label: int | None = None) -> dict:
     """Group order and class counts, optionally also for the quotient by <z>."""
-    out = {"group_order": alg.q**alg.dim, "class_count": class_count(alg, cap),
+    out = {"group_order": alg.q**alg.dim, "class_count": class_count(alg),
            "quotient_class_count": None}
     if z_label is not None:
-        out["quotient_class_count"] = class_count(quotient_by(alg, z_label), cap)
+        out["quotient_class_count"] = class_count(quotient_by(alg, z_label))
     return out
 
 
 # ---------------------------------------------------------------------------
 # checking engine output against brute force
 
-def _oracle_totals(data: AlgebraicData, z: int | None, q0: int,
-                   cap: int) -> tuple[int, int]:
+def _oracle_totals(data: AlgebraicData, z: int | None, q0: int) -> tuple[int, int]:
     """(character count, sum of squared degrees) over every group data
     encodes at q0; with z, only the characters nontrivial on 1 + <z>."""
     count = 0
@@ -344,15 +342,15 @@ def _oracle_totals(data: AlgebraicData, z: int | None, q0: int,
     for h in enumerate_param_values(data.params, data.restrictions, q0):
         alg = instantiate(data, h, q0)
         if z is None:
-            count += class_count(alg, cap)
+            count += class_count(alg)
             weight += q0**dim
         else:
-            count += irr_count_at_z(alg, z, cap)
+            count += irr_count_at_z(alg, z)
             weight += q0**dim - q0 ** (dim - 1)
     return count, weight
 
 
-def census_totals_at(c: Census, q0: int, cap: int = CLASS_COUNT_CAP) -> tuple[int, int]:
+def census_totals_at(c: Census, q0: int) -> tuple[int, int]:
     """Evaluate a census at q = q0: (count at t:=1, count weighted by q^(2e)).
 
     Unresolved records and families are folded in by brute force, so the
@@ -367,15 +365,14 @@ def census_totals_at(c: Census, q0: int, cap: int = CLASS_COUNT_CAP) -> tuple[in
         weight += contrib * q0 ** (2 * r.e)
     for fam in c.families:
         # a family from census has z None, one from census_at its z
-        fc, fw = _oracle_totals(fam.data, fam.z, q0, cap)
+        fc, fw = _oracle_totals(fam.data, fam.z, q0)
         scale = (q0 - 1) ** fam.k * q0**fam.l
         count += scale * fc
         weight += scale * fw * q0 ** (2 * fam.m)
     return count, weight
 
 
-def verify_census(data: AlgebraicData, c: Census, q0: int, z: int | None = None,
-                  cap: int = CLASS_COUNT_CAP) -> dict:
+def verify_census(data: AlgebraicData, c: Census, q0: int, z: int | None = None) -> dict:
     """Compare census totals with conjugacy-class counts at q = q0.
 
     For z = None the census must cover all characters of every encoded
@@ -383,8 +380,8 @@ def verify_census(data: AlgebraicData, c: Census, q0: int, z: int | None = None,
     plain count identity (t := 1) and the degree-weighted identity
     (t^e := q0^(2e), total = group order).
     """
-    expected_count, expected_weight = _oracle_totals(data, z, q0, cap)
-    actual_count, actual_weight = census_totals_at(c, q0, cap)
+    expected_count, expected_weight = _oracle_totals(data, z, q0)
+    actual_count, actual_weight = census_totals_at(c, q0)
     return {
         "q": q0,
         "count_expected": expected_count,

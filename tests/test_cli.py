@@ -242,6 +242,12 @@ def test_dump_families_n5_empty(capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
+def test_dump_families_needs_n(capsys):
+    # from Python, a config without n once ended in a TypeError
+    assert cmd_dump_families(RunConfig()) == 2
+    assert capsys.readouterr() == ("", "dump-families needs --n\n")
+
+
 def test_reports_are_byte_identical_across_runs():
     # determinism contract: same configuration, same bytes
     a = format_table(compute_table(6, EngineContext()), "json")
@@ -302,9 +308,9 @@ def test_checking_nothing_is_refused(call):
 def test_exhausted_node_budget_is_named(capsys, argv):
     # compute once named only the first uncontracted core, and
     # dump-families printed the cores the budget cut as survivors, exit 0
-    assert main(["--max-nodes", "5"] + argv) == 2
+    assert main(["--max-nodes", "4"] + argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert any(re.fullmatch(r"node budget of 5 exhausted: \d+ families left uncontracted",
+    assert any(re.fullmatch(r"node budget of 4 exhausted: \d+ families left uncontracted",
                             line) for line in err), err
 
 
@@ -314,9 +320,9 @@ def test_node_budget_binds_after_an_earlier_run(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["compute", "--n", "9"]) == 0
     capsys.readouterr()
-    assert main(["--max-nodes", "5", "compute", "--n", "9"]) == 2
+    assert main(["--max-nodes", "4", "compute", "--n", "9"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert any(re.fullmatch(r"node budget of 5 exhausted: \d+ families left uncontracted",
+    assert any(re.fullmatch(r"node budget of 4 exhausted: \d+ families left uncontracted",
                             line) for line in err), err
     assert list(tmp_path.iterdir()) == []
 

@@ -114,6 +114,12 @@ class TestCensusAt:
         out = census_at(data, 1, ctx)
         assert out.resolved.terms == {(2, 0): 1, (1, 0): -1}  # (q-1) q
 
+    def test_spare_z_takes_no_node_and_no_memo_at_entry(self):
+        # a spare z splits off like any spare vector, before the memo
+        ctx = EngineContext()
+        census_at(AlgebraicData((), (), (0, 1), {}), 1, ctx)
+        assert ctx.nodes == 1 and ctx.memo_at == {}
+
     def test_two_dim_core_gives_family(self, ctx):
         out = census_at(core_2dim(), 1, ctx)
         assert out.resolved.is_zero()
@@ -303,9 +309,9 @@ def with_spare_vector(data: AlgebraicData, rng: random.Random) -> AlgebraicData:
     return AlgebraicData(data.params, data.restrictions, basis, data.products_dict())
 
 
-def assert_no_spare_vector(data: AlgebraicData, z: int | None = None):
+def assert_no_spare_vector(data: AlgebraicData):
     named = data.left_factors | data.right_factors | data.hit_targets
-    assert all(b in named or b == z for b in data.basis), data
+    assert all(b in named for b in data.basis), data
 
 
 class TestSpareSummands:
@@ -342,7 +348,7 @@ class TestSpareSummands:
         for key in ctx.memo_all:
             assert_no_spare_vector(AlgebraicData.from_key(key))
         for key in ctx.memo_at:
-            assert_no_spare_vector(AlgebraicData.from_key(key[:-1]), key[-1])
+            assert_no_spare_vector(AlgebraicData.from_key(key[:-1]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_any_choice_of_z_gives_the_same_tables(self, monkeypatch, seed):

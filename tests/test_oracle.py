@@ -168,11 +168,23 @@ def test_unresolved_records_are_counted_before_tables_are_compared():
     short = slow._replace(resolved=slow.resolved - CountPoly.one())
     assert census_disagreement(fast, short, 10, ctx) == "totals differ at q = 2"
 
+    assert oracle_checks().check_poset(CASE_173, EngineContext(), random.Random(1)) == []
+
+
+def oracle_checks():
+    """The module of ``scripts/run_oracle_checks.py``."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_oracle_checks.py"
     spec = importlib.util.spec_from_file_location("run_oracle_checks", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.check_poset(CASE_173, EngineContext(), random.Random(1)) == []
+    return script
+
+
+def test_oracle_check_sweep_passes(capsys):
+    # its families run census_at at their last basis vector, which is often
+    # spare, so the spare z rule is checked against class counts
+    assert oracle_checks().main(["--cases", "10", "--seed", "1"]) == 0
+    assert ", 0 failures, " in capsys.readouterr().out
 
 
 # case 207 of `scripts/run_oracle_checks.py --cases 300 --seed 1`
