@@ -9,16 +9,17 @@ a table with surviving count records, which lacks their rows; regress
 compares it with the vendored table, identities prints its identity
 line, verify compares its class counts, dump-families prints its
 families as JSON.  Standard error gets, for each table in turn, an
-unrecognised core (which ends the run), an exhausted node budget and the
-number of surviving count records; after the last table, --debug-counts
-adds one audit line.
+unrecognised core or a coefficient overflow (either ends the run), an
+exhausted node budget and the number of surviving count records; after
+the last table, --debug-counts adds one audit line.
 
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
-survived, the node budget of a table (--max-nodes) ran out, the count
-audit (--debug-counts) found violations, an argument was rejected, a
-verify instance is too large to count classes of, a --poset file is
-missing or malformed, or the run ran out of memory, 3 regression
-mismatch.
+survived, a coefficient outgrew the packed arithmetic of ``polyring``
+(``CoefficientOverflow``), the node budget of a table (--max-nodes) ran
+out, the count audit (--debug-counts) found violations, an argument was
+rejected, a verify instance is too large to count classes of, a --poset
+file is missing or malformed, or the run ran out of memory, 3
+regression mismatch.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .engine import DEFAULT_MAX_NODES, Census, EngineContext, UnknownCore, resol
 from .oracle import (AUDIT_MAX_PARAMS, CLASS_COUNT_CAP, audit_counts, class_count,
                      instantiate)
 from .patterns import Poset, chain, encode_pattern, pattern_census, unitriangular_census
-from .polyring import CountPoly, shifted_coeffs
+from .polyring import CoefficientOverflow, CountPoly, shifted_coeffs
 
 
 class GoldenMissing(Exception):
@@ -173,11 +174,11 @@ def run_jobs(cfg: RunConfig, jobs, show) -> int:
 
     A job maps a context to a ``ResolvedTable`` or a ``Census``; show
     prints the result and returns its own status.  For each job, stderr
-    names a core that resolve does not recognise (which ends the run
-    with 2), an exhausted node budget and surviving count records; after
-    the last job, --debug-counts audits the count memos of every job.
-    The status is the largest found, and a regression mismatch (3) ends
-    the run.
+    names a core that resolve does not recognise or a coefficient too
+    large for ``polyring`` to read back (either ends the run with 2), an
+    exhausted node budget and surviving count records; after the last
+    job, --debug-counts audits the count memos of every job.  The status
+    is the largest found, and a regression mismatch (3) ends the run.
     """
     status = 0
     memos = []
@@ -188,6 +189,9 @@ def run_jobs(cfg: RunConfig, jobs, show) -> int:
             result = job(ctx)
         except UnknownCore as exc:
             print(f"unresolvable family survived: {exc}", file=sys.stderr)
+            result = None
+        except CoefficientOverflow as exc:
+            print(f"coefficient overflow: {exc}", file=sys.stderr)
             result = None
         cut = ctx.stats.get("budget_families", 0)
         if cut:

@@ -92,9 +92,9 @@ def scale_census(c: Census, k: int, l: int, m: int) -> Census:
 
 def aggregate(parts: Iterable[tuple[Census, int, int, int]]) -> Census:
     """The sum over parts (c, k, l, m) of the census c scaled by
-    (q-1)^k q^l t^m.  The resolved parts are merged in one pass into one
-    compacted term map (``CountPoly.scaled_sum``); records and families
-    take the scale into their own exponents."""
+    (q-1)^k q^l t^m.  The resolved parts are merged in one pass of packed
+    int arithmetic (``CountPoly.scaled_sum``); records and families take
+    the scale into their own exponents."""
     parts = tuple(parts)
     return Census(
         CountPoly.scaled_sum((c.resolved, k, l, m) for c, k, l, m in parts),
@@ -119,9 +119,8 @@ class EngineContext:
     pattern path keys ``memo_pattern`` by the order it recurses on, the
     tuple of successor bitmasks by position.  The Census values of these
     three memos are interned: ``censuses`` maps each distinct stored
-    value to the one object all memos share.  Each value is built by
-    ``aggregate``, whose merged term map is compact: it keeps no zero
-    coefficient and no deleted entry.
+    value to the one object all memos share; a Census hashes and compares
+    through the packed rows of its CountPoly, one int per t-degree.
 
     ``memo_counts`` is keyed by the pair (params, restrictions) as
     ``count`` is given it, both as tuples; restrictions compare and hash
@@ -160,7 +159,7 @@ class EngineContext:
 def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     """A correct breakdown of all irreducible characters encoded by data."""
     data, s = _split_spare(data)
-    return _lookup(data, s, ctx.memo_all, (), _census_core, ctx)
+    return _lookup(data, 0, s, ctx.memo_all, (), _census_core, ctx)
 
 
 def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
@@ -168,8 +167,8 @@ def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     data, s = _split_spare(data)
     if z not in data.basis:
         # z was spare: 1 + <z> has q - 1 nontrivial characters
-        return scale_census(census(data, ctx), 1, s - 1, 0)
-    return _lookup(data, s, ctx.memo_at, (data.pos(z),), _census_at_core, ctx)
+        return _lookup(data, 1, s - 1, ctx.memo_all, (), _census_core, ctx)
+    return _lookup(data, 0, s, ctx.memo_at, (data.pos(z),), _census_at_core, ctx)
 
 
 def _split_spare(data: AlgebraicData) -> tuple[AlgebraicData, int]:
@@ -190,11 +189,13 @@ def _split_spare(data: AlgebraicData) -> tuple[AlgebraicData, int]:
     return data, s
 
 
-def _lookup(data: AlgebraicData, s: int, memo: dict, tail: tuple[int, ...], core,
-            ctx: EngineContext) -> Census:
-    """q^s times the census core gives of data, memoised under the canonical
-    key of data followed by tail, which core takes after the data rebuilt
-    from the key: nothing for census, the position of z for census_at."""
+def _lookup(data: AlgebraicData, dk: int, dl: int, memo: dict, tail: tuple[int, ...],
+            core, ctx: EngineContext) -> Census:
+    """(q-1)^dk q^dl times the census core gives of data, memoised under
+    the canonical key of data followed by tail, which core takes after the
+    data rebuilt from the key: nothing for census, the position of z for
+    census_at.  data has no spare vector; the scale is applied once,
+    together with the one reduce_system finds."""
     k, l, params, restrictions, empty = solcount.reduce_system(
         data.params, data.restrictions, data.symbols_in_products())
     if empty:
@@ -203,7 +204,7 @@ def _lookup(data: AlgebraicData, s: int, memo: dict, tail: tuple[int, ...], core
     hit = memo.get(key + tail)
     if hit is None:
         hit = memo[key + tail] = ctx.intern(core(AlgebraicData.from_key(key), *tail, ctx))
-    return scale_census(hit, k, l + s, 0)
+    return scale_census(hit, k + dk, l + dl, 0)
 
 
 def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:

@@ -4,28 +4,59 @@ CountPoly lives in Z[q, t]: q is the field-size variable and the
 coefficient of t^e counts characters of degree q^e.  ParamPoly is a
 multivariate polynomial over interned parameter symbols, used for the
 restriction systems attached to parametrised algebra families.
-Coefficients are Python ints throughout; the n = 13 tables have
-coefficients beyond 30000 and intermediate sums grow larger still, so
-no fixed-width arithmetic is used anywhere.
+
+A CountPoly is stored packed, by Kronecker substitution: one Python int
+per t-degree, the row's polynomial in q evaluated at q = 2^B, so that
+its coefficients are the signed base-2^B digits of the int (B = 64).
+Evaluation at 2^B is a ring homomorphism, so multiplying by
+(q-1)^k q^l is one multiplication by a cached int, t^m renames a row,
+sums are int sums, and equality and hashing compare the row ints.
+
+The digits read back exactly only while every coefficient is below
+2^(B-1) in absolute value.  Each polynomial therefore carries
+``_bound``, an upper bound on the sum of the absolute values of its
+coefficients: a part scaled by (q-1)^k q^l t^m adds its bound times
+2^k, and a product multiplies the bounds.  When a result's bound
+reaches 2^(B-1), its operands' bounds are tightened to their exact sums
+(decoded once, exact since their own bounds are below 2^(B-1)) and the
+result's bound is computed again; this matters when terms cancel, as in
+1 + (q-1) = q.  If it still reaches 2^(B-1), the operation raises
+``CoefficientOverflow`` and returns no polynomial.  So every CountPoly
+decodes exactly, and a run that would need wider digits refuses.  The
+n = 13 tables have coefficients beyond 30000 and bounds of 37 bits.
 """
 from __future__ import annotations
 
 from math import comb
 from typing import Iterable, Mapping
 
+B = 64
+_BASE = 1 << B
+_MASK = _BASE - 1
+_HALF = 1 << (B - 1)
+
+
+class CoefficientOverflow(ArithmeticError):
+    """A coefficient bound reached 2^(B-1), past which the packed rows of
+    a CountPoly would not read back exactly."""
+
 
 class CountPoly:
-    """Sparse bivariate polynomial in Z[q, t], canonical term map."""
+    """Sparse bivariate polynomial in Z[q, t], one packed int per t-degree."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_rows", "_bound", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        t = {}
+        rows: dict[int, int] = {}
+        bound = 0
         if terms:
             for (dq, dt), c in terms.items():
                 if c:
-                    t[(dq, dt)] = c
-        self._terms = t
+                    rows[dt] = rows.get(dt, 0) + (c << B * dq)
+                    bound += abs(c)
+        # bounded digits at distinct positions never cancel: no row is 0
+        self._rows = rows
+        self._bound = _checked(bound)
         self._hash = None
 
     @staticmethod
@@ -38,65 +69,58 @@ class CountPoly:
 
     @property
     def terms(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
+        return {(dq, dt): c for dt, v in self._rows.items() for dq, c in _digits(v)}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._rows
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CountPoly) and self._terms == other._terms
+        return isinstance(other, CountPoly) and self._rows == other._rows
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(frozenset(self._rows.items()))
         return self._hash
 
     @staticmethod
     def scaled_sum(parts: Iterable[tuple["CountPoly", int, int, int]]) -> "CountPoly":
-        """The sum over parts (p, k, l, m) of p (q-1)^k q^l t^m, in one pass.
-
-        Every scaled term goes straight into one term map, with the
-        binomial row of (q-1)^k q^l made once per (k, l); the zeros are
-        dropped at the end, which also leaves the stored map compact.
-        """
-        t: dict[tuple[int, int], int] = {}
-        rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        """The sum over parts (p, k, l, m) of p (q-1)^k q^l t^m, in one pass:
+        each row of p is multiplied by the packed (q-1)^k q^l and added
+        into row m higher."""
+        parts = tuple(parts)
+        rows: dict[int, int] = {}
+        bound = 0
         for p, k, l, m in parts:
-            if not (k or l or m):
-                # the term keys of an unscaled part are shared, not rebuilt
-                for key, c in p._terms.items():
-                    t[key] = t.get(key, 0) + c
-                continue
-            row = rows.get((k, l))
-            if row is None:
-                row = rows[k, l] = [(l + i, comb(k, i) * (-1) ** (k - i)) for i in range(k + 1)]
-            for (dq, dt), c in p._terms.items():
+            f = _FACTORS.get((k, l)) or _factor(k, l)
+            for dt, v in p._rows.items():
                 dt += m
-                for i, b in row:
-                    key = (dq + i, dt)
-                    t[key] = t.get(key, 0) + b * c
-        r = CountPoly()
-        r._terms = {key: c for key, c in t.items() if c}
-        return r
+                rows[dt] = rows.get(dt, 0) + v * f
+            bound += p._bound << k
+        if bound >= _HALF:
+            bound = _checked(sum(_tightened(p) << k for p, k, _, _ in parts))
+        return _packed({dt: v for dt, v in rows.items() if v}, bound)
 
     def __add__(self, other: "CountPoly") -> "CountPoly":
         return CountPoly.scaled_sum(((self, 0, 0, 0), (other, 0, 0, 0)))
 
     def __neg__(self) -> "CountPoly":
-        r = CountPoly()
-        r._terms = {k: -c for k, c in self._terms.items()}
-        return r
+        return _packed({dt: -v for dt, v in self._rows.items()}, self._bound)
 
     def __sub__(self, other: "CountPoly") -> "CountPoly":
         return self + (-other)
 
     def __mul__(self, other: "CountPoly") -> "CountPoly":
-        return _merged({}, (((q1 + q2, t1 + t2), c1 * c2)
-                            for (q1, t1), c1 in self._terms.items()
-                            for (q2, t2), c2 in other._terms.items()))
+        rows: dict[int, int] = {}
+        for t1, v1 in self._rows.items():
+            for t2, v2 in other._rows.items():
+                rows[t1 + t2] = rows.get(t1 + t2, 0) + v1 * v2
+        bound = self._bound * other._bound
+        if bound >= _HALF:
+            bound = _checked(_tightened(self) * _tightened(other))
+        return _packed({dt: v for dt, v in rows.items() if v}, bound)
 
     def scale(self, k: int, l: int, m: int) -> "CountPoly":
         """Multiply by (q-1)^k * q^l * t^m."""
@@ -110,29 +134,29 @@ class CountPoly:
         """
         if q0 < 2:
             raise ValueError("q0 must be at least 2")
-        return sum(c * q0**dq * t**dt for (dq, dt), c in self._terms.items())
+        return sum(c * q0**dq * t**dt for (dq, dt), c in self.terms.items())
 
     def weight_formal(self) -> "CountPoly":
         """Substitute t^e := q^(2e), collapsing to a polynomial in q."""
-        return _merged({}, (((dq + 2 * dt, 0), c) for (dq, dt), c in self._terms.items()))
+        v = sum(v << 2 * B * dt for dt, v in self._rows.items())
+        return _packed({0: v} if v else {}, self._bound)
 
     def coeff_of_t(self, e: int) -> "CountPoly":
-        r = CountPoly()
-        r._terms = {(dq, 0): c for (dq, dt), c in self._terms.items() if dt == e}
-        return r
+        v = self._rows.get(e)
+        return _packed({0: v}, self._bound) if v else _ZERO
 
     def t_degrees(self) -> list[int]:
-        return sorted({dt for (_, dt) in self._terms})
+        return sorted(self._rows)
 
     def to_json(self) -> dict:
-        items = sorted(self._terms.items(), key=lambda kv: (kv[0][1], -kv[0][0]))
+        items = sorted(self.terms.items(), key=lambda kv: (kv[0][1], -kv[0][0]))
         return {"terms": [{"q": dq, "t": dt, "c": c} for (dq, dt), c in items]}
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._rows:
             return "0"
         parts = []
-        for (dq, dt), c in sorted(self._terms.items(), key=lambda kv: (kv[0][1], -kv[0][0])):
+        for (dq, dt), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], -kv[0][0])):
             s = ""
             if c == -1 and (dq or dt):
                 s = "-"
@@ -146,17 +170,51 @@ class CountPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _merged(t: dict[tuple[int, int], int], items) -> CountPoly:
-    """Add the (key, coefficient) items into the term map t, dropping zeros."""
-    for k, c in items:
-        nc = t.get(k, 0) + c
-        if nc:
-            t[k] = nc
-        elif k in t:
-            del t[k]
-    r = CountPoly()
-    r._terms = t
+def _packed(rows: dict[int, int], bound: int) -> CountPoly:
+    """The CountPoly with these nonzero rows and a bound below 2^(B-1)."""
+    r = object.__new__(CountPoly)
+    r._rows = rows
+    r._bound = bound
+    r._hash = None
     return r
+
+
+def _digits(v: int) -> list[tuple[int, int]]:
+    """The nonzero signed base-2^B digits (dq, c) of v, lowest first."""
+    out = []
+    dq = 0
+    while v:
+        c = v & _MASK
+        if c >= _HALF:
+            c -= _BASE
+        if c:
+            out.append((dq, c))
+        v = (v - c) >> B
+        dq += 1
+    return out
+
+
+def _tightened(p: CountPoly) -> int:
+    """Replace the bound of p by the exact sum of its absolute coefficients."""
+    p._bound = sum(abs(c) for v in p._rows.values() for _, c in _digits(v))
+    return p._bound
+
+
+def _checked(bound: int) -> int:
+    """bound, or CoefficientOverflow if it reaches 2^(B-1)."""
+    if bound >= _HALF:
+        raise CoefficientOverflow(f"coefficient bound of {bound.bit_length()} bits "
+                                  f"reaches 2^{_HALF.bit_length() - 1}")
+    return bound
+
+
+_FACTORS: dict[tuple[int, int], int] = {}
+
+
+def _factor(k: int, l: int) -> int:
+    """(q-1)^k q^l at q = 2^B, cached."""
+    f = _FACTORS[k, l] = (_BASE - 1) ** k << B * l
+    return f
 
 
 _ZERO = CountPoly()
@@ -166,7 +224,7 @@ _ONE = CountPoly({(0, 0): 1})
 def shifted_coeffs(p: CountPoly) -> dict[int, int]:
     """Coefficients of p(t+1) for a polynomial p in q alone."""
     out: dict[int, int] = {}
-    for (dq, dt), c in p._terms.items():
+    for (dq, dt), c in p.terms.items():
         if dt:
             raise ValueError("shifted_coeffs expects a polynomial in q only")
         for i in range(dq + 1):

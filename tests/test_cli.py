@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import unicount
-from unicount import oracle, solcount
+from unicount import oracle, polyring, solcount
 from unicount.cli import (RunConfig, check_identities, cmd_compute, cmd_regress,
                           cmd_identities, cmd_verify, cmd_dump_families,
                           compute_table, format_table, load_golden_tables, main,
@@ -182,6 +182,29 @@ class TestUnresolvableFamily:
         cfg = RunConfig(max_nodes=50)
         assert cmd_identities(cfg, 11) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
+
+
+class TestCoefficientOverflow:
+    """polyring reads a packed coefficient back only while the coefficient
+    bound stays below _HALF; here it is narrowed from 2^63 to 2^8, and the
+    tables of U_7 have coefficients whose absolute values sum past 256."""
+
+    @pytest.fixture(autouse=True)
+    def narrow_digits(self, monkeypatch):
+        monkeypatch.setattr(polyring, "_HALF", 2**8)
+
+    def test_overflow_is_exit_2_with_no_table(self, capsys):
+        assert main(["compute", "--n", "7"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "coefficient overflow" in out.err
+
+    def test_tables_within_the_bound_are_unchanged(self, monkeypatch, capsys):
+        assert main(["compute", "--n", "6"]) == 0
+        narrow = capsys.readouterr().out
+        monkeypatch.undo()
+        assert main(["compute", "--n", "6"]) == 0
+        assert capsys.readouterr().out == narrow
 
 
 def test_identities_node_budget_is_per_table(capsys):

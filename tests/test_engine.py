@@ -120,6 +120,22 @@ class TestCensusAt:
         census_at(AlgebraicData((), (), (0, 1), {}), 1, ctx)
         assert ctx.nodes == 1 and ctx.memo_at == {}
 
+    def test_spare_z_scales_the_census_of_the_rest_once(self, monkeypatch):
+        # e0 e1 = a e2 with a != 0, a parameter b no product names, and two
+        # spare vectors 3 and z = 4: b scales the census of the rest by q,
+        # and the spare vectors by (q-1) q, all in one scaled_sum pass
+        prods = {(0, 1): [(2, frozenset([0]))]}
+        rest = AlgebraicData((0, 1), (NonZero(0),), (0, 1, 2), prods)
+        data = AlgebraicData((0, 1), (NonZero(0),), (0, 1, 2, 3, 4), prods)
+        ctx = EngineContext()
+        want = scale_census(census(rest, ctx), 1, 1, 0)
+        calls = []
+        scaled_sum = CountPoly.scaled_sum
+        monkeypatch.setattr(CountPoly, "scaled_sum",
+                            staticmethod(lambda parts: calls.append(1) or scaled_sum(parts)))
+        assert census_at(data, 4, ctx) == want
+        assert len(calls) == 1
+
     def test_two_dim_core_gives_family(self, ctx):
         out = census_at(core_2dim(), 1, ctx)
         assert out.resolved.is_zero()

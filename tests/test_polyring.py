@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from unicount.polyring import CountPoly, ParamPoly, shifted_coeffs
+from unicount.polyring import CoefficientOverflow, CountPoly, ParamPoly, shifted_coeffs
 
 
 def qp(dq, c=1, dt=0):
@@ -121,6 +121,92 @@ def test_scaled_sum_matches_scaling_each_part(parts):
                                  for i in range(k + 1)}) * p
     out = CountPoly.scaled_sum(parts)
     assert out == want and all(out.terms.values())
+
+
+# A plain term-map reference, independent of the packed rows: a polynomial
+# is a dict {(q-degree, t-degree): coefficient} with no zero coefficient.
+
+def ref_scaled_sum(parts):
+    out = {}
+    for terms, k, l, m in parts:
+        for (dq, dt), c in terms.items():
+            for i in range(k + 1):
+                key = (dq + l + i, dt + m)
+                out[key] = out.get(key, 0) + c * math.comb(k, i) * (-1) ** (k - i)
+    return {key: c for key, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for (q1, t1), c1 in a.items():
+        for (q2, t2), c2 in b.items():
+            key = (q1 + q2, t1 + t2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def l1(terms):
+    return sum(abs(c) for c in terms.values())
+
+
+big_terms = st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 4)),
+                            st.integers(-2**40, 2**40), max_size=6)
+LIMIT = 2**63
+
+
+@given(st.lists(st.tuples(big_terms, st.integers(0, 8), st.integers(0, 5),
+                          st.integers(0, 5)), max_size=5))
+def test_packed_scaled_sum_matches_term_maps(parts):
+    out = CountPoly.scaled_sum((CountPoly(t), k, l, m) for t, k, l, m in parts)
+    assert out.terms == ref_scaled_sum(parts)
+
+
+@given(big_terms, big_terms)
+def test_packed_product_matches_term_maps(a, b):
+    # the product refuses exactly when the exact coefficient sums of its
+    # factors multiply to 2^63 or more
+    if l1(a) * l1(b) >= LIMIT:
+        with pytest.raises(CoefficientOverflow):
+            CountPoly(a) * CountPoly(b)
+    else:
+        assert (CountPoly(a) * CountPoly(b)).terms == ref_mul(a, b)
+
+
+def test_cancelling_chain_tightens_its_bound():
+    # p + (q-1) p = q p: the carried bound triples each step and passes
+    # 2^63 long before step 200, the true coefficient sum stays 1
+    p = CountPoly.one()
+    for _ in range(200):
+        p = CountPoly.scaled_sum(((p, 0, 0, 0), (p, 1, 0, 0)))
+    assert p.terms == {(200, 0): 1}
+    assert p == qp(200) and hash(p) == hash(qp(200))
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: a + a,
+    lambda a: a.scale(1, 0, 0),
+    lambda a: a * qp(0, 2),
+    lambda a: CountPoly({(0, 0): 2**63}),
+])
+def test_overflow_refuses_and_returns_nothing(op):
+    a = CountPoly({(0, 0): 2**62})
+    with pytest.raises(CoefficientOverflow):
+        op(a)
+    assert a.terms == {(0, 0): 2**62}
+
+
+def test_largest_coefficient_within_the_bound_reads_back():
+    for c in (2**63 - 1, -(2**63 - 1)):
+        assert CountPoly({(3, 1): c, (0, 1): 0}).terms == {(3, 1): c}
+
+
+@given(big_terms, st.randoms())
+def test_hash_and_equality_ignore_term_order(terms, rnd):
+    items = list(terms.items())
+    rnd.shuffle(items)
+    a, b = CountPoly(terms), CountPoly(dict(items))
+    assert a == b and hash(a) == hash(b)
+    assert b.terms == {key: c for key, c in terms.items() if c}
 
 
 @given(count_polys(), count_polys())
