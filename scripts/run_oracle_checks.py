@@ -4,16 +4,18 @@
 Each case draws a random parametrised nilpotent family, runs both engine
 walks on it, and compares against conjugacy-class counts of the
 instantiated groups over F_2 and F_3.  It also draws a wide random
-poset, whose first row the pattern path splits by an antichain of three
-or more columns that some row sees two of, so that its stabiliser goes
-through the general engine.  It compares the pattern path with the
-general engine run on the whole poset, with the pattern path on the
-dual poset and on a random relabelling, and with class counts when the
-poset has at most 10 relations.  Tables are compared entry by entry, or
-by their totals at q = 2 and 3 when either keeps unresolved count
-records (``oracle.census_disagreement``).  Useful for soak-testing
-contraction and stabiliser changes far beyond what the fixed test seeds
-cover.
+poset, whose peeled row (``patterns.choose_c0``) the pattern path splits
+by an antichain of three or more columns that some row sees two of, so
+that its stabiliser goes through the general engine.  It compares the
+pattern path with the general engine run on the whole poset, with the
+pattern path on the dual poset and on a random relabelling, and with
+class counts when the poset has at most 10 relations.  Tables are
+compared entry by entry, or by their totals at q = 2 and 3 when either
+keeps unresolved count records (``oracle.census_disagreement``).  A
+comparison whose records have too many parameters to count by brute
+force gives no verdict: it is printed as skipped and counted apart from
+the failures.  Useful for soak-testing contraction and stabiliser
+changes far beyond what the fixed test seeds cover.
 
 Usage:
     python scripts/run_oracle_checks.py [--cases 500] [--seed 1] [--max-dim 5]
@@ -26,16 +28,16 @@ import sys
 import time
 
 from unicount.engine import EngineContext, census, census_at
-from unicount.oracle import (audit_counts, census_disagreement, random_algebraic_data,
-                             verify_census)
-from unicount.patterns import (Poset, _bits, _preds, antichains, encode_pattern,
-                               normal_closure, pattern_census)
+from unicount.oracle import (TooLarge, audit_counts, census_disagreement,
+                             random_algebraic_data, verify_census)
+from unicount.patterns import (Poset, _bits, _preds, antichains, choose_c0,
+                               encode_pattern, normal_closure, pattern_census)
 
 
 def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
     """A random order on 1..m, m >= 4, drawn until the pattern path splits
-    its first row by an antichain of three or more columns that it builds
-    a stabiliser for in the general engine."""
+    the row it peels first by an antichain of three or more columns that
+    it builds a stabiliser for in the general engine."""
     while True:
         m = rng.randint(4, max_elems)
         rel = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
@@ -44,12 +46,12 @@ def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
         # labels extend the order, so closing from the top down suffices
         for i in range(m, 0, -1):
             rel |= {(i, k) for a, j in list(rel) if a == i for b, k in list(rel) if b == j}
-        # the antichains the pattern path takes are those of the first
-        # row's successors D, at position 0, in their normal closure
+        # the antichains the pattern path takes are those of the row D
+        # that it peels, in their normal closure
         poset = Poset(range(1, m + 1), rel, check=False)
         succ = poset.masks()
-        D = succ[0]
-        below = normal_closure(succ, _preds(succ), D)
+        D = succ[choose_c0(succ)]
+        below = normal_closure(succ, _preds(succ, D), D)
         rows = [succ[i] for i in _bits(D)]
         # the pattern path hands E to the general engine only when some
         # row of D sees two elements of it
@@ -71,7 +73,7 @@ def check_family(data, ctx) -> list[str]:
     return fails
 
 
-def check_poset(poset: Poset, ctx, rng: random.Random) -> list[str]:
+def check_poset(poset: Poset, ctx, rng: random.Random, skipped: list[str]) -> list[str]:
     n = len(poset.elems)
     data = encode_pattern(poset)
     out = pattern_census(poset, ctx)
@@ -83,7 +85,11 @@ def check_poset(poset: Poset, ctx, rng: random.Random) -> list[str]:
                   Poset(poset.elems, [(perm[a], perm[b]) for a, b in poset.rel]), ctx))]
     fails = []
     for name, other in others:
-        why = census_disagreement(out, other, n, ctx)
+        try:
+            why = census_disagreement(out, other, n, ctx)
+        except TooLarge as e:
+            skipped.append(f"poset: pattern path and {name} not compared: {e}")
+            continue
         if why:
             fails.append(f"poset: pattern path and {name} disagree: {why}")
     if len(poset.rel) <= 10:
@@ -105,23 +111,30 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     ctx = EngineContext()
     t0 = time.perf_counter()
-    bad = 0
+    bad = skips = 0
     for i in range(args.cases):
         data = random_algebraic_data(rng, max_dim=args.max_dim,
                                      max_params=args.max_params)
         poset = wide_poset(rng)
+        skipped = []
         for fail, source in ([(f, data.to_json()) for f in check_family(data, ctx)]
                              + [(f, poset.to_json()) for f in
-                                check_poset(poset, ctx, random.Random(f"{args.seed}:{i}"))]):
+                                check_poset(poset, ctx, random.Random(f"{args.seed}:{i}"),
+                                            skipped)]):
             bad += 1
             print(f"FAIL case {i} {fail}")
             print(f"  input: {source}")
+        for skip in skipped:
+            skips += 1
+            print(f"SKIP case {i} {skip}")
+            print(f"  input: {poset.to_json()}")
         if (i + 1) % 50 == 0:
             print(f"{i + 1} cases, {time.perf_counter() - t0:.1f}s, "
                   f"{bad} failures", flush=True)
     audit = audit_counts(ctx.memo_counts)
-    print(f"done: {args.cases} cases, {bad} failures, {audit.audited} systems "
-          f"count-audited, {len(audit.violations)} count-audit violations")
+    print(f"done: {args.cases} cases, {bad} failures, {skips} comparisons skipped, "
+          f"{audit.audited} systems count-audited, {len(audit.violations)} "
+          f"count-audit violations")
     return 1 if bad or audit.violations else 0
 
 

@@ -178,14 +178,15 @@ def _split_spare(data: AlgebraicData) -> tuple[AlgebraicData, int]:
     a direct summand <v> of every algebra data encodes, with 1 + <v> the
     q linear characters of (F_q, +), so both censuses of data are q^s
     times those of what is left, except that a spare z of census_at
-    counts q - 1.  No product row names a spare vector, so the rows are
-    kept as they are.
+    counts q - 1.  No product row names a spare vector, so the rows and
+    the factor and target sets are kept as they are.
     """
-    left, right, hit = data._derived()
+    derived = left, right, hit = data._derived()
     kept = tuple(b for b in data.basis if b in left or b in right or b in hit)
     s = len(data.basis) - len(kept)
     if s:
-        data = AlgebraicData._from_sorted(data.params, data.restrictions, kept, data.prods)
+        data = AlgebraicData._from_sorted(data.params, data.restrictions, kept, data.prods,
+                                          derived=derived)
     return data, s
 
 
@@ -195,7 +196,9 @@ def _lookup(data: AlgebraicData, dk: int, dl: int, memo: dict, tail: tuple[int, 
     the canonical key of data followed by tail, which core takes after the
     data rebuilt from the key: nothing for census, the position of z for
     census_at.  data has no spare vector; the scale is applied once,
-    together with the one reduce_system finds."""
+    together with the one reduce_system finds.  The rebuilt data has
+    data's products with basis labels turned into positions, so it takes
+    data's factor and target sets, mapped through data.pos."""
     k, l, params, restrictions, empty = solcount.reduce_system(
         data.params, data.restrictions, data.symbols_in_products())
     if empty:
@@ -203,7 +206,9 @@ def _lookup(data: AlgebraicData, dk: int, dl: int, memo: dict, tail: tuple[int, 
     key = canonicalize(data, params, restrictions)
     hit = memo.get(key + tail)
     if hit is None:
-        hit = memo[key + tail] = ctx.intern(core(AlgebraicData.from_key(key), *tail, ctx))
+        derived = tuple(frozenset(map(data.pos, s)) for s in data._derived())
+        hit = memo[key + tail] = ctx.intern(core(AlgebraicData.from_key(key, derived),
+                                                 *tail, ctx))
     return scale_census(hit, k + dk, l + dl, 0)
 
 

@@ -3,15 +3,20 @@
 T_{C,R}(q) is the algebra of matrices with entries only on the pairs of
 R; the chain on [1, n] gives the strictly upper triangular algebra of
 U_n(q).  ``pattern_census`` exploits the row structure: fixing a
-minimal element c_0, the linear characters of the first row K are
-classified by antichains of the successor set D (up to the action of
-the complementary subalgebra group, coarsened through the greatest
-normal closure of the induced order), and the stabiliser of each orbit
+minimal element c_0, the linear characters of its row K are classified
+by antichains of the successor set D (up to the action of the
+complementary subalgebra group, coarsened through the greatest normal
+closure of the induced order), and the stabiliser of each orbit
 representative is again an explicitly describable algebra.  When no
 row of D sees two elements of E, |E| <= 1 included, it is a smaller
 pattern algebra, the complement with the columns of E deleted from the
 rows in D, recursed into; otherwise it is one change of basis of the
 complement algebra, handed to the general engine.
+
+This holds for any minimal c_0, and ``choose_c0`` picks the one that
+keeps the most work in the recursion: a clean row D, one in which no
+row of D sees two incomparable elements of D, hands no antichain to the
+general engine; among rows alike in that, the largest is peeled.
 
 The recursion runs on masks: an order is the tuple of its elements'
 successor bitmasks by position, which is also its memo key.  Deleting
@@ -218,9 +223,10 @@ def stabilizer_data(succ: Masks, c0: int, E: int) -> AlgebraicData:
     the pattern algebra of the complement with the columns of E deleted
     from the rows in D, and ``_pattern_core`` recurses into that instead:
     it calls this builder only when some row of D sees two or more
-    elements of E.  The deleted order stays transitive: D is upward
-    closed, so if (i, j) and (j, d) are in it with i in D, then j is in D
-    and (j, d) was deleted too.
+    elements of E, so never for a clean row (``choose_c0``), which it
+    peels whenever the order has one.  The deleted order stays
+    transitive: D is upward closed, so if (i, j) and (j, d) are in it
+    with i in D, then j is in D and (j, d) was deleted too.
     """
     D = succ[c0]
     rank = _extension_rank(succ)
@@ -258,14 +264,48 @@ def pattern_census(poset: Poset | Masks, ctx: EngineContext) -> Census:
     return hit
 
 
-def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
-    has_pred = 0
-    for m in succ:
+def choose_c0(succ: Masks) -> int:
+    """The minimal position c0 whose row the pattern recursion peels, or
+    -1 when the order has no relation.
+
+    The paper's row procedure holds for any minimal c0.  Among the
+    minimal positions with a nonempty row D = succ[c0] this takes, in
+    turn, a clean row, the largest row, the lowest position.  D is clean
+    when no row i of D sees two elements of D that are incomparable in
+    the order.  Every antichain E of the normal closure on D is then an
+    antichain of the order, which the closure contains, so no row of D
+    sees two elements of E and no stabiliser of the node goes to the
+    general engine.
+
+    Row i of D sees succ[i], which lies in D since D is upward closed,
+    and which holds succ[j] for each of its elements j.  So it is a chain
+    exactly when the sizes |succ[j]|, j in succ[i], add up to the number
+    of pairs of succ[i]: each comparable pair is counted once, by its
+    lower element, whether or not positions extend the order.
+    """
+    size = [m.bit_count() for m in succ]
+    has_pred = dirty = 0
+    for i, m in enumerate(succ):
         has_pred |= m
-    if not has_pred:
+        s = size[i]
+        if s > 1 and sum(size[j] for j in _bits(m)) != s * (s - 1) // 2:
+            dirty |= 1 << i
+    c0, best = -1, (False, 0)
+    for c, D in enumerate(succ):
+        if D and not has_pred >> c & 1 and (key := (not D & dirty, size[c])) > best:
+            c0, best = c, key
+    return c0
+
+
+def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
+    """The census of the order succ, by the row procedure at the minimal
+    position ``choose_c0`` picks.  The procedure is sound for any minimal
+    c0; the choice only moves work between the recursion and the general
+    engine, and the memo key, the order itself, does not depend on it."""
+    c0 = choose_c0(succ)
+    if c0 < 0:
         # the zero algebra: the trivial group has a single character
         return Census(CountPoly.one(), (), ())
-    c0 = (~has_pred & has_pred + 1).bit_length() - 1
     D = succ[c0]
     # c0 is below every element of D: dropping it leaves their closure as is
     pred = _preds(succ, D)

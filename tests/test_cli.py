@@ -76,18 +76,18 @@ class TestComputeCommand:
         assert {row["e"] for row in obj["table"]} == {0, 1}
 
     def test_budget_exhaustion_is_nonzero_exit(self, tmp_path, capsys):
-        # the 9-element chain reaches the general engine through stabilisers
-        # whose antichain has two elements in one row; a tiny node budget
-        # leaves uncontracted families behind
+        # the 10-element chain reaches the general engine (8 nodes) through
+        # stabilisers whose antichain has two elements in one row; a tiny
+        # node budget leaves uncontracted families behind
         poset_file = tmp_path / "poset.json"
-        rel = [[i, j] for i in range(1, 10) for j in range(i + 1, 10)]
-        poset_file.write_text(json.dumps({"elems": list(range(1, 10)), "rel": rel}))
+        rel = [[i, j] for i in range(1, 11) for j in range(i + 1, 11)]
+        poset_file.write_text(json.dumps({"elems": list(range(1, 11)), "rel": rel}))
         cfg = RunConfig(poset_file=str(poset_file), max_nodes=1)
         assert cmd_compute(cfg) == 2
 
     def test_large_sparse_poset(self, tmp_path, capsys):
         # 300 disjoint relations on 600 elements: a node's normal closure
-        # covers its first row only, so this stays well under a second, and
+        # covers its peeled row only, so this stays well under a second, and
         # the pattern recursion nests deeper than the default recursion limit
         poset_file = tmp_path / "poset.json"
         rel = [[2 * i + 1, 2 * i + 2] for i in range(300)]
@@ -154,8 +154,8 @@ class TestAuditedCommands:
 
     def test_identities(self, capsys):
         cfg = RunConfig(debug_counts=True)
-        assert cmd_identities(cfg, 10) == 2
-        # each n has its own memos: n = 9 and n = 10 each count one
+        assert cmd_identities(cfg, 11) == 2
+        # each n has its own memos: n = 10 and n = 11 each count one
         # system, and each disagrees at the four audited fields
         assert "count audit violations: 8; systems audited: 2;" in capsys.readouterr().err
 
@@ -326,8 +326,8 @@ def test_checking_nothing_is_refused(call):
         call()
 
 
-@pytest.mark.parametrize("argv", [["compute", "--n", "9"], ["dump-families", "--n", "9"],
-                                  ["identities", "--max-n", "9"], ["regress"]])
+@pytest.mark.parametrize("argv", [["compute", "--n", "10"], ["dump-families", "--n", "10"],
+                                  ["identities", "--max-n", "10"], ["regress"]])
 def test_exhausted_node_budget_is_named(capsys, argv):
     # compute once named only the first uncontracted core, and
     # dump-families printed the cores the budget cut as survivors, exit 0
@@ -341,9 +341,9 @@ def test_node_budget_binds_after_an_earlier_run(tmp_path, capsys, monkeypatch):
     # a table that an earlier run had written to the report cache was once
     # served without applying --max-nodes, exit 0
     monkeypatch.chdir(tmp_path)
-    assert main(["compute", "--n", "9"]) == 0
+    assert main(["compute", "--n", "10"]) == 0
     capsys.readouterr()
-    assert main(["--max-nodes", "4", "compute", "--n", "9"]) == 2
+    assert main(["--max-nodes", "4", "compute", "--n", "10"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert any(re.fullmatch(r"node budget of 4 exhausted: \d+ families left uncontracted",
                             line) for line in err), err
@@ -351,7 +351,7 @@ def test_node_budget_binds_after_an_earlier_run(tmp_path, capsys, monkeypatch):
 
 
 def test_debug_counts_reports_what_it_audited(capsys):
-    assert main(["--debug-counts", "compute", "--n", "9"]) == 0
+    assert main(["--debug-counts", "compute", "--n", "10"]) == 0
     assert capsys.readouterr().err == (
         "count audit violations: 0; systems audited: 1; "
         "skipped with more than 8 parameters: 0\n")
@@ -359,9 +359,9 @@ def test_debug_counts_reports_what_it_audited(capsys):
 
 @pytest.mark.parametrize("call, audited", [
     (lambda cfg: cmd_regress(cfg, golden={10: load_golden_tables()[10]}), 1),
-    (lambda cfg: cmd_identities(cfg, 10), 2),
+    (lambda cfg: cmd_identities(cfg, 11), 2),
     (lambda cfg: cmd_verify(replace(cfg, oracle_qs=(2,)), 4), 0),
-    (lambda cfg: cmd_dump_families(replace(cfg, n=9)), 1),
+    (lambda cfg: cmd_dump_families(replace(cfg, n=10)), 1),
 ], ids=["regress", "identities", "verify", "dump-families"])
 def test_every_command_reports_the_count_audit(capsys, call, audited):
     # as test_debug_counts_reports_what_it_audited does for compute;
@@ -373,15 +373,15 @@ def test_every_command_reports_the_count_audit(capsys, call, audited):
 
 
 @pytest.mark.parametrize("call, status, records", [
-    (lambda: cmd_compute(RunConfig(n=9)), 2, "4"),
-    (lambda: cmd_identities(RunConfig(), 9), 2, "4"),
-    (lambda: cmd_dump_families(RunConfig(n=9)), 2, "4"),
+    (lambda: cmd_compute(RunConfig(n=10)), 2, "14"),
+    (lambda: cmd_identities(RunConfig(), 10), 2, "14"),
+    (lambda: cmd_dump_families(RunConfig(n=10)), 2, "14"),
     # the records leave rows out, so the comparison fails too
     (lambda: cmd_regress(RunConfig(), golden={10: load_golden_tables()[10]}), 3, r"\d+"),
 ], ids=["compute", "identities", "dump-families", "regress"])
 def test_every_command_names_surviving_count_records(capsys, monkeypatch, call, status,
                                                      records):
-    # with every substitution count refused, n = 9 keeps four count
+    # with every substitution count refused, n = 10 keeps 14 count
     # records and no smaller n keeps any; dump-families once printed []
     # for them and exited 0, and identities and regress never named them
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
@@ -395,8 +395,8 @@ def test_compute_prints_no_table_with_surviving_count_records(capsys, monkeypatc
     # compute once printed the table without the records' rows, a wrong
     # N_{n,e}, and only then named the records and exited 2
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
-    assert main(["compute", "--n", "9", "--format", fmt]) == 2
-    assert capsys.readouterr() == ("", "4 unresolved count records\n")
+    assert main(["compute", "--n", "10", "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", "14 unresolved count records\n")
 
 
 def test_runconfig_validation():

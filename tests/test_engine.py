@@ -557,7 +557,7 @@ class TestMemoKey:
 
     def test_engine_memo_keys_are_flat_int_tuples(self):
         ctx = EngineContext()
-        unitriangular_census(9, ctx)
+        unitriangular_census(11, ctx)
         assert ctx.memo_all and ctx.memo_at
         assert all(is_flat(key) for key in ctx.memo_all)
         assert all(is_flat(key) for key in ctx.memo_at)
@@ -573,10 +573,34 @@ class TestMemoKey:
             return False
 
         ctx = EngineContext()
-        unitriangular_census(9, ctx)
+        unitriangular_census(11, ctx)
         assert ctx.memo_all and ctx.memo_at
         assert not contains_data(ctx.memo_all)
         assert not contains_data(ctx.memo_at)
+
+
+def test_walks_take_the_factor_and_target_sets_they_are_given(monkeypatch):
+    # the spare split and the data rebuilt on a memo miss take the sets
+    # over instead of recomputing them; they equal what a rebuild finds
+    seen = []
+    for name in ("_census_core", "_census_at_core"):
+        real = getattr(engine, name)
+
+        def core(data, *rest, real=real):
+            seen.append(data)
+            return real(data, *rest)
+
+        monkeypatch.setattr(engine, name, core)
+    census(encode_pattern(chain(8)), EngineContext())
+    rng = random.Random(101)
+    for _ in range(20):
+        census(random_algebraic_data(rng, max_dim=5, max_params=2), EngineContext())
+    assert len(seen) > 100
+    for data in seen:
+        assert "derived" in data._cache
+        fresh = AlgebraicData._from_sorted(data.params, data.restrictions, data.basis,
+                                           data.prods)
+        assert data._derived() == fresh._derived()
 
 
 def test_equal_memo_values_are_one_object():

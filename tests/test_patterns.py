@@ -7,7 +7,7 @@ from unicount.algdata import AlgebraicData, MalformedData
 from unicount.engine import EngineContext, census, resolve
 from unicount.oracle import census_disagreement, orbit_of_vector
 from unicount.patterns import (Poset, _bits, _extension_rank, _preds, antichains,
-                               chain, encode_pattern, normal_closure,
+                               chain, choose_c0, encode_pattern, normal_closure,
                                pattern_census, stabilizer_data,
                                unitriangular_census)
 from unicount.polyring import CountPoly
@@ -161,8 +161,8 @@ class TestNormalClosure:
 
 
 def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
-    # each _pattern_core coarsens its first row D through one normal
-    # closure, computed on D only
+    # each _pattern_core coarsens the row D of its chosen c0 through one
+    # normal closure, computed on D only
     from unicount import patterns
     calls = []          # per open _pattern_core: the row of each closure
     real_core, real_closure = patterns._pattern_core, patterns.normal_closure
@@ -173,13 +173,8 @@ def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
             return real_core(succ, ctx)
         finally:
             made = calls.pop()
-            rows = []
-            poset = poset_of(succ)
-            if poset.rel:
-                has_pred = {b for _, b in poset.rel}
-                c0 = min(e for e in poset.elems if e not in has_pred)
-                rows = [sorted(d for d in poset.elems if (c0, d) in poset.rel)]
-            assert made == rows
+            c0 = choose_c0(succ)
+            assert made == ([_bits(succ[c0])] if c0 >= 0 else [])
 
     def closure(succ, pred, D):
         calls[-1].append(_bits(D))
@@ -346,10 +341,7 @@ def first_node(succ):
     """The first node of the pattern recursion on the order succ: its
     minimal position c0, the row D = succ[c0], and the normal closure on D
     that its antichains are taken in, as ``_pattern_core`` finds them."""
-    has_pred = 0
-    for m in succ:
-        has_pred |= m
-    c0 = (~has_pred & has_pred + 1).bit_length() - 1
+    c0 = choose_c0(succ)
     D = succ[c0]
     return c0, D, normal_closure(succ, _preds(succ, D), D)
 
@@ -361,7 +353,7 @@ def row_disjoint(succ, D: int, E: int) -> bool:
 
 def test_pair_stabilizers_match_the_reference(monkeypatch):
     # every |E| = 2 antichain of every order the pattern path recurses on,
-    # under T_11 and random posets: stabilizer_data gives the stabiliser the
+    # under T_12 and random posets: stabilizer_data gives the stabiliser the
     # former pair-only builder gave, both where the pattern path calls it
     # and where it deletes cells instead
     from unicount import patterns
@@ -373,7 +365,7 @@ def test_pair_stabilizers_match_the_reference(monkeypatch):
         return real(poset, ctx)
 
     monkeypatch.setattr(patterns, "pattern_census", recorded)
-    patterns.unitriangular_census(11, EngineContext())
+    patterns.unitriangular_census(12, EngineContext())
     rng = random.Random(43)
     for _ in range(40):
         m, rel = random_poset_pairs(rng, max_elems=8)
@@ -506,8 +498,7 @@ def reference_lookups(poset: Poset, out: list, seen: set) -> list:
     out.append(key)
     if key not in seen and poset.rel:
         seen.add(key)
-        has_pred = {b for _, b in poset.rel}
-        c0 = min(e for e in poset.elems if e not in has_pred)
+        c0 = poset.elems[choose_c0(poset.masks())]
         D = sorted(d for d in poset.elems if (c0, d) in poset.rel)
         B = [c for c in poset.elems if c != c0]
         P = frozenset((a, b) for a, b in poset.rel if c0 not in (a, b))
@@ -617,15 +608,13 @@ class TestPatternCensus:
         checked = 0
         while checked < 25:
             m, rel = random_poset_pairs(rng, max_elems=8)
-            D = [b for a, b in rel if a == 1]
-            if len(D) < 3:
-                continue
-            # skip, without computing it, a poset whose first row sees no
+            # skip, without computing it, a poset whose first node sees no
             # 3-antichain in the order the pattern path coarsens to
+            if not rel:
+                continue
             p = Poset(range(1, m + 1), rel)
-            succ = p.masks()
-            below = normal_closure(succ, _preds(succ), succ[0])
-            if max(E.bit_count() for E, _ in antichains(succ[0], below)) < 3:
+            c0, D, below = first_node(p.masks())
+            if max(E.bit_count() for E, _ in antichains(D, below)) < 3:
                 continue
             widest.clear()
             out = pattern_census(p, EngineContext())
@@ -697,8 +686,9 @@ class TestReversedLabels:
             want = table(pattern_census(Poset(range(1, m + 1), rel), shared_ctx), m)
             assert table(pattern_census(p, EngineContext()), m) == want, p
             assert table(census(data, EngineContext()), m) == want, p
-            # every |E| <= 1 stabiliser of the first node of the recursion
-            c0 = min(e for e in p.elems if all(b != e for _, b in p.rel))
+            # every |E| <= 1 stabiliser of the first node of the recursion,
+            # or of the first element when there is no relation
+            c0 = p.elems[max(choose_c0(p.masks()), 0)]
             B = [c for c in p.elems if c != c0]
             D = {d for d in p.elems if (c0, d) in p.rel}
             P = frozenset((a, b) for a, b in p.rel if c0 not in (a, b))
@@ -815,13 +805,124 @@ class TestRowDisjointAntichains:
             routed_total += len(want)
         assert routed_total > 40
 
-    @pytest.mark.parametrize("n, nodes", [(9, 5), (10, 40), (11, 277)])
+    @pytest.mark.parametrize("n, nodes", [(9, 0), (10, 8), (11, 79), (12, 636)])
     def test_engine_nodes_of_the_chain(self, n, nodes):
         # deterministic: the general engine is reached only through
-        # antichains that some row sees two elements of
+        # antichains that some row sees two elements of, so only from
+        # nodes of which no minimal row is clean
         ctx = EngineContext()
         unitriangular_census(n, ctx)
         assert ctx.nodes == nodes
+
+
+def reference_c0(poset: Poset):
+    """Reference: the element ``choose_c0`` takes, on labels: a minimal
+    element with a nonempty row, clean rows first, then the largest row,
+    then the least label; None when there is no relation."""
+    rel = poset.rel
+
+    def row(c):
+        return {d for d in poset.elems if (c, d) in rel}
+
+    def clean(c):
+        return not any((j, k) not in rel and (k, j) not in rel
+                       for i in row(c) for j in row(i) for k in row(i) if j != k)
+
+    minimal = [c for c in poset.elems if row(c) and all((a, c) not in rel for a in poset.elems)]
+    return min(minimal, key=lambda c: (not clean(c), -len(row(c)), c), default=None)
+
+
+class TestChooseC0:
+    """The pattern recursion may peel the row of any minimal element; it
+    peels a clean row first, then the largest, then the lowest position."""
+
+    def test_choice_against_the_labelled_reference(self):
+        # labels shuffled, and reversed so that every pair runs against
+        # them: the comparability of two columns is read both ways
+        rng = random.Random(89)
+        for _ in range(300):
+            m, rel = random_poset_pairs(rng, max_elems=7)
+            perm = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
+            for p in (Poset(range(1, m + 1), rel),
+                      Poset(range(1, m + 1), [(perm[a], perm[b]) for a, b in rel]),
+                      Poset(range(1, m + 1), [(m + 1 - a, m + 1 - b) for a, b in rel])):
+                c0 = choose_c0(p.masks())
+                assert (p.elems[c0] if c0 >= 0 else None) == reference_c0(p), p
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_any_minimal_row_gives_the_same_tables(self, monkeypatch, seed):
+        # confluence: the row procedure holds for any minimal c0
+        from unicount import patterns
+
+        def table(top, n):
+            ctx = EngineContext()
+            out = resolve(pattern_census(top, ctx), n, ctx)
+            assert out.unresolved == ()
+            return out.entries
+
+        rng = random.Random(seed)
+        tops = [(chain(n), n) for n in (6, 7, 8)]
+        for _ in range(30):
+            m, rel = random_poset_pairs(rng, max_elems=7)
+            tops.append((Poset(range(1, m + 1), rel), m))
+        want = [table(top, n) for top, n in tops]
+        default = patterns.choose_c0
+        moved = []
+
+        def random_c0(succ):
+            has_pred = 0
+            for m in succ:
+                has_pred |= m
+            rows = [c for c, D in enumerate(succ) if D and not has_pred >> c & 1]
+            if not rows:
+                return -1
+            c0 = rng.choice(rows)
+            moved.append(c0 != default(succ))
+            return c0
+
+        monkeypatch.setattr(patterns, "choose_c0", random_c0)
+        for (top, n), entries in zip(tops, want):
+            assert table(top, n) == entries, (top, seed)
+        assert sum(moved) > 10
+
+    # row 0 is {1, 2, 3} with 1 below 2 and 3, which stay incomparable in
+    # its normal closure as 4 is below 2 only and 5 below 3 only; rows 4
+    # and 5 are clean, and so is the larger row {7, 8, 9} of 6, a chain
+    DIRTY_FIRST = (0b1110, 0b1100, 0, 0, 0b100, 0b1000, 0b1110000000, 0b1100000000,
+                   0b1000000000, 0)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["labels-extend", "labels-against"])
+    def test_a_clean_row_is_peeled_before_a_dirty_lower_one(self, monkeypatch, reverse):
+        from unicount import patterns
+        succ = self.DIRTY_FIRST
+        below = normal_closure(succ, _preds(succ, succ[0]), succ[0])
+        assert any(not row_disjoint(succ, succ[0], E) for E, _ in antichains(succ[0], below))
+        want = 6
+        if reverse:
+            # position p becomes 9 - p: every pair runs against the labels
+            succ = tuple(sum(1 << 9 - b for b in _bits(m)) for m in reversed(succ))
+            want = 3
+        assert choose_c0(succ) == want
+        real, calls = patterns.stabilizer_data, []
+
+        def recorded(s, c0, E):
+            calls.append(s)
+            return real(s, c0, E)
+
+        monkeypatch.setattr(patterns, "stabilizer_data", recorded)
+        out = pattern_census(succ, EngineContext())
+        assert succ not in calls
+        slow = census(encode_pattern(poset_of(succ)), EngineContext())
+        assert census_disagreement(out, slow, len(succ)) is None
+
+    def test_labels_against_the_order_give_the_same_table(self, shared_ctx):
+        rng = random.Random(97)
+        for _ in range(30):
+            m, rel = random_poset_pairs(rng, max_elems=8)
+            want = resolve(pattern_census(Poset(range(1, m + 1), rel), shared_ctx), m)
+            against = Poset(range(1, m + 1), [(m + 1 - a, m + 1 - b) for a, b in rel])
+            got = resolve(pattern_census(against, EngineContext()), m)
+            assert got.entries == want.entries and not got.unresolved, against
 
 
 class TestOrbitSizes:
