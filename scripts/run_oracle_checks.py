@@ -30,8 +30,8 @@ import time
 from unicount.engine import EngineContext, census, census_at
 from unicount.oracle import (TooLarge, audit_counts, census_disagreement,
                              random_algebraic_data, verify_census)
-from unicount.patterns import (Poset, _bits, _preds, antichains, choose_c0,
-                               encode_pattern, normal_closure, pattern_census)
+from unicount.patterns import (Poset, _preds, antichains, choose_c0, encode_pattern,
+                               normal_closure, pattern_census)
 
 
 def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
@@ -51,12 +51,11 @@ def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
         poset = Poset(range(1, m + 1), rel, check=False)
         succ = poset.masks()
         D = succ[choose_c0(succ)]
-        below = normal_closure(succ, _preds(succ, D), D)
-        rows = [succ[i] for i in _bits(D)]
-        # the pattern path hands E to the general engine only when some
-        # row of D sees two elements of it
-        if any(E.bit_count() >= 3 and any((m & E).bit_count() >= 2 for m in rows)
-               for E, _ in antichains(D, below)):
+        pred = _preds(succ, D)
+        # the pattern path hands E to the general engine only when it is
+        # not clean: some row of D sees two elements of it
+        if any(E.bit_count() >= 3 and not clean
+               for E, _, _, clean in antichains(D, normal_closure(succ, pred, D), pred)):
             return Poset(range(1, m + 1), rel)
 
 

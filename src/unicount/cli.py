@@ -124,28 +124,13 @@ def format_table(table: ResolvedTable, fmt: str) -> str:
                  rf"\multicolumn{{2}}{{c}}{{$n={table.n}$}} \\", r"\hline",
                  r"$e$ & $N_{n,e}(q)$ \\", r"\hline"]
         for e, p in table.entries.items():
-            lines.append(rf"{e} & ${_latex_poly(p)}$ \\")
+            # the polynomial as repr writes it, exponents in braces
+            row = re.sub(r"\^(\d+)", r"^{\1}", repr(p))
+            lines.append(rf"{e} & ${row}$ \\")
             lines.append(r"\hline")
         lines.append(r"\end{tabular}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _latex_poly(p: CountPoly) -> str:
-    parts = []
-    for (dq, dt), c in sorted(p.terms.items(), key=lambda kv: (kv[0][1], -kv[0][0])):
-        body = ""
-        if dq:
-            body += "q" if dq == 1 else f"q^{{{dq}}}"
-        if dt:
-            body += "t" if dt == 1 else f"t^{{{dt}}}"
-        mag = "" if abs(c) == 1 and body else str(abs(c))
-        term = (mag + body) or "1"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + term)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ vector z and splits Irr into the characters trivial on 1 + <z> (a
 smaller census) and the rest (census_at).  census_at applies, in order,
 a good-pair contraction that removes two dimensions and multiplies
 degrees by t, a central-column fold that introduces free parameters,
-and finally gives up, emitting a family record.
+and finally gives up, emitting a family record; one scan of the
+candidate witnesses (``_contraction``) decides between the first two.
 
 Both contractions are the same change of basis: every new basis vector
 is a combination of old ones, and the new structure constants are the
@@ -30,8 +31,8 @@ in one pass to a key that is one flat tuple of ints (its layout is in
 ``algdata``'s docstring); census_at appends the position of z.  Only
 on a miss is the canonical AlgebraicData rebuilt from the key, and the
 memo never keeps it: after the walk returns, only a Family record still
-refers to it.  Few stored results differ (at n = 13, 1,594 of the 3,287
-``memo_all`` values and 2,402 of the 7,894 ``memo_at`` values), so
+refers to it.  Few stored results differ (at n = 13, 707 of the 1,437
+``memo_all`` values and 972 of the 3,083 ``memo_at`` values), so
 every Census a memo stores goes through ``EngineContext.intern`` and
 equal results share one object.
 """
@@ -250,50 +251,28 @@ def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
         ctx.bump("budget_families")
         return Census(CountPoly.zero(), (), (Family(data, z, 0, 0, 0),))
 
-    y = _good_pair_witness(data, z)
-    if y is not None:
-        contracted = contract_type_b(data, z, y)
-        return aggregate((census_at(case, z, ctx), 0, 0, 1)
-                         for case in split_into_cases(contracted))
-
-    pick = _fold_witness(data, z)
-    if pick is not None:
-        contracted = contract_type_a(data, z, pick)
-        return aggregate((census_at(case, z, ctx), 0, 0, 0)
-                         for case in split_into_cases(contracted))
-
-    ctx.bump("giveup_families")
-    return Census(CountPoly.zero(), (), (Family(data, z, 0, 0, 0),))
+    picked = _contraction(data, z)
+    if picked is None:
+        ctx.bump("giveup_families")
+        return Census(CountPoly.zero(), (), (Family(data, z, 0, 0, 0),))
+    contracted, shift = picked
+    return aggregate((census_at(case, z, ctx), 0, 0, shift)
+                     for case in split_into_cases(contracted))
 
 
-def _good_pair_witness(data: AlgebraicData, z: int) -> int | None:
-    """First y with Jy = 0 and yJ = <z> (nonzero), in basis order."""
-    rf = data.right_factors
-    by_left = data.products_by_left()
-    for y in data.basis:
-        if y in rf:
-            continue
-        rows = by_left.get(y)
-        if not rows:
-            continue
-        if all(w == z for _, ts in rows for w, _ in ts):
-            return y
-    return None
+def _contraction(data: AlgebraicData, z: int) -> tuple[AlgebraicData, int] | None:
+    """The contraction census_at takes, with the degree shift it brings,
+    from one scan of the y with Jy = 0 and yJ != 0 in basis order.
 
-
-def _fold_witness(data: AlgebraicData, z: int) -> int | None:
-    """A y with Jy = 0 whose products land on annihilated vectors only.
-
-    Preference: the image should contain z if possible, then be as small
-    as possible, ties by basis order.  Vacuous witnesses (yJ = 0) make
-    no progress and are skipped.
+    The first y whose products all land on z gives a good pair, shift 1.
+    Failing that, a y whose products land on annihilated vectors only
+    gives a fold, shift 0: one whose image contains z if possible, then
+    the smallest image, ties by basis order.  None when there is neither.
     """
     rf = data.right_factors
     factors = data.left_factors | rf
-    annihilated = {b for b in data.basis if b not in factors}
     by_left = data.products_by_left()
-    best = None
-    best_key = None
+    best = best_key = None
     for i, y in enumerate(data.basis):
         if y in rf:
             continue
@@ -301,12 +280,15 @@ def _fold_witness(data: AlgebraicData, z: int) -> int | None:
         if not rows:
             continue
         image = {w for _, ts in rows for w, _ in ts}
-        if not image <= annihilated:
-            continue
-        key = (0 if z in image else 1, len(image), i)
-        if best_key is None or key < best_key:
-            best, best_key = y, key
-    return best
+        if image == {z}:
+            return contract_type_b(data, z, y), 1
+        if image.isdisjoint(factors):
+            key = (z not in image, len(image), i)
+            if best_key is None or key < best_key:
+                best, best_key = y, key
+    if best is None:
+        return None
+    return contract_type_a(data, z, best), 0
 
 
 # ---------------------------------------------------------------------------

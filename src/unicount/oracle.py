@@ -321,15 +321,6 @@ def irr_count_at_z(alg: ConcreteAlgebra, z_label: int) -> int:
     return class_count(alg) - class_count(quotient_by(alg, z_label))
 
 
-def class_count_report(alg: ConcreteAlgebra, z_label: int | None = None) -> dict:
-    """Group order and class counts, optionally also for the quotient by <z>."""
-    out = {"group_order": alg.q**alg.dim, "class_count": class_count(alg),
-           "quotient_class_count": None}
-    if z_label is not None:
-        out["quotient_class_count"] = class_count(quotient_by(alg, z_label))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # checking engine output against brute force
 

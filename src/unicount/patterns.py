@@ -133,25 +133,32 @@ def normal_closure(succ: Masks, pred: list[int], D: int) -> dict[int, int]:
             for ll in row}
 
 
-def antichains(D: int, below: dict[int, int]) -> Iterator[tuple[int, int]]:
+def antichains(D: int, below: dict[int, int],
+               pred: list[int]) -> Iterator[tuple[int, int, int, bool]]:
     """Each antichain E of the order below on D, the empty one included,
-    with its downward closure in D, in lexicographic order of positions.
+    in lexicographic order of positions, with its downward closure in D,
+    the rows of D that see an element of E in the order pred, and whether
+    it is clean: no row of D sees two elements of E.
 
     A depth-first walk on an explicit stack: a child adds to E an element
     c after E's last one, which is incomparable with E exactly when it is
-    outside E's closure and sees no element of E below it.
+    outside E's closure and sees no element of E below it.  It adds the
+    rows pred[c] & D to those that see E, and stays clean exactly when
+    none of them sees E already.
     """
-    stack = [(0, 0, D)]         # (E, its closure, the elements after E's last)
+    stack = [(0, 0, D, 0, True)]  # (E, its closure, the elements after E's last, seen, clean)
     while stack:
-        E, clos, after = stack.pop()
-        yield E, clos
+        E, clos, after, seen, clean = stack.pop()
+        yield E, clos, seen, clean
         later = 0               # children go on the stack latest first
         while after:
             c = after.bit_length() - 1
             bit = 1 << c
             after ^= bit
             if not (clos & bit or below[c] & E):
-                stack.append((E | bit, clos | bit | below[c], later))
+                rows = pred[c] & D
+                stack.append((E | bit, clos | bit | below[c], later, seen | rows,
+                              clean and not rows & seen))
             later |= bit
 
 
@@ -314,12 +321,10 @@ def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
     low = (1 << c0) - 1
     rest = [m & low | m >> 1 & ~low for j, m in enumerate(succ) if j != c0]
     rows = _bits(D & low | D >> 1 & ~low)
-    row_succ = [succ[i] for i in _bits(D)]
 
     parts = []
-    for E, clos_p in antichains(D, below):
-        k = E.bit_count()
-        if all((m & E).bit_count() <= 1 for m in row_succ):
+    for E, clos_p, seen, clean in antichains(D, below, pred):
+        if clean:
             # no row of D sees two elements of E: the complement, with the
             # columns of E deleted from the rows in D
             keep, sub = ~(E & low | E >> 1 & ~low), rest[:]
@@ -328,10 +333,8 @@ def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
             part = pattern_census(tuple(sub), ctx)
         else:
             part = census(stabilizer_data(succ, c0, E), ctx)
-        clos_r = E
-        for d in _bits(E):
-            clos_r |= pred[d] & D
-        parts.append((part, k, (clos_p & ~clos_r).bit_count(), clos_r.bit_count() - k))
+        parts.append((part, E.bit_count(), (clos_p & ~(E | seen)).bit_count(),
+                      seen.bit_count()))
     return aggregate(parts)
 
 

@@ -271,6 +271,28 @@ def test_dump_families_needs_n(capsys):
     assert capsys.readouterr() == ("", "dump-families needs --n\n")
 
 
+def test_latex_table_text():
+    # every row is the polynomial's repr with its exponents in braces
+    assert format_table(compute_table(5, EngineContext()), "latex") == r"""\begin{tabular}{|c|l|}
+\hline
+\multicolumn{2}{c}{$n=5$} \\
+\hline
+$e$ & $N_{n,e}(q)$ \\
+\hline
+0 & $q^{4}$ \\
+\hline
+1 & $2q^{4} - q^{3} - q^{2}$ \\
+\hline
+2 & $2q^{4} - q^{3} - 2q^{2} + q$ \\
+\hline
+3 & $2q^{3} - 3q^{2} + q$ \\
+\hline
+4 & $q^{2} - 2q + 1$ \\
+\hline
+\end{tabular}
+"""
+
+
 def test_reports_are_byte_identical_across_runs():
     # determinism contract: same configuration, same bytes
     a = format_table(compute_table(6, EngineContext()), "json")
@@ -281,17 +303,18 @@ def test_reports_are_byte_identical_across_runs():
     assert la == lb
 
 
-def _run_fresh(code: str) -> str:
-    """The stdout of code run in a fresh interpreter that imports this package."""
+def _run_fresh(*args: str) -> str:
+    """The stdout of a fresh interpreter that imports this package, run
+    with args, which must exit 0."""
     src = str(Path(unicount.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, *args], env=env, check=True,
                           stdout=subprocess.PIPE, text=True).stdout
 
 
 def test_import_leaves_recursion_limit_alone():
-    out = _run_fresh("import sys; before = sys.getrecursionlimit(); import unicount; "
+    out = _run_fresh("-c", "import sys; before = sys.getrecursionlimit(); import unicount; "
                      "print(sys.getrecursionlimit() == before)")
     assert out.strip() == "True"
 
@@ -299,12 +322,21 @@ def test_import_leaves_recursion_limit_alone():
 def test_numpy_stays_out_of_the_engine():
     # only the oracle's vectorised helpers import numpy
     out = _run_fresh(
-        "import sys; import unicount.cli as cli; print('numpy' in sys.modules); "
+        "-c", "import sys; import unicount.cli as cli; print('numpy' in sys.modules); "
         "rc = cli.main(['compute', '--n', '6']); "
         "print(rc, 'numpy' in sys.modules)")
     lines = out.splitlines()
     assert lines[0] == "False"
     assert lines[-1] == "0 False"
+
+
+def test_run_tables_script():
+    # the table script runs end to end on the package's API and matches
+    # the vendored table at n = 10
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_tables.py"
+    lines = _run_fresh(str(script), "--max-n", "10").splitlines()
+    assert len(lines) == 10
+    assert lines[-1].startswith("n=10") and "golden=ok" in lines[-1]
 
 
 def test_main_entrypoint(capsys):

@@ -233,6 +233,35 @@ class TestContractTypeA:
             assert report["pass"], report
 
 
+class TestContraction:
+    """engine._contraction: one scan of the y with Jy = 0 picks the move."""
+
+    def test_good_pair_wins_over_an_earlier_fold_witness(self):
+        # y = 0 hits w = 3 and z = 4, a fold witness first in basis order;
+        # y = 2 hits z only, a good pair, which is taken with shift 1
+        data = AlgebraicData((), (), (0, 1, 2, 3, 4),
+                             {(0, 1): [(3, frozenset()), (4, frozenset())],
+                              (2, 1): [(4, frozenset())]})
+        contracted, shift = engine._contraction(data, 4)
+        want = contract_type_b(data, 4, 2)
+        assert shift == 1
+        assert (contracted.key(), contracted.basis) == (want.key(), want.basis)
+
+    def test_fold_prefers_an_image_with_z_to_a_smaller_one(self):
+        # no good pair: y = 0 hits w = 3 alone, y = 1 hits w = 4 and z = 5
+        data = AlgebraicData((), (), range(6),
+                             {(0, 2): [(3, frozenset())],
+                              (1, 2): [(4, frozenset()), (5, frozenset())]})
+        contracted, shift = engine._contraction(data, 5)
+        want = contract_type_a(data, 5, 1)
+        assert shift == 0
+        assert (contracted.key(), contracted.basis) == (want.key(), want.basis)
+
+    def test_no_witness(self):
+        # y y = a z: the only product has a right factor as its left one
+        assert engine._contraction(core_2dim(), 1) is None
+
+
 class TestResolve:
     def test_plain_table(self, ctx):
         t4 = encode_pattern(chain(4))

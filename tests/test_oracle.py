@@ -81,13 +81,6 @@ class TestIrrCountAtZ:
             quotient_by(alg, alg.labels[0])  # e12 is a factor
 
 
-def test_class_count_report():
-    from unicount.oracle import class_count_report
-    alg = u_n_algebra(3, 2)
-    rep = class_count_report(alg, z_label=alg.labels[-1])
-    assert rep == {"group_order": 8, "class_count": 5, "quotient_class_count": 4}
-
-
 def test_vectorised_substitution_count_matches_enumeration():
     # 5^6 and 3^8 assignments take the numpy branch of count_values_bruteforce,
     # which raises every variable to its power mod q by table lookup

@@ -30,17 +30,25 @@ def labelled_closure(rel: frozenset, ground, within) -> frozenset:
     return frozenset((ground[k], ground[ll]) for ll, m in below.items() for k in _bits(m))
 
 
-def labelled_walk(D, rel: frozenset) -> list[tuple[frozenset, frozenset]]:
-    """patterns.antichains on (D, rel): each antichain with its closure in D."""
+def labelled_walk(D, rel: frozenset, order: frozenset | None = None) -> list[tuple]:
+    """patterns.antichains on (D, rel), rows seeing through order (rel by
+    default): each antichain with its closure in D, the rows of D that
+    see an element of it, and whether no row sees two."""
     D = sorted(D)
+    order = rel if order is None else order
     below = {i: sum(1 << j for j, k in enumerate(D) if (k, ll) in rel)
              for i, ll in enumerate(D)}
-    return [(frozenset(D[i] for i in _bits(E)), frozenset(D[i] for i in _bits(clos)))
-            for E, clos in antichains((1 << len(D)) - 1, below)]
+    pred = [sum(1 << j for j, k in enumerate(D) if (k, ll) in order) for ll in D]
+
+    def labels(mask):
+        return frozenset(D[i] for i in _bits(mask))
+
+    return [(labels(E), labels(clos), labels(seen), clean)
+            for E, clos, seen, clean in antichains((1 << len(D)) - 1, below, pred)]
 
 
 def labelled_antichains(D, rel: frozenset) -> list[frozenset]:
-    return [E for E, _ in labelled_walk(D, rel)]
+    return [E for E, *_ in labelled_walk(D, rel)]
 
 
 def labelled_stabilizer(poset: Poset, c0: int, E) -> AlgebraicData:
@@ -215,21 +223,40 @@ class TestAntichains:
 
     def test_walk_is_the_sorted_reference(self):
         # the walk yields the reference's antichains in its order, each
-        # with its downward closure, on any relation and any row
+        # with its downward closure, the rows that see it and whether it
+        # is clean, on any relation and any row
         rng = random.Random(61)
         for _ in range(300):
             m, rel = random_poset_pairs(rng, max_elems=7)
             rel = frozenset(rel)
             D = rng.sample(range(1, m + 1), rng.randint(0, m))
             walk = labelled_walk(D, rel)
-            assert [E for E, _ in walk] == sorted(reference_antichains(D, rel),
-                                                  key=lambda s: tuple(sorted(s)))
-            for E, clos in walk:
+            assert [E for E, *_ in walk] == sorted(reference_antichains(D, rel),
+                                                   key=lambda s: tuple(sorted(s)))
+            for E, clos, _, _ in walk:
                 assert clos == top_and_closure(E, rel, D)[1]
+            self.check_rows(m, rel, D, walk)
             if m and D:
-                # and on the closure a pattern node coarsens its row to
+                # and on the closure a pattern node coarsens its row to,
+                # with rows seeing through the order itself
                 pbar = labelled_closure(rel, range(1, m + 1), D)
-                assert labelled_antichains(D, pbar) == reference_antichains(D, pbar)
+                walk = labelled_walk(D, pbar, rel)
+                assert [E for E, *_ in walk] == reference_antichains(D, pbar)
+                self.check_rows(m, rel, D, walk)
+
+    @staticmethod
+    def check_rows(m, rel, D, walk):
+        """seen is the union of pred[d] & D over d in E, and clean is
+        ``row_disjoint``, in the order rel on 1..m at positions label - 1."""
+        succ = Poset(range(1, m + 1), rel, check=False).masks()
+        pred, D_mask = _preds(succ), sum(1 << i - 1 for i in D)
+        for E, _, seen, clean in walk:
+            E_mask = sum(1 << d - 1 for d in E)
+            rows = 0
+            for d in E:
+                rows |= pred[d - 1] & D_mask
+            assert seen == frozenset(i + 1 for i in _bits(rows))
+            assert clean == row_disjoint(succ, D_mask, E_mask)
 
 
 class TestEncodePattern:
@@ -339,11 +366,12 @@ def reference_pair_stabilizer(poset: Poset, B: list[int], D: set[int],
 
 def first_node(succ):
     """The first node of the pattern recursion on the order succ: its
-    minimal position c0, the row D = succ[c0], and the normal closure on D
-    that its antichains are taken in, as ``_pattern_core`` finds them."""
+    minimal position c0, the row D = succ[c0], and the antichains of D in
+    its normal closure, the walk ``_pattern_core`` takes."""
     c0 = choose_c0(succ)
     D = succ[c0]
-    return c0, D, normal_closure(succ, _preds(succ, D), D)
+    pred = _preds(succ, D)
+    return c0, D, list(antichains(D, normal_closure(succ, pred, D), pred))
 
 
 def row_disjoint(succ, D: int, E: int) -> bool:
@@ -374,8 +402,8 @@ def test_pair_stabilizers_match_the_reference(monkeypatch):
     for succ in sorted(orders):
         if not any(succ):
             continue
-        c0, D, below = first_node(succ)
-        for E, _ in antichains(D, below):
+        c0, D, walk = first_node(succ)
+        for E, *_ in walk:
             if E.bit_count() == 2:
                 data = stabilizer_data(succ, c0, E)
                 poset = poset_of(succ)
@@ -613,8 +641,8 @@ class TestPatternCensus:
             if not rel:
                 continue
             p = Poset(range(1, m + 1), rel)
-            c0, D, below = first_node(p.masks())
-            if max(E.bit_count() for E, _ in antichains(D, below)) < 3:
+            c0, D, walk = first_node(p.masks())
+            if max(E.bit_count() for E, *_ in walk) < 3:
                 continue
             widest.clear()
             out = pattern_census(p, EngineContext())
@@ -748,8 +776,8 @@ class TestRowDisjointAntichains:
             m, rel = random_poset_pairs(rng, max_elems=8)
             p = Poset(range(1, m + 1), rel)
             succ = p.masks()
-            c0, D, below = first_node(succ)
-            for E, _ in antichains(D, below):
+            c0, D, walk = first_node(succ)
+            for E, *_ in walk:
                 if E.bit_count() < 2 or not row_disjoint(succ, D, E):
                     continue
                 # elements are labelled by position plus one
@@ -798,8 +826,8 @@ class TestRowDisjointAntichains:
             want = []
             for succ in sorted(orders):
                 if any(succ):
-                    c0, D, below = first_node(succ)
-                    want += [(succ, c0, E) for E, _ in antichains(D, below)
+                    c0, D, walk = first_node(succ)
+                    want += [(succ, c0, E) for E, *_ in walk
                              if not row_disjoint(succ, D, E)]
             assert sorted(calls) == sorted(want), top
             routed_total += len(want)
@@ -895,8 +923,9 @@ class TestChooseC0:
     def test_a_clean_row_is_peeled_before_a_dirty_lower_one(self, monkeypatch, reverse):
         from unicount import patterns
         succ = self.DIRTY_FIRST
-        below = normal_closure(succ, _preds(succ, succ[0]), succ[0])
-        assert any(not row_disjoint(succ, succ[0], E) for E, _ in antichains(succ[0], below))
+        pred = _preds(succ, succ[0])
+        assert any(not row_disjoint(succ, succ[0], E)
+                   for E, *_ in antichains(succ[0], normal_closure(succ, pred, succ[0]), pred))
         want = 6
         if reverse:
             # position p becomes 9 - p: every pair runs against the labels
