@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""End-to-end table experiment: compute N_{n,e}(q) for a range of n,
+"""End-to-end table experiment: compute N_{n,e}(q) for n = 1..max-n,
 check the formal identities, and diff n = 10..13 against the vendored
-tables.  Each n is computed from a fresh EngineContext, as
-`unicount compute --n N` does, and its time and engine nodes are printed
-after it, with the process's peak RSS so far.
+tables.  The tables go through ``cli.run_jobs``, so each n runs on a
+fresh EngineContext and is refused as `unicount compute --n N` refuses
+it, with the same stderr lines; a table with count records gets no line
+and no LaTeX file.  Each n's line gives its time and engine nodes, with
+the process's peak RSS so far; --audit adds the line of --debug-counts.
 
 Usage:
     python scripts/run_tables.py [--max-n 13] [--audit] [--latex-dir DIR]
@@ -16,33 +18,43 @@ import sys
 import time
 from pathlib import Path
 
-from unicount.cli import check_identities, format_table, load_golden_tables
-from unicount.engine import EngineContext, resolve
-from unicount.oracle import audit_counts
-from unicount.patterns import unitriangular_census
+from unicount.cli import (check_identities, compute_table, format_table,
+                          load_golden_tables, run_jobs)
+from unicount.engine import DEFAULT_MAX_NODES
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=int, default=13)
     ap.add_argument("--audit", action="store_true",
                     help="cross-check every counted system by enumeration")
     ap.add_argument("--latex-dir", default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     golden = load_golden_tables()
-    status = 0
-    memos = []
-    for n in range(1, args.max_n + 1):
-        ctx = EngineContext()
-        memos.append(ctx.memo_counts)
-        t0 = time.perf_counter()
-        table = resolve(unitriangular_census(n, ctx), n, ctx)
-        dt = time.perf_counter() - t0
+    # per n: time, engine nodes and stats, kept instead of the context so
+    # that run_jobs frees each table's memos
+    runs = {}
+
+    def job(n):
+        def run(ctx):
+            t0 = time.perf_counter()
+            table = compute_table(n, ctx)
+            runs[n] = (time.perf_counter() - t0, ctx.nodes, dict(ctx.stats))
+            return table
+        return run
+
+    def show(table) -> int:
+        n = table.n
+        dt, nodes, stats = runs.pop(n)
+        if table.unresolved:
+            # named by run_jobs; the table lacks the records' rows
+            return 0
         idents = check_identities(table)
+        status = 0 if idents["pass"] else 2
         # ru_maxrss is in KiB on Linux
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        line = (f"n={n:2d}  {dt:8.2f}s  peak_rss={rss_mb:7.1f}MB  nodes={ctx.nodes:6d}  "
+        line = (f"n={n:2d}  {dt:8.2f}s  peak_rss={rss_mb:7.1f}MB  nodes={nodes:6d}  "
                 f"rows={len(table.entries):3d}  "
                 f"identities={'ok' if idents['pass'] else 'FAIL'}")
         if n in golden:
@@ -50,25 +62,19 @@ def main() -> int:
             line += f"  golden={'ok' if match else 'MISMATCH'}"
             if not match:
                 status = 3
-        if table.exceptional:
-            for fam, total in table.exceptional:
-                line += f"  exceptional: {total!r} at degree shift {fam.m}"
-        if ctx.stats:
-            line += f"  stats: {ctx.stats}"
-        if not idents["pass"]:
-            status = 2
+        for fam, total in table.exceptional:
+            line += f"  exceptional: {total!r} at degree shift {fam.m}"
+        if stats:
+            line += f"  stats: {stats}"
         print(line, flush=True)
         if args.latex_dir:
             out = Path(args.latex_dir)
             out.mkdir(parents=True, exist_ok=True)
             (out / f"table_n{n}.tex").write_text(format_table(table, "latex"))
-    if args.audit:
-        audit = audit_counts(*memos)
-        print(f"count audit: {audit.audited} systems checked, {audit.skipped} skipped, "
-              f"{len(audit.violations)} violations")
-        if audit.violations:
-            status = 2
-    return status
+        return status
+
+    return run_jobs([job(n) for n in range(1, args.max_n + 1)], show, DEFAULT_MAX_NODES,
+                    args.audit)
 
 
 if __name__ == "__main__":

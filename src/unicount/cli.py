@@ -2,6 +2,8 @@
 check formal identities, run brute-force verification, and dump the
 families a census leaves.
 
+``build_parser`` is the one validator: every bad argument is a usage
+error (exit 2), and each command's ``cmd_*`` takes the parsed namespace.
 Every command runs its tables through ``run_jobs``, each on a fresh
 ``EngineContext`` with the node budget --max-nodes, and then does only
 its own work on each result: compute formats it, or prints nothing for
@@ -16,10 +18,10 @@ the last table, --debug-counts adds one audit line.
 Exit codes: 0 all good, 2 unresolved records or unrecognised families
 survived, a coefficient outgrew the packed arithmetic of ``polyring``
 (``CoefficientOverflow``), the node budget of a table (--max-nodes) ran
-out, the count audit (--debug-counts) found violations, an argument was
-rejected, a verify instance is too large to count classes of, a --poset
-file is missing or malformed, or the run ran out of memory, 3
-regression mismatch.
+out, the count audit (--debug-counts) found violations, an identity or
+a closed form failed, an argument was rejected, a verify instance is
+too large to count classes of, a --poset file is missing or malformed,
+or the run ran out of memory, 3 regression mismatch.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -41,24 +42,6 @@ from .polyring import CoefficientOverflow, CountPoly, shifted_coeffs
 
 class GoldenMissing(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    n: int | None = None
-    poset_file: str | None = None
-    fmt: str = "json"
-    oracle_qs: tuple[int, ...] = (2, 3)
-    max_nodes: int = DEFAULT_MAX_NODES
-    debug_counts: bool = False
-
-    def __post_init__(self):
-        if self.n is not None and self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be at least 1")
-        if not self.oracle_qs or not set(self.oracle_qs) <= {2, 3, 4, 5}:
-            raise ValueError("oracle fields must be one or more of q in {2,3,4,5}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +120,15 @@ def format_table(table: ResolvedTable, fmt: str) -> str:
 # identities
 
 def check_identities(table: ResolvedTable) -> dict:
-    """The three formal consistency checks for one completed n."""
+    """The formal consistency checks for one completed n.
+
+    Three identities: the sum rule, N_{n,0} = q^{n-1} and nonnegative
+    shifted coefficients.  Two closed forms for n >= 3 (below it they
+    read True): the degree-q row N_{n,1} = (n-3) q^{n-1} - (n-4) q^{n-2}
+    - q^{n-3}, and the last row, at e = floor((n-1)^2/4), which is
+    (q-1)^m for n = 2m+1 and q (q-1)^{m-1} for n = 2m.  They only ever
+    refuse a table; none is derived from them.
+    """
     n = table.n
     weighted = table.full_poly().weight_formal()
     sum_rule = weighted.terms == {(n * (n - 1) // 2, 0): 1} if n > 1 else \
@@ -146,15 +137,23 @@ def check_identities(table: ResolvedTable) -> dict:
         ({(n - 1, 0): 1} if n > 1 else {(0, 0): 1})
     shift_nonneg = all(c > 0 for p in table.entries.values()
                        for c in shifted_coeffs(p).values())
+    degree_q_row = top_row = True
+    if n >= 3:
+        degree_q_row = table.entries.get(1) == CountPoly(
+            {(n - 1, 0): n - 3, (n - 2, 0): 4 - n, (n - 3, 0): -1})
+        m, top = n // 2, (n - 1) ** 2 // 4
+        top_row = max(table.entries, default=-1) == top and table.entries[top] == (
+            CountPoly.one().scale(m, 0, 0) if n % 2 else CountPoly.one().scale(m - 1, 1, 0))
     return {"n": n, "sum_rule": sum_rule, "linear_rule": linear_rule,
-            "shifted_nonnegative": shift_nonneg,
-            "pass": sum_rule and linear_rule and shift_nonneg}
+            "shifted_nonnegative": shift_nonneg, "degree_q_row": degree_q_row,
+            "top_row": top_row,
+            "pass": sum_rule and linear_rule and shift_nonneg and degree_q_row and top_row}
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def run_jobs(cfg: RunConfig, jobs, show) -> int:
+def run_jobs(jobs, show, max_nodes: int, debug_counts: bool) -> int:
     """Run each job on a fresh ``EngineContext`` and pass its result to show.
 
     A job maps a context to a ``ResolvedTable`` or a ``Census``; show
@@ -162,13 +161,13 @@ def run_jobs(cfg: RunConfig, jobs, show) -> int:
     names a core that resolve does not recognise or a coefficient too
     large for ``polyring`` to read back (either ends the run with 2), an
     exhausted node budget and surviving count records; after the last
-    job, --debug-counts audits the count memos of every job.  The status
+    job, debug_counts audits the count memos of every job.  The status
     is the largest found, and a regression mismatch (3) ends the run.
     """
     status = 0
     memos = []
     for job in jobs:
-        ctx = EngineContext(max_nodes=cfg.max_nodes)
+        ctx = EngineContext(max_nodes=max_nodes)
         memos.append(ctx.memo_counts)
         try:
             result = job(ctx)
@@ -180,7 +179,7 @@ def run_jobs(cfg: RunConfig, jobs, show) -> int:
             result = None
         cut = ctx.stats.get("budget_families", 0)
         if cut:
-            print(f"node budget of {cfg.max_nodes} exhausted: {cut} families left "
+            print(f"node budget of {max_nodes} exhausted: {cut} families left "
                   "uncontracted", file=sys.stderr)
             status = 2
         if result is None:
@@ -191,7 +190,7 @@ def run_jobs(cfg: RunConfig, jobs, show) -> int:
         status = max(status, show(result))
         if status == 3:
             break
-    if cfg.debug_counts:
+    if debug_counts:
         audit = audit_counts(*memos)
         print(f"count audit violations: {len(audit.violations)}; systems audited: "
               f"{audit.audited}; skipped with more than {AUDIT_MAX_PARAMS} parameters: "
@@ -206,34 +205,30 @@ def _tables(ns):
     return [lambda ctx, n=n: compute_table(n, ctx) for n in ns]
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    if bool(cfg.n) == bool(cfg.poset_file):
-        print("compute needs exactly one of --n or --poset", file=sys.stderr)
-        return 2
-    if cfg.poset_file:
+def cmd_compute(args: argparse.Namespace) -> int:
+    if args.poset is not None:
         try:
-            poset = Poset.from_json(json.loads(Path(cfg.poset_file).read_text()))
+            poset = Poset.from_json(json.loads(Path(args.poset).read_text()))
         except (OSError, ValueError, KeyError, TypeError, MalformedData) as exc:
             # ValueError covers bad JSON, TypeError values of the wrong type
-            print(f"bad poset file {cfg.poset_file}: {type(exc).__name__}: {exc}",
+            print(f"bad poset file {args.poset}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             return 2
         jobs = [lambda ctx: resolve(pattern_census(poset, ctx), len(poset.elems), ctx)]
     else:
-        jobs = _tables([cfg.n])
+        jobs = _tables([args.n])
 
     def show(table: ResolvedTable) -> int:
         # a table with count records lacks their rows; run_jobs names the
         # records and refuses it, so none of it is printed
         if not table.unresolved:
-            print(format_table(table, cfg.fmt))
+            print(format_table(table, args.format))
         return 0
-    return run_jobs(cfg, jobs, show)
+    return run_jobs(jobs, show, args.max_nodes, args.debug_counts)
 
 
-def cmd_regress(cfg: RunConfig, golden=None) -> int:
-    if golden is None:
-        golden = load_golden_tables()
+def cmd_regress(args: argparse.Namespace) -> int:
+    golden = load_golden_tables()
 
     def show(table: ResolvedTable) -> int:
         rows = golden[table.n]
@@ -245,28 +240,25 @@ def cmd_regress(cfg: RunConfig, golden=None) -> int:
                 return 3
         print(f"n={table.n}: {len(rows)} rows match exactly")
         return 0
-    return run_jobs(cfg, _tables(sorted(golden)), show)
+    return run_jobs(_tables(sorted(golden)), show, args.max_nodes, args.debug_counts)
 
 
-def cmd_identities(cfg: RunConfig, max_n: int) -> int:
-    if max_n < 1:
-        raise ValueError("identities needs max_n of at least 1")
-
+def cmd_identities(args: argparse.Namespace) -> int:
     def show(table: ResolvedTable) -> int:
         report = check_identities(table)
         flag = "ok" if report["pass"] else "FAIL"
         print(f"n={table.n}: sum_rule={report['sum_rule']} linear_rule={report['linear_rule']} "
-              f"shifted_nonnegative={report['shifted_nonnegative']} [{flag}]")
+              f"shifted_nonnegative={report['shifted_nonnegative']} "
+              f"degree_q_row={report['degree_q_row']} top_row={report['top_row']} [{flag}]")
         return 0 if report["pass"] else 2
-    return run_jobs(cfg, _tables(range(1, max_n + 1)), show)
+    return run_jobs(_tables(range(1, args.max_n + 1)), show, args.max_nodes,
+                    args.debug_counts)
 
 
-def cmd_verify(cfg: RunConfig, max_n: int = 5) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Brute-force agreement: engine totals vs conjugacy-class counts."""
-    if max_n < 2:
-        raise ValueError("verify needs max_n of at least 2")
-    qs = sorted(cfg.oracle_qs)
-    for n in range(2, max_n + 1):
+    qs = sorted(args.q)
+    for n in range(2, args.max_n + 1):
         for q0 in qs:
             if q0 ** (n * (n - 1) // 2) > CLASS_COUNT_CAP:
                 print(f"U_{n}({q0}) has order {q0}^{n * (n - 1) // 2}, over the "
@@ -282,24 +274,22 @@ def cmd_verify(cfg: RunConfig, max_n: int = 5) -> int:
             reports.append({"instance": f"U_{table.n}({q0})", "q": q0,
                             "expected": expected, "actual": actual,
                             "pass": expected == actual})
-        if table.n == max_n:
+        if table.n == args.max_n:
             print(json.dumps(reports, indent=1))
         return 0 if all(r["pass"] for r in reports) else 2
-    return run_jobs(cfg, _tables(range(2, max_n + 1)), show)
+    return run_jobs(_tables(range(2, args.max_n + 1)), show, args.max_nodes,
+                    args.debug_counts)
 
 
-def cmd_dump_families(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        print("dump-families needs --n", file=sys.stderr)
-        return 2
-
+def cmd_dump_families(args: argparse.Namespace) -> int:
     def show(c: Census) -> int:
         out = [{"core": f.data.to_json(), "z": f"e{f.z}" if f.z is not None else None,
                 "kind": "all" if f.z is None else "at_z", "k": f.k, "l": f.l, "m": f.m}
                for f in c.families]
         print(json.dumps(out, indent=1, sort_keys=True))
         return 0
-    return run_jobs(cfg, [lambda ctx: unitriangular_census(cfg.n, ctx)], show)
+    return run_jobs([lambda ctx: unitriangular_census(args.n, ctx)], show, args.max_nodes,
+                    args.debug_counts)
 
 
 def _int_at_least(low: int):
@@ -325,21 +315,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute the N_{n,e}(q) table for one n")
-    p.add_argument("--n", type=_int_at_least(1))
-    p.add_argument("--poset", help="JSON poset file instead of a chain")
+    p.set_defaults(run=cmd_compute)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=_int_at_least(1))
+    which.add_argument("--poset", help="JSON poset file instead of a chain")
     p.add_argument("--format", choices=("json", "csv", "latex"), default="json")
 
     p = sub.add_parser("regress", help="compare n=10..13 against the vendored tables")
+    p.set_defaults(run=cmd_regress)
 
     p = sub.add_parser("identities", help="formal consistency checks")
+    p.set_defaults(run=cmd_identities)
     p.add_argument("--max-n", type=_int_at_least(1), default=13)
 
     # verify starts at U_2: a smaller --max-n would check nothing
     p = sub.add_parser("verify", help="brute-force class-count agreement")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--max-n", type=_int_at_least(2), default=5)
     p.add_argument("--q", type=int, nargs="+", default=[2, 3], choices=(2, 3, 4, 5))
 
     p = sub.add_parser("dump-families", help="unresolved families for one n")
+    p.set_defaults(run=cmd_dump_families)
     p.add_argument("--n", type=_int_at_least(1), required=True)
     return ap
 
@@ -350,28 +346,12 @@ def main(argv=None) -> int:
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return args.run(args)
     except MemoryError:
         pass
     # reported outside the handler, so that the traceback, and with it the
     # memo tables its frames hold, is already released
     print(f"{args.command}: out of memory; the run did not finish", file=sys.stderr)
-    return 2
-
-
-def _run(args: argparse.Namespace) -> int:
-    kwargs = dict(max_nodes=args.max_nodes, debug_counts=args.debug_counts)
-    if args.command == "compute":
-        return cmd_compute(RunConfig(n=args.n, poset_file=args.poset, fmt=args.format,
-                                     **kwargs))
-    if args.command == "regress":
-        return cmd_regress(RunConfig(**kwargs))
-    if args.command == "identities":
-        return cmd_identities(RunConfig(**kwargs), args.max_n)
-    if args.command == "verify":
-        return cmd_verify(RunConfig(oracle_qs=tuple(args.q), **kwargs), args.max_n)
-    if args.command == "dump-families":
-        return cmd_dump_families(RunConfig(n=args.n, **kwargs))
     return 2
 
 

@@ -6,15 +6,15 @@ CountPoly, or None when it cannot; it never risks a wrong polynomial.
 Only steps that are sound in every characteristic are applied.
 ``reduce_system`` applies these rules, in this order, until none fires:
 
-  1. a unit monomial equation whose variables are all nonzero-restricted
-     is a contradiction: the system has no solutions;
-  2. monomial content in nonzero-restricted variables is divided out of
+  1. monomial content in nonzero-restricted variables is divided out of
      an equation;
-  3. a unit monomial equation with exactly one unrestricted variable x
-     pins it: x := 0;
-  4. a parameter occurring in no equation contributes a factor q when
+  2. a unit monomial equation, which after rule 1 has no
+     nonzero-restricted variable, is +-1, a contradiction (the system
+     has no solutions), or +-x^a with one unrestricted x, which pins
+     it: x := 0;
+  3. a parameter occurring in no equation contributes a factor q when
      free and q-1 when restricted nonzero;
-  5. a variable appearing linearly in one equation with an invertible
+  4. a variable appearing linearly in one equation with an invertible
      coefficient (a signed product of nonzero-restricted parameters) is
      substituted away, preserving the solution count exactly.
 
@@ -67,9 +67,7 @@ def _eliminate_step(params: tuple, restrictions: tuple, protected: frozenset):
     """Substitute out one linearly determined variable, or None.
 
     Returns (params', restrictions') with |V(Q', E', q)| = |V(Q, E, q)|
-    for every q; the pivot is never in ``protected``.  A forced
-    contradiction is signalled by returning the unit equation as the
-    whole system.
+    for every q; the pivot is never in ``protected``.
     """
     nz = frozenset(r.sym for r in restrictions if isinstance(r, NonZero))
     for eq in restrictions:
@@ -86,12 +84,8 @@ def _eliminate_step(params: tuple, restrictions: tuple, protected: frozenset):
             if not _invertible_monomial(coeff, nz):
                 continue
             rest = parts.get(0, ParamPoly.zero())
-            if x in nz:
-                if rest.is_zero():
-                    # x = 0 forced against x != 0: empty system
-                    return tuple(p for p in params if p != x), (Equation(ParamPoly.const(1)),)
-                if not _invertible_monomial(rest, nz):
-                    continue
+            if x in nz and not _invertible_monomial(rest, nz):
+                continue
             new_restrictions = []
             for r in restrictions:
                 if r is eq or (isinstance(r, NonZero) and r.sym == x):
@@ -124,10 +118,6 @@ def reduce_system(params: Iterable[int], restrictions: Iterable[Restriction],
         nz = frozenset(r.sym for r in restrictions if isinstance(r, NonZero))
         equations = [r for r in restrictions if isinstance(r, Equation)]
 
-        for eq in equations:
-            if _invertible_monomial(eq.poly, nz):
-                return 0, 0, (), (), True
-
         # divide out common monomial content in nonzero-restricted variables
         divided = None
         for eq in equations:
@@ -141,18 +131,17 @@ def reduce_system(params: Iterable[int], restrictions: Iterable[Restriction],
             changed = True
             continue
 
-        # a unit monomial with exactly one unrestricted variable pins it to 0
+        # with the content divided out, a unit monomial has unrestricted
+        # variables only: +-1 is a contradiction, and +-x^a pins x to 0
         pinned = None
         for eq in equations:
             sm = eq.poly.single_monomial()
-            if sm is None:
+            if sm is None or abs(sm[0]) != 1:
                 continue
-            c, m = sm
-            if abs(c) != 1:
-                continue
-            free_vars = [s for s, _ in m if s not in nz]
-            if len(free_vars) == 1 and free_vars[0] not in protected:
-                pinned = free_vars[0]
+            if not sm[1]:
+                return 0, 0, (), (), True
+            if len(sm[1]) == 1 and sm[1][0][0] not in protected:
+                pinned = sm[1][0][0]
                 break
         if pinned is not None:
             params, restrictions = set_zero(params, restrictions, pinned)

@@ -106,7 +106,8 @@ def test_criterion_4_formal_identities(tables):
             failures.append((n, rep))
     dt = time.perf_counter() - t0
     report(4, not failures and dt < 13.0,
-           f"sum rule, linear rule, nonnegative shifted coefficients for n <= 13 "
+           f"sum rule, linear rule, nonnegative shifted coefficients, closed forms of "
+           f"the degree-q and top rows for n <= 13 "
            f"({dt*1000:.0f}ms total)")
 
 

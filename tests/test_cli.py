@@ -1,21 +1,31 @@
+import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import unicount
-from unicount import oracle, polyring, solcount
-from unicount.cli import (RunConfig, check_identities, cmd_compute, cmd_regress,
-                          cmd_identities, cmd_verify, cmd_dump_families,
-                          compute_table, format_table, load_golden_tables, main,
-                          parse_q_poly)
+from unicount import cli, oracle, polyring, solcount
+from unicount.cli import (build_parser, check_identities, compute_table, format_table,
+                          load_golden_tables, main, parse_q_poly)
 from unicount.engine import EngineContext, ResolvedTable, UnknownCore
 from unicount.polyring import CountPoly
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def golden_10(monkeypatch):
+    """regress compares n = 10 alone, so that the suite stays fast."""
+    rows = load_golden_tables()[10]
+    monkeypatch.setattr(cli, "load_golden_tables", lambda: {10: rows})
+    return rows
 
 
 class TestParseQPoly:
@@ -46,32 +56,34 @@ def test_golden_tables_internally_consistent():
 
 class TestComputeCommand:
     def test_trivial_group(self, capsys):
-        cfg = RunConfig(n=1)
-        assert cmd_compute(cfg) == 0
+        assert main(["compute", "--n", "1"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["table"] == [{"e": 0, "poly": {"terms": [{"q": 0, "t": 0, "c": 1}]}}]
 
     def test_n10_has_21_rows(self, capsys):
-        cfg = RunConfig(n=10)
-        assert cmd_compute(cfg) == 0
+        assert main(["compute", "--n", "10"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert [row["e"] for row in obj["table"]] == list(range(21))
 
-    @pytest.mark.parametrize("n, poset", [(None, False), (3, True)], ids=["neither", "both"])
-    def test_needs_exactly_one_of_n_and_poset(self, tmp_path, capsys, n, poset):
+    @pytest.mark.parametrize("args, error", [
+        ([], "one of the arguments --n --poset is required"),
+        (["--n", "3", "--poset", "poset.json"],
+         "argument --poset: not allowed with argument --n"),
+    ], ids=["neither", "both"])
+    def test_needs_exactly_one_of_n_and_poset(self, capsys, args, error):
         # from Python, neither once raised a TypeError and both ignored n
-        poset_file = tmp_path / "poset.json"
-        poset_file.write_text(json.dumps({"elems": [1, 2], "rel": [[1, 2]]}))
-        cfg = RunConfig(n=n, poset_file=str(poset_file) if poset else None)
-        assert cmd_compute(cfg) == 2
-        assert capsys.readouterr() == ("", "compute needs exactly one of --n or --poset\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compute"] + args)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "usage:" in out.err
+        assert out.err.endswith(f"unicount compute: error: {error}\n")
 
     def test_poset_input(self, tmp_path, capsys):
         poset_file = tmp_path / "poset.json"
         poset_file.write_text(json.dumps(
             {"elems": [1, 2, 3], "rel": [[1, 2], [1, 3], [2, 3]]}))
-        cfg = RunConfig(poset_file=str(poset_file))
-        assert cmd_compute(cfg) == 0
+        assert main(["compute", "--poset", str(poset_file)]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert {row["e"] for row in obj["table"]} == {0, 1}
 
@@ -82,8 +94,7 @@ class TestComputeCommand:
         poset_file = tmp_path / "poset.json"
         rel = [[i, j] for i in range(1, 11) for j in range(i + 1, 11)]
         poset_file.write_text(json.dumps({"elems": list(range(1, 11)), "rel": rel}))
-        cfg = RunConfig(poset_file=str(poset_file), max_nodes=1)
-        assert cmd_compute(cfg) == 2
+        assert main(["--max-nodes", "1", "compute", "--poset", str(poset_file)]) == 2
 
     def test_large_sparse_poset(self, tmp_path, capsys):
         # 300 disjoint relations on 600 elements: a node's normal closure
@@ -108,8 +119,7 @@ class TestComputeCommand:
         poset_file = tmp_path / "poset.json"
         if text is not None:
             poset_file.write_text(text)
-        cfg = RunConfig(poset_file=str(poset_file))
-        assert cmd_compute(cfg) == 2
+        assert main(["compute", "--poset", str(poset_file)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("bad poset file") and out.err.count("\n") == 1
@@ -129,17 +139,13 @@ class TestComputeCommand:
 
 
 class TestRegressCommand:
-    def test_passes_on_small_subset(self, capsys):
-        cfg = RunConfig()
-        golden = {n: rows for n, rows in load_golden_tables().items() if n == 10}
-        assert cmd_regress(cfg, golden=golden) == 0
+    def test_passes_on_small_subset(self, capsys, golden_10):
+        assert main(["regress"]) == 0
         assert "21 rows match exactly" in capsys.readouterr().out
 
-    def test_perturbed_golden_fails_with_location(self, capsys):
-        cfg = RunConfig()
-        golden = {n: dict(rows) for n, rows in load_golden_tables().items() if n == 10}
-        golden[10][7] = golden[10][7] + CountPoly.one()
-        assert cmd_regress(cfg, golden=golden) == 3
+    def test_perturbed_golden_fails_with_location(self, capsys, golden_10):
+        golden_10[7] = golden_10[7] + CountPoly.one()
+        assert main(["regress"]) == 3
         out = capsys.readouterr().out
         assert "MISMATCH n=10 e=7" in out
         assert "golden:" in out and "computed:" in out
@@ -153,16 +159,13 @@ class TestAuditedCommands:
         monkeypatch.setattr(oracle, "count_values_bruteforce", lambda *a, **k: -1)
 
     def test_identities(self, capsys):
-        cfg = RunConfig(debug_counts=True)
-        assert cmd_identities(cfg, 11) == 2
+        assert main(["--debug-counts", "identities", "--max-n", "11"]) == 2
         # each n has its own memos: n = 10 and n = 11 each count one
         # system, and each disagrees at the four audited fields
         assert "count audit violations: 8; systems audited: 2;" in capsys.readouterr().err
 
-    def test_regress(self, capsys):
-        cfg = RunConfig(debug_counts=True)
-        golden = {n: rows for n, rows in load_golden_tables().items() if n == 10}
-        assert cmd_regress(cfg, golden=golden) == 2
+    def test_regress(self, capsys, golden_10):
+        assert main(["--debug-counts", "regress"]) == 2
         out = capsys.readouterr()
         assert "21 rows match exactly" in out.out
         assert "count audit violations" in out.err
@@ -172,15 +175,12 @@ class TestUnresolvableFamily:
     """A node budget too small to finish leaves a family that resolve does
     not recognise; the command reports it and exits 2."""
 
-    def test_regress(self, capsys):
-        cfg = RunConfig(max_nodes=5)
-        golden = {n: rows for n, rows in load_golden_tables().items() if n == 10}
-        assert cmd_regress(cfg, golden=golden) == 2
+    def test_regress(self, capsys, golden_10):
+        assert main(["--max-nodes", "5", "regress"]) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
     def test_identities(self, capsys):
-        cfg = RunConfig(max_nodes=50)
-        assert cmd_identities(cfg, 11) == 2
+        assert main(["--max-nodes", "50", "identities", "--max-n", "11"]) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
 
@@ -221,15 +221,56 @@ def test_identities_node_budget_is_per_table(capsys):
 
 
 def test_identities_command(capsys):
-    cfg = RunConfig()
-    assert cmd_identities(cfg, 5) == 0
+    assert main(["identities", "--max-n", "5"]) == 0
     out = capsys.readouterr().out
     assert out.count("[ok]") == 5
 
 
+def _moves(*moves):
+    """Rows e and the polynomials in q, by (exponent, coefficient), added to them."""
+    return [(e, CountPoly({(dq, 0): c for dq, c in terms})) for e, terms in moves]
+
+
+@pytest.mark.parametrize("moves, field", [
+    # q^2 (q-1) degree-q characters in place of q - 1 of degree q^2
+    (_moves((1, [(3, 1), (2, -1)]), (2, [(1, -1), (0, 1)])), "degree_q_row"),
+    # (q-1)^2 characters of the top degree q^9 in place of q^2 (q-1)^2 of degree q^8
+    (_moves((9, [(2, 1), (1, -2), (0, 1)]), (8, [(4, -1), (3, 2), (2, -1)])), "top_row"),
+], ids=["degree-q-row", "top-row"])
+def test_identities_refuses_a_row_off_its_closed_form(capsys, monkeypatch, moves, field):
+    # each perturbation of U_7 keeps the sum rule, N_{7,0} = q^6 and the
+    # positive shifted coefficients, so only its closed form refuses it
+    table7 = compute_table(7, EngineContext())
+    entries = dict(table7.entries)
+    for e, p in moves:
+        entries[e] = entries[e] + p
+    wrong = ResolvedTable(7, entries)
+    report = check_identities(wrong)
+    assert report["sum_rule"] and report["linear_rule"] and report["shifted_nonnegative"]
+    assert [k for k in ("degree_q_row", "top_row") if not report[k]] == [field]
+    real = cli.compute_table
+    monkeypatch.setattr(cli, "compute_table",
+                        lambda n, ctx: wrong if n == 7 else real(n, ctx))
+    assert main(["identities", "--max-n", "7"]) == 2
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("n=7: ") and f"{field}=False" in line and line.endswith("[FAIL]")
+
+
+def test_readme_command_lines_parse():
+    # every `unicount ...` line of the README's command-line block is one
+    # that build_parser, the one validator, accepts
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("unicount ")]
+    assert len(lines) == 6
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.run.__name__ == "cmd_" + args.command.replace("-", "_"), line
+
+
 def test_verify_command(capsys):
-    cfg = RunConfig(oracle_qs=(2,))
-    assert cmd_verify(cfg, max_n=4) == 0
+    assert main(["verify", "--max-n", "4", "--q", "2"]) == 0
     reports = json.loads(capsys.readouterr().out)
     assert all(r["pass"] for r in reports)
     assert {r["instance"] for r in reports} == {"U_2(2)", "U_3(2)", "U_4(2)"}
@@ -238,7 +279,6 @@ def test_verify_command(capsys):
 def test_verify_refuses_an_instance_over_the_class_count_cap(capsys, monkeypatch):
     # U_6(3) has order 3^15, too many elements to count classes of; this
     # once ended in a traceback after computing every table
-    from unicount import cli
     monkeypatch.setattr(cli, "compute_table", lambda n, ctx: pytest.fail("table computed"))
     assert main(["verify", "--max-n", "6"]) == 2
     out = capsys.readouterr()
@@ -249,8 +289,6 @@ def test_verify_refuses_an_instance_over_the_class_count_cap(capsys, monkeypatch
 def test_verify_refuses_an_unknown_core(capsys, monkeypatch):
     # verify's instances are too small to exhaust a node budget, so the
     # unrecognised core is forced
-    from unicount import cli
-
     def unknown(n, ctx):
         raise UnknownCore("forced")
 
@@ -260,15 +298,18 @@ def test_verify_refuses_an_unknown_core(capsys, monkeypatch):
 
 
 def test_dump_families_n5_empty(capsys):
-    cfg = RunConfig(n=5)
-    assert cmd_dump_families(cfg) == 0
+    assert main(["dump-families", "--n", "5"]) == 0
     assert json.loads(capsys.readouterr().out) == []
 
 
 def test_dump_families_needs_n(capsys):
     # from Python, a config without n once ended in a TypeError
-    assert cmd_dump_families(RunConfig()) == 2
-    assert capsys.readouterr() == ("", "dump-families needs --n\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-families"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "usage:" in out.err
+    assert out.err.endswith("error: the following arguments are required: --n\n")
 
 
 def test_latex_table_text():
@@ -303,7 +344,7 @@ def test_reports_are_byte_identical_across_runs():
     assert la == lb
 
 
-def _run_fresh(*args: str) -> str:
+def _fresh_stdout(*args: str) -> str:
     """The stdout of a fresh interpreter that imports this package, run
     with args, which must exit 0."""
     src = str(Path(unicount.__file__).resolve().parents[1])
@@ -314,14 +355,14 @@ def _run_fresh(*args: str) -> str:
 
 
 def test_import_leaves_recursion_limit_alone():
-    out = _run_fresh("-c", "import sys; before = sys.getrecursionlimit(); import unicount; "
+    out = _fresh_stdout("-c", "import sys; before = sys.getrecursionlimit(); import unicount; "
                      "print(sys.getrecursionlimit() == before)")
     assert out.strip() == "True"
 
 
 def test_numpy_stays_out_of_the_engine():
     # only the oracle's vectorised helpers import numpy
-    out = _run_fresh(
+    out = _fresh_stdout(
         "-c", "import sys; import unicount.cli as cli; print('numpy' in sys.modules); "
         "rc = cli.main(['compute', '--n', '6']); "
         "print(rc, 'numpy' in sys.modules)")
@@ -333,29 +374,31 @@ def test_numpy_stays_out_of_the_engine():
 def test_run_tables_script():
     # the table script runs end to end on the package's API and matches
     # the vendored table at n = 10
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_tables.py"
-    lines = _run_fresh(str(script), "--max-n", "10").splitlines()
+    lines = _fresh_stdout(str(ROOT / "scripts" / "run_tables.py"), "--max-n", "10").splitlines()
     assert len(lines) == 10
     assert lines[-1].startswith("n=10") and "golden=ok" in lines[-1]
+
+
+def test_run_tables_refuses_a_table_with_count_records(tmp_path, capsys, monkeypatch):
+    # the script once wrote the n = 10 table without the records' rows and
+    # never named them, as compute --n 10 does
+    spec = importlib.util.spec_from_file_location("run_tables",
+                                                  ROOT / "scripts" / "run_tables.py")
+    run_tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_tables)
+    monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
+    assert run_tables.main(["--max-n", "10", "--latex-dir", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "14 unresolved count records\n"
+    assert [line[:4] for line in out.out.splitlines()] == [f"n={n:2d}" for n in range(1, 10)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(f"table_n{n}.tex" for n in range(1, 10))
 
 
 def test_main_entrypoint(capsys):
     rc = main(["compute", "--n", "3", "--format", "csv"])
     assert rc == 0
     assert "q^2" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("call", [
-    lambda: RunConfig(oracle_qs=()),
-    lambda: cmd_verify(RunConfig(), max_n=1),
-    lambda: cmd_identities(RunConfig(), 0),
-    lambda: RunConfig(max_nodes=0),
-], ids=["verify-no-fields", "verify-max-n-1", "identities-max-n-0", "max-nodes-0"])
-def test_checking_nothing_is_refused(call):
-    # the argparse bounds, enforced for callers from Python too: each of
-    # these once returned 0 after comparing no instance
-    with pytest.raises(ValueError):
-        call()
 
 
 @pytest.mark.parametrize("argv", [["compute", "--n", "10"], ["dump-families", "--n", "10"],
@@ -389,35 +432,35 @@ def test_debug_counts_reports_what_it_audited(capsys):
         "skipped with more than 8 parameters: 0\n")
 
 
-@pytest.mark.parametrize("call, audited", [
-    (lambda cfg: cmd_regress(cfg, golden={10: load_golden_tables()[10]}), 1),
-    (lambda cfg: cmd_identities(cfg, 11), 2),
-    (lambda cfg: cmd_verify(replace(cfg, oracle_qs=(2,)), 4), 0),
-    (lambda cfg: cmd_dump_families(replace(cfg, n=10)), 1),
+@pytest.mark.parametrize("argv, audited", [
+    (["regress"], 1),
+    (["identities", "--max-n", "11"], 2),
+    (["verify", "--max-n", "4", "--q", "2"], 0),
+    (["dump-families", "--n", "10"], 1),
 ], ids=["regress", "identities", "verify", "dump-families"])
-def test_every_command_reports_the_count_audit(capsys, call, audited):
+def test_every_command_reports_the_count_audit(capsys, golden_10, argv, audited):
     # as test_debug_counts_reports_what_it_audited does for compute;
     # verify and dump-families once ignored --debug-counts
-    assert call(RunConfig(debug_counts=True)) == 0
+    assert main(["--debug-counts"] + argv) == 0
     assert capsys.readouterr().err == (
         f"count audit violations: 0; systems audited: {audited}; "
         "skipped with more than 8 parameters: 0\n")
 
 
-@pytest.mark.parametrize("call, status, records", [
-    (lambda: cmd_compute(RunConfig(n=10)), 2, "14"),
-    (lambda: cmd_identities(RunConfig(), 10), 2, "14"),
-    (lambda: cmd_dump_families(RunConfig(n=10)), 2, "14"),
+@pytest.mark.parametrize("argv, status, records", [
+    (["compute", "--n", "10"], 2, "14"),
+    (["identities", "--max-n", "10"], 2, "14"),
+    (["dump-families", "--n", "10"], 2, "14"),
     # the records leave rows out, so the comparison fails too
-    (lambda: cmd_regress(RunConfig(), golden={10: load_golden_tables()[10]}), 3, r"\d+"),
+    (["regress"], 3, r"\d+"),
 ], ids=["compute", "identities", "dump-families", "regress"])
-def test_every_command_names_surviving_count_records(capsys, monkeypatch, call, status,
-                                                     records):
+def test_every_command_names_surviving_count_records(capsys, monkeypatch, golden_10, argv,
+                                                     status, records):
     # with every substitution count refused, n = 10 keeps 14 count
     # records and no smaller n keeps any; dump-families once printed []
     # for them and exited 0, and identities and regress never named them
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
-    assert call() == status
+    assert main(argv) == status
     err = capsys.readouterr().err
     assert re.search(rf"^{records} unresolved count records$", err, re.M), err
 
@@ -429,13 +472,6 @@ def test_compute_prints_no_table_with_surviving_count_records(capsys, monkeypatc
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
     assert main(["compute", "--n", "10", "--format", fmt]) == 2
     assert capsys.readouterr() == ("", "14 unresolved count records\n")
-
-
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(n=0)
-    with pytest.raises(ValueError):
-        RunConfig(oracle_qs=(7,))
 
 
 @pytest.mark.parametrize("argv", [["verify", "--q", "7"], ["compute", "--n", "-3"],
@@ -459,8 +495,6 @@ def test_bad_arguments_give_usage(capsys, argv):
 @pytest.mark.parametrize("argv", [["compute", "--n", "6"], ["regress"]])
 def test_running_out_of_memory_is_an_honest_exit(capsys, monkeypatch, argv):
     # a MemoryError deep in the recursion once ended in a traceback
-    from unicount import cli
-
     def exhausted(*args):
         raise MemoryError
 

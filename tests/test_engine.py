@@ -261,6 +261,46 @@ class TestContraction:
         # y y = a z: the only product has a right factor as its left one
         assert engine._contraction(core_2dim(), 1) is None
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_witness_gives_the_same_tables(self, monkeypatch, seed):
+        # confluence: census_at may contract at any good pair, and failing
+        # one, fold at any y whose products land on annihilated vectors
+        def table(n):
+            ctx = EngineContext()
+            out = resolve(census(encode_pattern(chain(n)), ctx), n, ctx)
+            assert out.unresolved == ()
+            return out.entries
+
+        want = {n: table(n) for n in (6, 7, 8)}
+        rng = random.Random(seed)
+        default = engine._contraction
+        moved = []
+
+        def random_contraction(data, z):
+            factors = data.left_factors | data.right_factors
+            pairs, folds = [], []
+            for y, rows in data.products_by_left().items():
+                if y in data.right_factors:
+                    continue
+                image = {w for _, ts in rows for w, _ in ts}
+                if image == {z}:
+                    pairs.append(y)
+                elif image.isdisjoint(factors):
+                    folds.append(y)
+            if pairs:
+                picked = contract_type_b(data, z, rng.choice(sorted(pairs))), 1
+            elif folds:
+                picked = contract_type_a(data, z, rng.choice(sorted(folds))), 0
+            else:
+                return None
+            moved.append(picked[0].key() != default(data, z)[0].key())
+            return picked
+
+        monkeypatch.setattr(engine, "_contraction", random_contraction)
+        for n in (6, 7, 8):
+            assert table(n) == want[n], (n, seed)
+        assert any(moved)
+
 
 class TestResolve:
     def test_plain_table(self, ctx):

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, strategies as st
+
 from unicount import solcount
 from unicount.algdata import Equation, NonZero, set_zero
 from unicount.oracle import enumerate_param_values
@@ -243,6 +245,39 @@ def test_reduce_system_leaves_protected_parameters(monkeypatch):
                 (q - 1) ** k * q**l * len(enumerate_param_values(params, rest, q))
             assert got == want, (restrictions, protected, q)
     assert all(fired.values()), fired
+
+
+@st.composite
+def systems(draw):
+    """Up to four parameters, some restricted nonzero and some protected,
+    and up to three equations of signed monomials of degree at most 3."""
+    nparams = draw(st.integers(1, 4))
+    sym = st.integers(0, nparams - 1)
+    nz = draw(st.sets(sym))
+    monomial = st.builds(lambda syms, c: ParamPoly.monomial(syms, c),
+                         st.lists(sym, max_size=3), st.sampled_from([-2, -1, 1, 2]))
+    polys = draw(st.lists(st.lists(monomial, min_size=1, max_size=3).map(sum_polys),
+                          min_size=1, max_size=3))
+    restrictions = [NonZero(p) for p in sorted(nz)] + [Equation(p) for p in polys]
+    return tuple(range(nparams)), tuple(restrictions), frozenset(draw(st.sets(sym)))
+
+
+def sum_polys(polys):
+    out = ParamPoly.zero()
+    for p in polys:
+        out = out + p
+    return out
+
+
+@given(systems())
+def test_reduced_equations_have_no_nonzero_content(system):
+    # the unit-monomial rule relies on it: what the division leaves of a
+    # unit monomial has no nonzero-restricted variable
+    k, l, params, rest, empty = reduce_system(*system)
+    nz = {r.sym for r in rest if isinstance(r, NonZero)}
+    for r in rest:
+        if isinstance(r, Equation):
+            assert not nz & set(r.poly.content()), (system, r)
 
 
 def test_set_zero_splits_the_count():
