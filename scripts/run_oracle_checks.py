@@ -27,6 +27,7 @@ import random
 import sys
 import time
 
+from unicount.cli import _int_at_least
 from unicount.engine import EngineContext, census, census_at
 from unicount.oracle import (TooLarge, audit_counts, census_disagreement,
                              random_algebraic_data, verify_census)
@@ -101,10 +102,10 @@ def check_poset(poset: Poset, ctx, rng: random.Random, skipped: list[str]) -> li
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--cases", type=int, default=500)
+    ap.add_argument("--cases", type=_int_at_least(1), default=500)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--max-dim", type=int, default=5)
-    ap.add_argument("--max-params", type=int, default=2)
+    ap.add_argument("--max-dim", type=_int_at_least(2), default=5)
+    ap.add_argument("--max-params", type=_int_at_least(0), default=2)
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)

@@ -18,14 +18,14 @@ import sys
 import time
 from pathlib import Path
 
-from unicount.cli import (check_identities, compute_table, format_table,
+from unicount.cli import (_int_at_least, check_identities, compute_table, format_table,
                           load_golden_tables, run_jobs)
 from unicount.engine import DEFAULT_MAX_NODES
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-n", type=int, default=13)
+    ap.add_argument("--max-n", type=_int_at_least(1), default=13)
     ap.add_argument("--audit", action="store_true",
                     help="cross-check every counted system by enumeration")
     ap.add_argument("--latex-dir", default=None)

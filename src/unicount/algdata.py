@@ -143,19 +143,15 @@ class AlgebraicData:
     @classmethod
     def _from_sorted(cls, params: Iterable[int], restrictions: Iterable[Restriction],
                      basis: tuple[int, ...], prods: tuple,
-                     pos: dict[int, int] | None = None,
-                     derived: tuple[frozenset[int], ...] | None = None) -> "AlgebraicData":
+                     pos: dict[int, int] | None = None) -> "AlgebraicData":
         """The data with ``prods`` taken as stored, without sorting.
 
         prods must already be in the stored form the module docstring
-        states; pos, when given, must be the position map of basis, and
-        derived, when given, the triple ``_derived`` would compute.
+        states; pos, when given, must be the position map of basis.
         """
         data = object.__new__(cls)
         data._store(params, restrictions, basis, prods,
                     pos if pos is not None else {b: i for i, b in enumerate(basis)})
-        if derived is not None:
-            data._cache["derived"] = derived
         return data
 
     def _store(self, params, restrictions, basis, prods, pos):
@@ -298,10 +294,8 @@ class AlgebraicData:
         return k
 
     @staticmethod
-    def from_key(key: tuple, derived: tuple[frozenset[int], ...] | None = None
-                 ) -> "AlgebraicData":
-        """The data whose ``key()`` is key, with basis labels 0..dim-1;
-        derived, when given, is its ``_derived`` triple, in positions."""
+    def from_key(key: tuple) -> "AlgebraicData":
+        """The data whose ``key()`` is key, with basis labels 0..dim-1."""
         it = iter(key)
         take = it.__next__
         params = tuple(islice(it, take()))
@@ -325,8 +319,7 @@ class AlgebraicData:
                 nf = take()
                 ts.append((z, frozenset(islice(it, nf)) if nf else _NO_FACTORS))
             prods.append((x, y, tuple(ts)))
-        return AlgebraicData._from_sorted(params, restrictions, tuple(range(dim)), tuple(prods),
-                                          derived=derived)
+        return AlgebraicData._from_sorted(params, restrictions, tuple(range(dim)), tuple(prods))
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraicData) and self.key() == other.key()

@@ -257,7 +257,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Brute-force agreement: engine totals vs conjugacy-class counts."""
-    qs = sorted(args.q)
+    qs = sorted(set(args.q))
     for n in range(2, args.max_n + 1):
         for q0 in qs:
             if q0 ** (n * (n - 1) // 2) > CLASS_COUNT_CAP:

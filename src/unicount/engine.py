@@ -25,16 +25,18 @@ Both walks first split off the spare vectors: those that are no factor
 and no target of any product.  Each spans a direct summand <v> of the
 algebra and multiplies the census by q, or by q - 1 when it is the z of
 census_at.  So data that differ only by spare summands share one memo
-entry, and no stored key holds a spare vector.  Then one memoised
-lookup serves both walks: it reduces the restrictions and canonicalizes
-in one pass to a key that is one flat tuple of ints (its layout is in
-``algdata``'s docstring); census_at appends the position of z.  Only
-on a miss is the canonical AlgebraicData rebuilt from the key, and the
-memo never keeps it: after the walk returns, only a Family record still
-refers to it.  Few stored results differ (at n = 13, 707 of the 1,437
-``memo_all`` values and 972 of the 3,083 ``memo_at`` values), so
-every Census a memo stores goes through ``EngineContext.intern`` and
-equal results share one object.
+entry, and no stored key holds a spare vector.  Then ``_lookup`` takes
+the one node step of both walks.  It reduces the restrictions and
+canonicalizes in one pass to a key that is one flat tuple of ints (its
+layout is in ``algdata``'s docstring); census_at appends the position
+of z.  A miss is one node: it is counted, the canonical AlgebraicData
+is rebuilt from the key and validated when asked, and past the node
+budget it becomes a family record; otherwise the walk's rule runs on
+it.  The memo never keeps the rebuilt data: after the walk returns,
+only a Family record still refers to it.  Few stored results differ
+(at n = 13, 707 of the 1,437 ``memo_all`` values and 972 of the 3,083
+``memo_at`` values), so every Census a memo stores goes through
+``EngineContext.intern`` and equal results share one object.
 """
 from __future__ import annotations
 
@@ -115,6 +117,11 @@ class EngineContext:
     """Per-run state: memo tables and the node budget.  ``oracle.audit_counts``
     re-checks the counted systems of ``memo_counts`` by brute force.
 
+    Each miss of ``memo_all`` or ``memo_at`` in ``_lookup`` is one of
+    ``nodes``, which ``max_nodes`` bounds; ``stats`` counts the nodes cut
+    by the budget (``budget_families``) and the give-ups of census_at
+    (``giveup_families``).
+
     ``memo_all`` is keyed by canonicalize's flat tuple of ints and
     ``memo_at`` by that tuple with the position of z appended; the
     pattern path keys ``memo_pattern`` by the order it recurses on, the
@@ -160,7 +167,7 @@ class EngineContext:
 def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     """A correct breakdown of all irreducible characters encoded by data."""
     data, s = _split_spare(data)
-    return _lookup(data, 0, s, ctx.memo_all, (), _census_core, ctx)
+    return _lookup(data, None, 0, s, ctx)
 
 
 def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
@@ -168,8 +175,8 @@ def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     data, s = _split_spare(data)
     if z not in data.basis:
         # z was spare: 1 + <z> has q - 1 nontrivial characters
-        return _lookup(data, 1, s - 1, ctx.memo_all, (), _census_core, ctx)
-    return _lookup(data, 0, s, ctx.memo_at, (data.pos(z),), _census_at_core, ctx)
+        return _lookup(data, None, 1, s - 1, ctx)
+    return _lookup(data, z, 0, s, ctx)
 
 
 def _split_spare(data: AlgebraicData) -> tuple[AlgebraicData, int]:
@@ -179,45 +186,54 @@ def _split_spare(data: AlgebraicData) -> tuple[AlgebraicData, int]:
     a direct summand <v> of every algebra data encodes, with 1 + <v> the
     q linear characters of (F_q, +), so both censuses of data are q^s
     times those of what is left, except that a spare z of census_at
-    counts q - 1.  No product row names a spare vector, so the rows and
-    the factor and target sets are kept as they are.
+    counts q - 1.  No product row names a spare vector, so the rows are
+    kept as they are.
     """
-    derived = left, right, hit = data._derived()
+    left, right, hit = data._derived()
     kept = tuple(b for b in data.basis if b in left or b in right or b in hit)
     s = len(data.basis) - len(kept)
     if s:
-        data = AlgebraicData._from_sorted(data.params, data.restrictions, kept, data.prods,
-                                          derived=derived)
+        data = AlgebraicData._from_sorted(data.params, data.restrictions, kept, data.prods)
     return data, s
 
 
-def _lookup(data: AlgebraicData, dk: int, dl: int, memo: dict, tail: tuple[int, ...],
-            core, ctx: EngineContext) -> Census:
-    """(q-1)^dk q^dl times the census core gives of data, memoised under
-    the canonical key of data followed by tail, which core takes after the
-    data rebuilt from the key: nothing for census, the position of z for
-    census_at.  data has no spare vector; the scale is applied once,
-    together with the one reduce_system finds.  The rebuilt data has
-    data's products with basis labels turned into positions, so it takes
-    data's factor and target sets, mapped through data.pos."""
+def _lookup(data: AlgebraicData, z: int | None, dk: int, dl: int,
+            ctx: EngineContext) -> Census:
+    """(q-1)^dk q^dl times the census of data, or with z its census_at z:
+    the node step of the module docstring.  data has no spare vector; the
+    scale is applied once, together with the one reduce_system finds."""
     k, l, params, restrictions, empty = solcount.reduce_system(
         data.params, data.restrictions, data.symbols_in_products())
     if empty:
         return ZERO_CENSUS
     key = canonicalize(data, params, restrictions)
-    hit = memo.get(key + tail)
+    if z is None:
+        memo, full = ctx.memo_all, key
+    else:
+        z = data.pos(z)  # its label in the data rebuilt from the key
+        memo, full = ctx.memo_at, key + (z,)
+    hit = memo.get(full)
     if hit is None:
-        derived = tuple(frozenset(map(data.pos, s)) for s in data._derived())
-        hit = memo[key + tail] = ctx.intern(core(AlgebraicData.from_key(key, derived),
-                                                 *tail, ctx))
+        ctx.nodes += 1
+        data = AlgebraicData.from_key(key)
+        if ctx.validate:
+            data.validate()
+            if z is None:
+                assert data.satisfies_nz(), \
+                    "census requires nonzero-restricted structure constants"
+            else:
+                assert not data.is_factor(z), "census_at requires an annihilated z"
+        if data.prods and ctx.nodes > ctx.max_nodes:
+            ctx.bump("budget_families")
+            hit = Census(CountPoly.zero(), (), (Family(data, z, 0, 0, 0),))
+        else:
+            hit = _census_core(data, ctx) if z is None else _census_at_core(data, z, ctx)
+        hit = memo[full] = ctx.intern(hit)
     return scale_census(hit, k + dk, l + dl, 0)
 
 
 def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
-    ctx.nodes += 1
-    if ctx.validate:
-        data.validate()
-        assert data.satisfies_nz(), "census requires nonzero-restricted structure constants"
+    """census's rule at a node: count data with no products, else peel a z."""
     if not data.prods:
         # with no products every vector was spare: the basis is empty and
         # each admissible substitution has the one trivial character
@@ -225,9 +241,6 @@ def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
         if poly is not None:
             return Census(poly, (), ())
         return Census(CountPoly.zero(), (URecord(data.params, data.restrictions, 0, 0, 0),), ())
-    if ctx.nodes > ctx.max_nodes:
-        ctx.bump("budget_families")
-        return Census(CountPoly.zero(), (), (Family(data, None, 0, 0, 0),))
     z = _choose_z(data)
     trivial_on_z = census(data.remove_basis(z), ctx)
     nontrivial = census_at(data, z, ctx)
@@ -242,15 +255,7 @@ def _choose_z(data: AlgebraicData) -> int:
 
 
 def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
-    ctx.nodes += 1
-    if ctx.validate:
-        data.validate()
-        assert not data.is_factor(z), "census_at requires an annihilated z"
-
-    if ctx.nodes > ctx.max_nodes:
-        ctx.bump("budget_families")
-        return Census(CountPoly.zero(), (), (Family(data, z, 0, 0, 0),))
-
+    """census_at's rule at a node: contract, or give up with a family record."""
     picked = _contraction(data, z)
     if picked is None:
         ctx.bump("giveup_families")

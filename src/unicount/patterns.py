@@ -41,13 +41,12 @@ Masks = tuple[int, ...]
 class Poset:
     """A finite strict partial order; elements are ints, ambient order is <."""
 
-    __slots__ = ("elems", "rel", "_hash")
+    __slots__ = ("elems", "rel")
 
     def __init__(self, elems: Iterable[int], rel: Iterable[tuple[int, int]],
                  check: bool = True):
         self.elems = tuple(sorted(elems))
         self.rel = frozenset((a, b) for a, b in rel)
-        self._hash = None
         if check:
             es = set(self.elems)
             if len(es) != len(self.elems):
@@ -64,11 +63,6 @@ class Poset:
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.elems == other.elems and self.rel == other.rel
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.elems, self.rel))
-        return self._hash
 
     def __repr__(self):
         return f"Poset({list(self.elems)}, {sorted(self.rel)})"

@@ -1,12 +1,23 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from unicount.engine import EngineContext
 from unicount.oracle import audit_counts
 from unicount.oracle import random_algebraic_data, symbolically_associative  # noqa: F401
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def _audited(ctx: EngineContext):

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import re
@@ -15,6 +14,8 @@ from unicount.cli import (build_parser, check_identities, compute_table, format_
                           load_golden_tables, main, parse_q_poly)
 from unicount.engine import EngineContext, ResolvedTable, UnknownCore
 from unicount.polyring import CountPoly
+
+from conftest import load_script
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -276,6 +277,12 @@ def test_verify_command(capsys):
     assert {r["instance"] for r in reports} == {"U_2(2)", "U_3(2)", "U_4(2)"}
 
 
+def test_verify_checks_a_repeated_q_once(capsys):
+    # --q 2 2 once compared U_2(2) twice and reported it twice
+    assert main(["verify", "--max-n", "2", "--q", "2", "2"]) == 0
+    assert [r["instance"] for r in json.loads(capsys.readouterr().out)] == ["U_2(2)"]
+
+
 def test_verify_refuses_an_instance_over_the_class_count_cap(capsys, monkeypatch):
     # U_6(3) has order 3^15, too many elements to count classes of; this
     # once ended in a traceback after computing every table
@@ -382,10 +389,7 @@ def test_run_tables_script():
 def test_run_tables_refuses_a_table_with_count_records(tmp_path, capsys, monkeypatch):
     # the script once wrote the n = 10 table without the records' rows and
     # never named them, as compute --n 10 does
-    spec = importlib.util.spec_from_file_location("run_tables",
-                                                  ROOT / "scripts" / "run_tables.py")
-    run_tables = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_tables)
+    run_tables = load_script("run_tables")
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
     assert run_tables.main(["--max-n", "10", "--latex-dir", str(tmp_path)]) == 2
     out = capsys.readouterr()
@@ -488,6 +492,18 @@ def test_compute_prints_no_table_with_surviving_count_records(capsys, monkeypatc
 def test_bad_arguments_give_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    # each checked nothing and exited 0
+    ("run_tables", ["--max-n", "0"]), ("run_oracle_checks", ["--cases", "0"]),
+    # each ended in a traceback from random_algebraic_data
+    ("run_oracle_checks", ["--max-dim", "1"]), ("run_oracle_checks", ["--max-params", "-1"])])
+def test_script_bad_arguments_give_usage(capsys, name, argv):
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
 

@@ -648,28 +648,20 @@ class TestMemoKey:
         assert not contains_data(ctx.memo_at)
 
 
-def test_walks_take_the_factor_and_target_sets_they_are_given(monkeypatch):
-    # the spare split and the data rebuilt on a memo miss take the sets
-    # over instead of recomputing them; they equal what a rebuild finds
-    seen = []
-    for name in ("_census_core", "_census_at_core"):
-        real = getattr(engine, name)
-
-        def core(data, *rest, real=real):
-            seen.append(data)
-            return real(data, *rest)
-
-        monkeypatch.setattr(engine, name, core)
-    census(encode_pattern(chain(8)), EngineContext())
+def test_every_memo_miss_is_one_node():
+    # a node is one miss of memo_all or memo_at, and its result is stored
+    # whether the walk's rule ran or the node budget cut it
+    ctx = EngineContext()
+    census(encode_pattern(chain(8)), ctx)
+    unitriangular_census(12, ctx)
     rng = random.Random(101)
     for _ in range(20):
-        census(random_algebraic_data(rng, max_dim=5, max_params=2), EngineContext())
-    assert len(seen) > 100
-    for data in seen:
-        assert "derived" in data._cache
-        fresh = AlgebraicData._from_sorted(data.params, data.restrictions, data.basis,
-                                           data.prods)
-        assert data._derived() == fresh._derived()
+        census(random_algebraic_data(rng, max_dim=5, max_params=2), ctx)
+    cut = EngineContext(max_nodes=50)
+    census(encode_pattern(chain(8)), cut)
+    assert cut.stats["budget_families"] > 0
+    for c in (ctx, cut):
+        assert c.nodes == len(c.memo_all) + len(c.memo_at)
 
 
 def test_equal_memo_values_are_one_object():

@@ -1,6 +1,4 @@
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
@@ -12,7 +10,7 @@ from unicount.oracle import (NotCentralIdeal, TooLarge, class_count,
 from unicount.patterns import Poset, chain, encode_pattern, pattern_census
 from unicount.polyring import CountPoly, ParamPoly
 
-from conftest import random_algebraic_data
+from conftest import load_script, random_algebraic_data
 
 
 def u_n_algebra(n, q):
@@ -162,25 +160,16 @@ def test_unresolved_records_are_counted_before_tables_are_compared():
     assert census_disagreement(fast, short, 10, ctx) == "totals differ at q = 2"
 
     skipped = []
-    assert oracle_checks().check_poset(CASE_173, EngineContext(), random.Random(1),
+    assert load_script("run_oracle_checks").check_poset(CASE_173, EngineContext(), random.Random(1),
                                        skipped) == []
     assert skipped == []
-
-
-def oracle_checks():
-    """The module of ``scripts/run_oracle_checks.py``."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_oracle_checks.py"
-    spec = importlib.util.spec_from_file_location("run_oracle_checks", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 def test_sweep_names_a_comparison_it_cannot_count(monkeypatch):
     # records with more parameters than brute force takes give no
     # verdict: each such comparison is named as skipped, neither passed
     # nor ending the sweep in a traceback
-    script = oracle_checks()
+    script = load_script("run_oracle_checks")
 
     def too_large(*args):
         raise TooLarge("10 parameters exceeds enumeration cap 9")
@@ -197,7 +186,7 @@ def test_sweep_names_a_comparison_it_cannot_count(monkeypatch):
 def test_oracle_check_sweep_passes(capsys):
     # its families run census_at at their last basis vector, which is often
     # spare, so the spare z rule is checked against class counts
-    assert oracle_checks().main(["--cases", "10", "--seed", "1"]) == 0
+    assert load_script("run_oracle_checks").main(["--cases", "10", "--seed", "1"]) == 0
     assert ", 0 failures, " in capsys.readouterr().out
 
 
