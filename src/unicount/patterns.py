@@ -13,10 +13,13 @@ pattern algebra, the complement with the columns of E deleted from the
 rows in D, recursed into; otherwise it is one change of basis of the
 complement algebra, handed to the general engine.
 
-This holds for any minimal c_0, and ``choose_c0`` picks the one that
-keeps the most work in the recursion: a clean row D, one in which no
-row of D sees two incomparable elements of D, hands no antichain to the
-general engine; among rows alike in that, the largest is peeled.
+This holds for any minimal c_0, and for the dual order as well, whose
+census is the same: its row procedure peels the column of a maximal
+element.  ``choose_peel`` picks the peel that keeps the most work in
+the recursion: a clean row D, one in which no row of D sees two
+incomparable elements of D, hands no antichain to the general engine.
+It peels a clean row if the order has one, else a clean column, else
+the largest row.
 
 The recursion runs on masks: an order is the tuple of its elements'
 successor bitmasks by position, which is also its memo key.  Deleting
@@ -224,10 +227,10 @@ def stabilizer_data(succ: Masks, c0: int, E: int) -> AlgebraicData:
     the pattern algebra of the complement with the columns of E deleted
     from the rows in D, and ``_pattern_core`` recurses into that instead:
     it calls this builder only when some row of D sees two or more
-    elements of E, so never for a clean row (``choose_c0``), which it
-    peels whenever the order has one.  The deleted order stays
-    transitive: D is upward closed, so if (i, j) and (j, d) are in it
-    with i in D, then j is in D and (j, d) was deleted too.
+    elements of E, so never for a clean row, which ``choose_peel`` takes,
+    of the order or of its dual, whenever either has one.  The deleted
+    order stays transitive: D is upward closed, so if (i, j) and (j, d)
+    are in it with i in D, then j is in D and (j, d) was deleted too.
     """
     D = succ[c0]
     rank = _extension_rank(succ)
@@ -265,18 +268,18 @@ def pattern_census(poset: Poset | Masks, ctx: EngineContext) -> Census:
     return hit
 
 
-def choose_c0(succ: Masks) -> int:
-    """The minimal position c0 whose row the pattern recursion peels, or
-    -1 when the order has no relation.
+def _peel_row(succ: Masks) -> tuple[int, bool]:
+    """The minimal position c0 whose row is the best to peel among the
+    rows of succ, or -1 when the order has no relation, and whether that
+    row is clean.
 
-    The paper's row procedure holds for any minimal c0.  Among the
-    minimal positions with a nonempty row D = succ[c0] this takes, in
-    turn, a clean row, the largest row, the lowest position.  D is clean
-    when no row i of D sees two elements of D that are incomparable in
-    the order.  Every antichain E of the normal closure on D is then an
-    antichain of the order, which the closure contains, so no row of D
-    sees two elements of E and no stabiliser of the node goes to the
-    general engine.
+    Among the minimal positions with a nonempty row D = succ[c0] this
+    takes, in turn, a clean row, the largest row, the lowest position.
+    D is clean when no row i of D sees two elements of D that are
+    incomparable in the order.  Every antichain E of the normal closure
+    on D is then an antichain of the order, which the closure contains,
+    so no row of D sees two elements of E and no stabiliser of the node
+    goes to the general engine.
 
     Row i of D sees succ[i], which lies in D since D is upward closed,
     and which holds succ[j] for each of its elements j.  So it is a chain
@@ -295,15 +298,49 @@ def choose_c0(succ: Masks) -> int:
     for c, D in enumerate(succ):
         if D and not has_pred >> c & 1 and (key := (not D & dirty, size[c])) > best:
             c0, best = c, key
-    return c0
+    return c0, best[0]
+
+
+def _dual(succ: Masks) -> Masks:
+    """The dual order: position p becomes n - 1 - p and every pair is
+    reversed, so positions that extend the order extend the dual too."""
+    n = len(succ)
+    dual = [0] * n
+    for a, m in enumerate(succ):
+        bit = 1 << n - 1 - a
+        for b in _bits(m):
+            dual[n - 1 - b] |= bit
+    return tuple(dual)
+
+
+def choose_peel(succ: Masks) -> tuple[Masks, int]:
+    """The order the pattern recursion runs its row procedure on, succ or
+    its dual, and the minimal position c0 of it whose row it peels; c0 is
+    -1 when the order has no relation.
+
+    T_{C,R^op} is T_{C,R}^op, and g -> g^{-1} makes 1 + A^op isomorphic
+    to 1 + A, so the dual order has the census of succ, and its row
+    procedure peels the column of a maximal element of succ.  The rule,
+    in turn: a clean minimal row of succ (``_peel_row``); when succ has
+    none, and only then, the dual is built, and a clean minimal row of
+    it, a clean maximal column of succ, is peeled; failing both, the
+    largest dirty row of succ.
+    """
+    c0, clean = _peel_row(succ)
+    if clean or c0 < 0:
+        return succ, c0
+    dual = _dual(succ)
+    d0, clean = _peel_row(dual)
+    return (dual, d0) if clean else (succ, c0)
 
 
 def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
-    """The census of the order succ, by the row procedure at the minimal
-    position ``choose_c0`` picks.  The procedure is sound for any minimal
-    c0; the choice only moves work between the recursion and the general
-    engine, and the memo key, the order itself, does not depend on it."""
-    c0 = choose_c0(succ)
+    """The census of the order succ, by the row procedure on the order
+    and minimal position ``choose_peel`` picks.  The procedure is sound
+    on succ or its dual and for any minimal c0; the choice only moves
+    work between the recursion and the general engine, and the memo key,
+    the order succ as given, does not depend on it."""
+    succ, c0 = choose_peel(succ)
     if c0 < 0:
         # the zero algebra: the trivial group has a single character
         return Census(CountPoly.one(), (), ())

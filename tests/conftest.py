@@ -9,6 +9,8 @@ import pytest
 from unicount.engine import EngineContext
 from unicount.oracle import audit_counts
 from unicount.oracle import random_algebraic_data, symbolically_associative  # noqa: F401
+from unicount import patterns
+from unicount.patterns import Poset, _preds, antichains, normal_closure
 
 
 def load_script(name: str):
@@ -55,6 +57,32 @@ def random_poset_pairs(rng: random.Random, max_elems: int = 5):
                     rel.add((a, d))
                     changed = True
     return m, rel
+
+
+def first_node(succ):
+    """The first node of the pattern recursion on the order succ, which has
+    a relation: the masks it runs the row procedure on (succ or its dual),
+    their minimal position c0, the row D of c0, and the antichains of D in
+    its normal closure, the walk ``_pattern_core`` takes.  It follows
+    ``patterns.choose_peel`` as the recursion does, monkeypatched or not."""
+    node, c0 = patterns.choose_peel(succ)
+    D = node[c0]
+    pred = _preds(node, D)
+    return node, c0, D, list(antichains(D, normal_closure(node, pred, D), pred))
+
+
+def engine_bound_posets(rng: random.Random, count: int, max_elems: int = 8):
+    """count random orders (m, rel) whose first pattern node hands some
+    antichain to the general engine: it has no clean minimal row and no
+    clean maximal column, and some row of the one it peels sees two
+    elements of an antichain of its normal closure."""
+    out = []
+    while len(out) < count:
+        m, rel = random_poset_pairs(rng, max_elems)
+        if rel and not all(clean for *_, clean in
+                           first_node(Poset(range(1, m + 1), rel).masks())[3]):
+            out.append((m, rel))
+    return out
 
 
 def top_and_closure(E, rel: frozenset, ground):

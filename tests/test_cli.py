@@ -21,12 +21,22 @@ from conftest import load_script
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _golden_only(monkeypatch, n):
+    """regress compares n alone, so that the suite stays fast."""
+    rows = load_golden_tables()[n]
+    monkeypatch.setattr(cli, "load_golden_tables", lambda: {n: rows})
+    return rows
+
+
 @pytest.fixture
 def golden_10(monkeypatch):
-    """regress compares n = 10 alone, so that the suite stays fast."""
-    rows = load_golden_tables()[10]
-    monkeypatch.setattr(cli, "load_golden_tables", lambda: {10: rows})
-    return rows
+    return _golden_only(monkeypatch, 10)
+
+
+@pytest.fixture
+def golden_11(monkeypatch):
+    """U_11 is the least chain that reaches the general engine (15 nodes)."""
+    return _golden_only(monkeypatch, 11)
 
 
 class TestParseQPoly:
@@ -89,12 +99,12 @@ class TestComputeCommand:
         assert {row["e"] for row in obj["table"]} == {0, 1}
 
     def test_budget_exhaustion_is_nonzero_exit(self, tmp_path, capsys):
-        # the 10-element chain reaches the general engine (8 nodes) through
+        # the 11-element chain reaches the general engine (15 nodes) through
         # stabilisers whose antichain has two elements in one row; a tiny
         # node budget leaves uncontracted families behind
         poset_file = tmp_path / "poset.json"
-        rel = [[i, j] for i in range(1, 11) for j in range(i + 1, 11)]
-        poset_file.write_text(json.dumps({"elems": list(range(1, 11)), "rel": rel}))
+        rel = [[i, j] for i in range(1, 12) for j in range(i + 1, 12)]
+        poset_file.write_text(json.dumps({"elems": list(range(1, 12)), "rel": rel}))
         assert main(["--max-nodes", "1", "compute", "--poset", str(poset_file)]) == 2
 
     def test_large_sparse_poset(self, tmp_path, capsys):
@@ -160,15 +170,15 @@ class TestAuditedCommands:
         monkeypatch.setattr(oracle, "count_values_bruteforce", lambda *a, **k: -1)
 
     def test_identities(self, capsys):
-        assert main(["--debug-counts", "identities", "--max-n", "11"]) == 2
-        # each n has its own memos: n = 10 and n = 11 each count one
-        # system, and each disagrees at the four audited fields
-        assert "count audit violations: 8; systems audited: 2;" in capsys.readouterr().err
+        assert main(["--debug-counts", "identities", "--max-n", "12"]) == 2
+        # each n has its own memos: n = 11 counts one system and n = 12
+        # four, and each disagrees at the four audited fields
+        assert "count audit violations: 20; systems audited: 5;" in capsys.readouterr().err
 
-    def test_regress(self, capsys, golden_10):
+    def test_regress(self, capsys, golden_11):
         assert main(["--debug-counts", "regress"]) == 2
         out = capsys.readouterr()
-        assert "21 rows match exactly" in out.out
+        assert "26 rows match exactly" in out.out
         assert "count audit violations" in out.err
 
 
@@ -176,12 +186,13 @@ class TestUnresolvableFamily:
     """A node budget too small to finish leaves a family that resolve does
     not recognise; the command reports it and exits 2."""
 
-    def test_regress(self, capsys, golden_10):
+    def test_regress(self, capsys, golden_11):
         assert main(["--max-nodes", "5", "regress"]) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
     def test_identities(self, capsys):
-        assert main(["--max-nodes", "50", "identities", "--max-n", "11"]) == 2
+        # U_11 takes 15 nodes, within the budget, and U_12 380
+        assert main(["--max-nodes", "50", "identities", "--max-n", "12"]) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
 
@@ -388,15 +399,25 @@ def test_run_tables_script():
 
 def test_run_tables_refuses_a_table_with_count_records(tmp_path, capsys, monkeypatch):
     # the script once wrote the n = 10 table without the records' rows and
-    # never named them, as compute --n 10 does
+    # never named them, as compute --n 11 does
     run_tables = load_script("run_tables")
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
-    assert run_tables.main(["--max-n", "10", "--latex-dir", str(tmp_path)]) == 2
+    assert run_tables.main(["--max-n", "11", "--latex-dir", str(tmp_path)]) == 2
     out = capsys.readouterr()
-    assert out.err == "14 unresolved count records\n"
-    assert [line[:4] for line in out.out.splitlines()] == [f"n={n:2d}" for n in range(1, 10)]
+    assert out.err == "18 unresolved count records\n"
+    assert [line[:4] for line in out.out.splitlines()] == [f"n={n:2d}" for n in range(1, 11)]
     assert sorted(p.name for p in tmp_path.iterdir()) == \
-        sorted(f"table_n{n}.tex" for n in range(1, 10))
+        sorted(f"table_n{n}.tex" for n in range(1, 11))
+
+
+def test_refusals_script_pins_the_first_refusal(capsys):
+    # the first 61 orders of the seed-7 sample: order 60 leaves two count
+    # records of two systems that solcount cannot count, and the other 60
+    # resolve
+    assert load_script("run_refusals").main(["--orders", "61"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == ["60 records: stuck systems 2, count records 2"]
+    assert re.fullmatch(r"refused 1 of 61 orders \(seed 7\) in [\d.]+ s", lines[-1])
 
 
 def test_main_entrypoint(capsys):
@@ -405,9 +426,9 @@ def test_main_entrypoint(capsys):
     assert "q^2" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["compute", "--n", "10"], ["dump-families", "--n", "10"],
-                                  ["identities", "--max-n", "10"], ["regress"]])
-def test_exhausted_node_budget_is_named(capsys, argv):
+@pytest.mark.parametrize("argv", [["compute", "--n", "11"], ["dump-families", "--n", "11"],
+                                  ["identities", "--max-n", "11"], ["regress"]])
+def test_exhausted_node_budget_is_named(capsys, golden_11, argv):
     # compute once named only the first uncontracted core, and
     # dump-families printed the cores the budget cut as survivors, exit 0
     assert main(["--max-nodes", "4"] + argv) == 2
@@ -420,9 +441,9 @@ def test_node_budget_binds_after_an_earlier_run(tmp_path, capsys, monkeypatch):
     # a table that an earlier run had written to the report cache was once
     # served without applying --max-nodes, exit 0
     monkeypatch.chdir(tmp_path)
-    assert main(["compute", "--n", "10"]) == 0
+    assert main(["compute", "--n", "11"]) == 0
     capsys.readouterr()
-    assert main(["--max-nodes", "4", "compute", "--n", "10"]) == 2
+    assert main(["--max-nodes", "4", "compute", "--n", "11"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert any(re.fullmatch(r"node budget of 4 exhausted: \d+ families left uncontracted",
                             line) for line in err), err
@@ -430,7 +451,7 @@ def test_node_budget_binds_after_an_earlier_run(tmp_path, capsys, monkeypatch):
 
 
 def test_debug_counts_reports_what_it_audited(capsys):
-    assert main(["--debug-counts", "compute", "--n", "10"]) == 0
+    assert main(["--debug-counts", "compute", "--n", "11"]) == 0
     assert capsys.readouterr().err == (
         "count audit violations: 0; systems audited: 1; "
         "skipped with more than 8 parameters: 0\n")
@@ -438,11 +459,11 @@ def test_debug_counts_reports_what_it_audited(capsys):
 
 @pytest.mark.parametrize("argv, audited", [
     (["regress"], 1),
-    (["identities", "--max-n", "11"], 2),
+    (["identities", "--max-n", "12"], 5),
     (["verify", "--max-n", "4", "--q", "2"], 0),
-    (["dump-families", "--n", "10"], 1),
+    (["dump-families", "--n", "11"], 1),
 ], ids=["regress", "identities", "verify", "dump-families"])
-def test_every_command_reports_the_count_audit(capsys, golden_10, argv, audited):
+def test_every_command_reports_the_count_audit(capsys, golden_11, argv, audited):
     # as test_debug_counts_reports_what_it_audited does for compute;
     # verify and dump-families once ignored --debug-counts
     assert main(["--debug-counts"] + argv) == 0
@@ -452,15 +473,15 @@ def test_every_command_reports_the_count_audit(capsys, golden_10, argv, audited)
 
 
 @pytest.mark.parametrize("argv, status, records", [
-    (["compute", "--n", "10"], 2, "14"),
-    (["identities", "--max-n", "10"], 2, "14"),
-    (["dump-families", "--n", "10"], 2, "14"),
+    (["compute", "--n", "11"], 2, "18"),
+    (["identities", "--max-n", "11"], 2, "18"),
+    (["dump-families", "--n", "11"], 2, "18"),
     # the records leave rows out, so the comparison fails too
     (["regress"], 3, r"\d+"),
 ], ids=["compute", "identities", "dump-families", "regress"])
-def test_every_command_names_surviving_count_records(capsys, monkeypatch, golden_10, argv,
+def test_every_command_names_surviving_count_records(capsys, monkeypatch, golden_11, argv,
                                                      status, records):
-    # with every substitution count refused, n = 10 keeps 14 count
+    # with every substitution count refused, n = 11 keeps 18 count
     # records and no smaller n keeps any; dump-families once printed []
     # for them and exited 0, and identities and regress never named them
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
@@ -474,8 +495,8 @@ def test_compute_prints_no_table_with_surviving_count_records(capsys, monkeypatc
     # compute once printed the table without the records' rows, a wrong
     # N_{n,e}, and only then named the records and exited 2
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
-    assert main(["compute", "--n", "10", "--format", fmt]) == 2
-    assert capsys.readouterr() == ("", "14 unresolved count records\n")
+    assert main(["compute", "--n", "11", "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", "18 unresolved count records\n")
 
 
 @pytest.mark.parametrize("argv", [["verify", "--q", "7"], ["compute", "--n", "-3"],
@@ -500,7 +521,9 @@ def test_bad_arguments_give_usage(capsys, argv):
     # each checked nothing and exited 0
     ("run_tables", ["--max-n", "0"]), ("run_oracle_checks", ["--cases", "0"]),
     # each ended in a traceback from random_algebraic_data
-    ("run_oracle_checks", ["--max-dim", "1"]), ("run_oracle_checks", ["--max-params", "-1"])])
+    ("run_oracle_checks", ["--max-dim", "1"]), ("run_oracle_checks", ["--max-params", "-1"]),
+    # would check nothing
+    ("run_refusals", ["--orders", "0"])])
 def test_script_bad_arguments_give_usage(capsys, name, argv):
     with pytest.raises(SystemExit) as exc:
         load_script(name).main(argv)

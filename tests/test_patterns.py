@@ -7,12 +7,13 @@ from unicount.algdata import AlgebraicData, MalformedData
 from unicount.engine import EngineContext, census, resolve
 from unicount.oracle import census_disagreement, orbit_of_vector
 from unicount.patterns import (Poset, _bits, _extension_rank, _preds, antichains,
-                               chain, choose_c0, encode_pattern, normal_closure,
+                               chain, choose_peel, encode_pattern, normal_closure,
                                pattern_census, stabilizer_data,
                                unitriangular_census)
 from unicount.polyring import CountPoly
 
-from conftest import random_poset_pairs, reference_antichains, top_and_closure
+from conftest import (engine_bound_posets, first_node, random_poset_pairs,
+                      reference_antichains, top_and_closure)
 
 
 # the mask routines of patterns, on labelled input
@@ -20,6 +21,24 @@ from conftest import random_poset_pairs, reference_antichains, top_and_closure
 def poset_of(succ) -> Poset:
     """The order of successor masks succ, labelled by position (checked)."""
     return Poset(range(len(succ)), [(a, b) for a, m in enumerate(succ) for b in _bits(m)])
+
+
+def labelled_dual(poset: Poset) -> Poset:
+    """Reference: the dual order, each label e negated, so that positions
+    run backwards and a label extends the dual when it extends the order."""
+    return Poset([-e for e in poset.elems], [(-b, -a) for a, b in poset.rel], check=False)
+
+
+def labelled_peel(poset: Poset) -> tuple[Poset, int | None]:
+    """The labelled order ``choose_peel`` runs the row procedure on, poset
+    or ``labelled_dual(poset)``, and the label of the minimal element
+    whose row it peels; None when there is no relation."""
+    succ = poset.masks()
+    node, c0 = choose_peel(succ)
+    if node != succ:
+        poset = labelled_dual(poset)
+        assert poset.masks() == node
+    return poset, poset.elems[c0] if c0 >= 0 else None
 
 
 def labelled_closure(rel: frozenset, ground, within) -> frozenset:
@@ -169,8 +188,8 @@ class TestNormalClosure:
 
 
 def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
-    # each _pattern_core coarsens the row D of its chosen c0 through one
-    # normal closure, computed on D only
+    # each _pattern_core coarsens the row D of the c0 it peels, in the
+    # order or its dual, through one normal closure, computed on D only
     from unicount import patterns
     calls = []          # per open _pattern_core: the row of each closure
     real_core, real_closure = patterns._pattern_core, patterns.normal_closure
@@ -181,8 +200,8 @@ def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
             return real_core(succ, ctx)
         finally:
             made = calls.pop()
-            c0 = choose_c0(succ)
-            assert made == ([_bits(succ[c0])] if c0 >= 0 else [])
+            node, c0 = choose_peel(succ)
+            assert made == ([_bits(node[c0])] if c0 >= 0 else [])
 
     def closure(succ, pred, D):
         calls[-1].append(_bits(D))
@@ -364,26 +383,24 @@ def reference_pair_stabilizer(poset: Poset, B: list[int], D: set[int],
     return data
 
 
-def first_node(succ):
-    """The first node of the pattern recursion on the order succ: its
-    minimal position c0, the row D = succ[c0], and the antichains of D in
-    its normal closure, the walk ``_pattern_core`` takes."""
-    c0 = choose_c0(succ)
-    D = succ[c0]
-    pred = _preds(succ, D)
-    return c0, D, list(antichains(D, normal_closure(succ, pred, D), pred))
-
-
 def row_disjoint(succ, D: int, E: int) -> bool:
     """No row of D sees two elements of E."""
     return all((succ[i] & E).bit_count() <= 1 for i in _bits(D))
 
 
+def row_rule(succ):
+    """``choose_peel`` restricted to the rows of succ: the rule before
+    columns could be peeled."""
+    from unicount import patterns
+    return succ, patterns._peel_row(succ)[0]
+
+
 def test_pair_stabilizers_match_the_reference(monkeypatch):
     # every |E| = 2 antichain of every order the pattern path recurses on,
-    # under T_12 and random posets: stabilizer_data gives the stabiliser the
-    # former pair-only builder gave, both where the pattern path calls it
-    # and where it deletes cells instead
+    # under T_12 and random posets whose first node reaches the general
+    # engine: stabilizer_data gives the stabiliser the former pair-only
+    # builder gave, both where the pattern path calls it and where it
+    # deletes cells instead
     from unicount import patterns
     real = patterns.pattern_census
     orders = set()
@@ -394,23 +411,22 @@ def test_pair_stabilizers_match_the_reference(monkeypatch):
 
     monkeypatch.setattr(patterns, "pattern_census", recorded)
     patterns.unitriangular_census(12, EngineContext())
-    rng = random.Random(43)
-    for _ in range(40):
-        m, rel = random_poset_pairs(rng, max_elems=8)
+    # orders whose first node hands an antichain to the general engine
+    for m, rel in engine_bound_posets(random.Random(43), 40):
         patterns.pattern_census(Poset(range(1, m + 1), rel), EngineContext())
     compared = {True: 0, False: 0}
     for succ in sorted(orders):
         if not any(succ):
             continue
-        c0, D, walk = first_node(succ)
+        node, c0, D, walk = first_node(succ)
         for E, *_ in walk:
             if E.bit_count() == 2:
-                data = stabilizer_data(succ, c0, E)
-                poset = poset_of(succ)
+                data = stabilizer_data(node, c0, E)
+                poset = poset_of(node)
                 B = [c for c in poset.elems if c != c0]
                 want = reference_pair_stabilizer(poset, B, set(_bits(D)), frozenset(_bits(E)))
                 assert data.key() == want.key() and data.basis == want.basis, (poset, c0, E)
-                compared[row_disjoint(succ, D, E)] += 1
+                compared[row_disjoint(node, D, E)] += 1
     assert compared[True] > 40 and compared[False] > 40, compared
 
 
@@ -526,7 +542,7 @@ def reference_lookups(poset: Poset, out: list, seen: set) -> list:
     out.append(key)
     if key not in seen and poset.rel:
         seen.add(key)
-        c0 = poset.elems[choose_c0(poset.masks())]
+        poset, c0 = labelled_peel(poset)
         D = sorted(d for d in poset.elems if (c0, d) in poset.rel)
         B = [c for c in poset.elems if c != c0]
         P = frozenset((a, b) for a, b in poset.rel if c0 not in (a, b))
@@ -621,9 +637,12 @@ class TestPatternCensus:
 
     def test_wide_posets_against_general_engine(self, monkeypatch):
         # random posets reaching a stabiliser of |E| >= 3: the pattern path
-        # against the whole-poset engine, and against class counts when small
+        # against the whole-poset engine, and against class counts when
+        # small.  Orders this small almost never keep a dirty row when
+        # columns may be peeled too, so the rule of rows only is patched in
         from unicount import patterns
         from unicount.oracle import verify_census
+        monkeypatch.setattr(patterns, "choose_peel", row_rule)
         real = patterns.stabilizer_data
         widest = []
 
@@ -641,7 +660,7 @@ class TestPatternCensus:
             if not rel:
                 continue
             p = Poset(range(1, m + 1), rel)
-            c0, D, walk = first_node(p.masks())
+            walk = first_node(p.masks())[3]
             if max(E.bit_count() for E, *_ in walk) < 3:
                 continue
             widest.clear()
@@ -715,8 +734,10 @@ class TestReversedLabels:
             assert table(pattern_census(p, EngineContext()), m) == want, p
             assert table(census(data, EngineContext()), m) == want, p
             # every |E| <= 1 stabiliser of the first node of the recursion,
-            # or of the first element when there is no relation
-            c0 = p.elems[max(choose_c0(p.masks()), 0)]
+            # in the order or its dual, or of the first element when there
+            # is no relation
+            p, c0 = labelled_peel(p)
+            c0 = p.elems[0] if c0 is None else c0
             B = [c for c in p.elems if c != c0]
             D = {d for d in p.elems if (c0, d) in p.rel}
             P = frozenset((a, b) for a, b in p.rel if c0 not in (a, b))
@@ -774,19 +795,20 @@ class TestRowDisjointAntichains:
         compared = brute = 0
         while compared < 60:
             m, rel = random_poset_pairs(rng, max_elems=8)
-            p = Poset(range(1, m + 1), rel)
-            succ = p.masks()
-            c0, D, walk = first_node(succ)
+            if not rel:
+                continue
+            node, c0, D, walk = first_node(Poset(range(1, m + 1), rel).masks())
+            # the order the node peels, or its dual, labelled by position
+            p = poset_of(node)
             for E, *_ in walk:
-                if E.bit_count() < 2 or not row_disjoint(succ, D, E):
+                if E.bit_count() < 2 or not row_disjoint(node, D, E):
                     continue
-                # elements are labelled by position plus one
-                rows, cols = {i + 1 for i in _bits(D)}, {d + 1 for d in _bits(E)}
-                deleted = Poset([c for c in p.elems if c != c0 + 1],
-                                [(a, b) for a, b in rel if c0 + 1 not in (a, b)
+                rows, cols = set(_bits(D)), set(_bits(E))
+                deleted = Poset([c for c in p.elems if c != c0],
+                                [(a, b) for a, b in p.rel if c0 not in (a, b)
                                  and not (a in rows and b in cols)])
                 fast = pattern_census(deleted, EngineContext())
-                data = stabilizer_data(succ, c0, E)
+                data = stabilizer_data(node, c0, E)
                 slow = census(data, EngineContext())
                 assert census_disagreement(fast, slow, m - 1) is None, (p, E)
                 if len(deleted.rel) <= 7:
@@ -815,9 +837,9 @@ class TestRowDisjointAntichains:
 
         monkeypatch.setattr(patterns, "pattern_census", recorded)
         monkeypatch.setattr(patterns, "stabilizer_data", routed)
-        rng = random.Random(79)
+        # and orders whose first node hands an antichain to the general engine
         tops = [chain(11)] + [Poset(range(1, m + 1), rel) for m, rel in
-                              (random_poset_pairs(rng, max_elems=8) for _ in range(40))]
+                              engine_bound_posets(random.Random(79), 40)]
         routed_total = 0
         for top in tops:
             orders.clear()
@@ -826,92 +848,132 @@ class TestRowDisjointAntichains:
             want = []
             for succ in sorted(orders):
                 if any(succ):
-                    c0, D, walk = first_node(succ)
-                    want += [(succ, c0, E) for E, *_ in walk
-                             if not row_disjoint(succ, D, E)]
+                    node, c0, D, walk = first_node(succ)
+                    want += [(node, c0, E) for E, *_ in walk
+                             if not row_disjoint(node, D, E)]
             assert sorted(calls) == sorted(want), top
             routed_total += len(want)
         assert routed_total > 40
 
-    @pytest.mark.parametrize("n, nodes", [(9, 0), (10, 8), (11, 79), (12, 636)])
+    @pytest.mark.parametrize("n, nodes", [(9, 0), (10, 0), (11, 15), (12, 380)])
     def test_engine_nodes_of_the_chain(self, n, nodes):
         # deterministic: the general engine is reached only through
         # antichains that some row sees two elements of, so only from
-        # nodes of which no minimal row is clean
+        # nodes with no clean minimal row and no clean maximal column
         ctx = EngineContext()
         unitriangular_census(n, ctx)
         assert ctx.nodes == nodes
 
 
-def reference_c0(poset: Poset):
-    """Reference: the element ``choose_c0`` takes, on labels: a minimal
-    element with a nonempty row, clean rows first, then the largest row,
-    then the least label; None when there is no relation."""
+def reference_peel(poset: Poset):
+    """Reference: what ``choose_peel`` peels, on labels: ("row", c) for the
+    row of a minimal element c, ("column", c) for the column of a maximal
+    element c, None when there is no relation.  A clean row comes first,
+    the largest, then the least label; failing that a clean column, the
+    largest, then the greatest label (the least in the dual); failing
+    that the largest row, then the least label."""
     rel = poset.rel
 
     def row(c):
         return {d for d in poset.elems if (c, d) in rel}
 
-    def clean(c):
-        return not any((j, k) not in rel and (k, j) not in rel
-                       for i in row(c) for j in row(i) for k in row(i) if j != k)
+    def column(c):
+        return {a for a in poset.elems if (a, c) in rel}
 
-    minimal = [c for c in poset.elems if row(c) and all((a, c) not in rel for a in poset.elems)]
-    return min(minimal, key=lambda c: (not clean(c), -len(row(c)), c), default=None)
+    def clean(line, c):
+        return not any((j, k) not in rel and (k, j) not in rel
+                       for i in line(c) for j in line(i) for k in line(i) if j != k)
+
+    rows = [c for c in poset.elems if row(c) and not column(c)]
+    clean_rows = [c for c in rows if clean(row, c)]
+    clean_columns = [c for c in poset.elems if column(c) and not row(c) and clean(column, c)]
+    if clean_rows:
+        return "row", min(clean_rows, key=lambda c: (-len(row(c)), c))
+    if clean_columns:
+        return "column", min(clean_columns, key=lambda c: (-len(column(c)), -c))
+    return ("row", min(rows, key=lambda c: (-len(row(c)), c))) if rows else None
+
+
+def minimal_rows(succ) -> list[int]:
+    """The minimal positions of the order succ with a nonempty row."""
+    has_pred = 0
+    for m in succ:
+        has_pred |= m
+    return [c for c, D in enumerate(succ) if D and not has_pred >> c & 1]
+
+
+def resolved_entries(top, n) -> dict:
+    """The resolved table of the order top from a fresh context, which
+    must leave no record."""
+    ctx = EngineContext()
+    out = resolve(pattern_census(top, ctx), n, ctx)
+    assert out.unresolved == ()
+    return out.entries
 
 
 class TestChooseC0:
-    """The pattern recursion may peel the row of any minimal element; it
-    peels a clean row first, then the largest, then the lowest position."""
+    """The pattern recursion may peel the row of any minimal element, of
+    the order or of its dual; it peels a clean row first, then a clean
+    column, then the largest row, then the lowest position."""
 
     def test_choice_against_the_labelled_reference(self):
         # labels shuffled, and reversed so that every pair runs against
-        # them: the comparability of two columns is read both ways
+        # them: the comparability of two rows or columns is read both ways
         rng = random.Random(89)
+        kinds = {"row": 0, "column": 0}
         for _ in range(300):
             m, rel = random_poset_pairs(rng, max_elems=7)
             perm = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
             for p in (Poset(range(1, m + 1), rel),
                       Poset(range(1, m + 1), [(perm[a], perm[b]) for a, b in rel]),
                       Poset(range(1, m + 1), [(m + 1 - a, m + 1 - b) for a, b in rel])):
-                c0 = choose_c0(p.masks())
-                assert (p.elems[c0] if c0 >= 0 else None) == reference_c0(p), p
+                node, c0 = labelled_peel(p)
+                got = None if c0 is None else ("row", c0) if node is p else ("column", -c0)
+                assert got == reference_peel(p), p
+                if got:
+                    kinds[got[0]] += 1
+        assert kinds["row"] > 300 and kinds["column"] > 30, kinds
 
     @pytest.mark.parametrize("seed", range(3))
     def test_any_minimal_row_gives_the_same_tables(self, monkeypatch, seed):
-        # confluence: the row procedure holds for any minimal c0
+        # confluence: the row procedure holds for any minimal c0 of the
+        # order, and of its dual, whose census is the order's
         from unicount import patterns
-
-        def table(top, n):
-            ctx = EngineContext()
-            out = resolve(pattern_census(top, ctx), n, ctx)
-            assert out.unresolved == ()
-            return out.entries
-
         rng = random.Random(seed)
         tops = [(chain(n), n) for n in (6, 7, 8)]
         for _ in range(30):
             m, rel = random_poset_pairs(rng, max_elems=7)
             tops.append((Poset(range(1, m + 1), rel), m))
-        want = [table(top, n) for top, n in tops]
-        default = patterns.choose_c0
-        moved = []
+        want = [resolved_entries(top, n) for top, n in tops]
+        default = patterns.choose_peel
+        moved, duals = [], []
 
-        def random_c0(succ):
-            has_pred = 0
-            for m in succ:
-                has_pred |= m
-            rows = [c for c, D in enumerate(succ) if D and not has_pred >> c & 1]
-            if not rows:
-                return -1
-            c0 = rng.choice(rows)
-            moved.append(c0 != default(succ))
-            return c0
+        def random_peel(succ):
+            dual = labelled_dual(poset_of(succ)).masks()
+            choices = [(s, c) for s in (succ, dual) for c in minimal_rows(s)]
+            if not choices:
+                return succ, -1
+            pick = rng.choice(choices)
+            moved.append(pick != default(succ))
+            duals.append(pick[0] != succ)
+            return pick
 
-        monkeypatch.setattr(patterns, "choose_c0", random_c0)
+        monkeypatch.setattr(patterns, "choose_peel", random_peel)
         for (top, n), entries in zip(tops, want):
-            assert table(top, n) == entries, (top, seed)
-        assert sum(moved) > 10
+            assert resolved_entries(top, n) == entries, (top, seed)
+        assert sum(moved) > 10 and sum(duals) > 10
+
+    def test_the_row_rule_gives_the_same_chain_tables(self, monkeypatch):
+        # route agreement: U_3..U_11 peeled by the rule of rows only, which
+        # sends U_11 through 79 engine nodes rather than 15
+        from unicount import patterns
+        tops = [(chain(n), n) for n in range(3, 12)]
+        want = [resolved_entries(top, n) for top, n in tops]
+        monkeypatch.setattr(patterns, "choose_peel", row_rule)
+        assert [resolved_entries(top, n) for top, n in tops] == want
+        ctx = EngineContext()
+        unitriangular_census(11, ctx)
+        assert ctx.nodes == 79
 
     # row 0 is {1, 2, 3} with 1 below 2 and 3, which stay incomparable in
     # its normal closure as 4 is below 2 only and 5 below 3 only; rows 4
@@ -919,19 +981,24 @@ class TestChooseC0:
     DIRTY_FIRST = (0b1110, 0b1100, 0, 0, 0b100, 0b1000, 0b1110000000, 0b1100000000,
                    0b1000000000, 0)
 
-    @pytest.mark.parametrize("reverse", [False, True], ids=["labels-extend", "labels-against"])
-    def test_a_clean_row_is_peeled_before_a_dirty_lower_one(self, monkeypatch, reverse):
+    # the one minimal element, 0, has the row {1, 2, 3, 4, 5}, in which 1 is
+    # below 2 and 3, and they stay incomparable in its normal closure as 4
+    # is below 2 only and 5 below 3 only; the columns {0, 1, 4} of 2 and
+    # {0, 1, 5} of 3, both maximal, are clean
+    DIRTY_ROWS = (0b111110, 0b1100, 0, 0, 0b100, 0b1000)
+
+    @staticmethod
+    def reversed_positions(succ):
+        """succ with position p moved to len(succ) - 1 - p: every pair runs
+        against the positions."""
+        n = len(succ)
+        return tuple(sum(1 << n - 1 - b for b in _bits(m)) for m in reversed(succ))
+
+    @staticmethod
+    def first_node_calls(monkeypatch, succ):
+        """The census of succ, with the orders ``stabilizer_data`` was
+        called on under it."""
         from unicount import patterns
-        succ = self.DIRTY_FIRST
-        pred = _preds(succ, succ[0])
-        assert any(not row_disjoint(succ, succ[0], E)
-                   for E, *_ in antichains(succ[0], normal_closure(succ, pred, succ[0]), pred))
-        want = 6
-        if reverse:
-            # position p becomes 9 - p: every pair runs against the labels
-            succ = tuple(sum(1 << 9 - b for b in _bits(m)) for m in reversed(succ))
-            want = 3
-        assert choose_c0(succ) == want
         real, calls = patterns.stabilizer_data, []
 
         def recorded(s, c0, E):
@@ -939,10 +1006,46 @@ class TestChooseC0:
             return real(s, c0, E)
 
         monkeypatch.setattr(patterns, "stabilizer_data", recorded)
-        out = pattern_census(succ, EngineContext())
+        return pattern_census(succ, EngineContext()), calls
+
+    @staticmethod
+    def dirty(succ, c0):
+        """Some row of the row D of c0 sees two elements of an antichain
+        of D's normal closure."""
+        D = succ[c0]
+        pred = _preds(succ, D)
+        return any(not row_disjoint(succ, D, E)
+                   for E, *_ in antichains(D, normal_closure(succ, pred, D), pred))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["labels-extend", "labels-against"])
+    def test_a_clean_row_is_peeled_before_a_dirty_lower_one(self, monkeypatch, reverse):
+        succ = self.DIRTY_FIRST
+        assert self.dirty(succ, 0)
+        want = 6
+        if reverse:
+            succ = self.reversed_positions(succ)
+            want = 3
+        assert choose_peel(succ) == (succ, want)
+        out, calls = self.first_node_calls(monkeypatch, succ)
         assert succ not in calls
         slow = census(encode_pattern(poset_of(succ)), EngineContext())
         assert census_disagreement(out, slow, len(succ)) is None
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["labels-extend", "labels-against"])
+    def test_a_clean_column_is_peeled_when_no_row_is_clean(self, monkeypatch, reverse):
+        succ, c = self.DIRTY_ROWS, 0
+        if reverse:
+            succ, c = self.reversed_positions(succ), 5
+        assert minimal_rows(succ) == [c] and self.dirty(succ, c)
+        dual = labelled_dual(poset_of(succ)).masks()
+        # the column of the maximal element at the greater position of the
+        # two: position 2 of the dual
+        assert choose_peel(succ) == (dual, 2) and not self.dirty(dual, 2)
+        out, calls = self.first_node_calls(monkeypatch, succ)
+        assert succ not in calls and dual not in calls
+        slow = census(encode_pattern(poset_of(succ)), EngineContext())
+        assert census_disagreement(out, slow, len(succ)) is None
+        assert resolve(out, len(succ)).entries == resolve(slow, len(succ)).entries
 
     def test_labels_against_the_order_give_the_same_table(self, shared_ctx):
         rng = random.Random(97)
