@@ -15,7 +15,9 @@ their totals at q = 2 and 3 when either keeps unresolved count records
 (``oracle.census_disagreement``).  A comparison whose records have too
 many parameters to count by brute force, or one side of which refuses
 with a core that ``resolve`` does not recognise, gives no verdict: it is
-printed as skipped and counted apart from the failures.  Useful for
+printed as skipped, and the summary counts the two kinds apart from each
+other and from the failures, so that a refusal is never mistaken for a
+count the sweep could not make.  Useful for
 soak-testing contraction and stabiliser changes far beyond what the
 fixed test seeds cover.
 
@@ -31,7 +33,7 @@ import time
 
 from unicount.cli import _int_at_least
 from unicount.engine import EngineContext, UnknownCore, census, census_at
-from unicount.oracle import (TooLarge, audit_counts, census_disagreement,
+from unicount.oracle import (TooLarge, audit_counts, census_disagreement, closed_order,
                              random_algebraic_data, verify_census)
 from unicount.patterns import (Poset, _preds, antichains, choose_peel, encode_pattern,
                                normal_closure, pattern_census)
@@ -46,19 +48,17 @@ def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
         rel = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
                if rng.random() < 0.3}
         rel |= {(1, j) for j in rng.sample(range(2, m + 1), 3)}
-        # labels extend the order, so closing from the top down suffices
-        for i in range(m, 0, -1):
-            rel |= {(i, k) for a, j in list(rel) if a == i for b, k in list(rel) if b == j}
+        poset = closed_order(m, rel)
         # the antichains the pattern path takes are those of the row D
         # that it peels, in the order or its dual, in their normal closure
-        succ, c0 = choose_peel(Poset(range(1, m + 1), rel, check=False).masks())
+        succ, c0 = choose_peel(poset.masks())
         D = succ[c0]
         pred = _preds(succ, D)
         # the pattern path hands E to the general engine only when it is
         # not clean: some row of D sees two elements of it
         if any(E.bit_count() >= 3 and not clean
                for E, _, _, clean in antichains(D, normal_closure(succ, pred, D), pred)):
-            return Poset(range(1, m + 1), rel)
+            return poset
 
 
 def check_family(data, ctx) -> list[str]:
@@ -74,7 +74,11 @@ def check_family(data, ctx) -> list[str]:
     return fails
 
 
-def check_poset(poset: Poset, ctx, rng: random.Random, skipped: list[str]) -> list[str]:
+def check_poset(poset: Poset, ctx, rng: random.Random,
+                skipped: list[tuple[str, Exception]]) -> list[str]:
+    """The failures of the comparisons of the pattern path on poset.  Each
+    comparison that gives no verdict is appended to skipped as the name
+    of the other side and the ``TooLarge`` or ``UnknownCore`` raised."""
     n = len(poset.elems)
     data = encode_pattern(poset)
     out = pattern_census(poset, ctx)
@@ -89,8 +93,7 @@ def check_poset(poset: Poset, ctx, rng: random.Random, skipped: list[str]) -> li
         try:
             why = census_disagreement(out, other, n, ctx)
         except (TooLarge, UnknownCore) as e:
-            skipped.append(f"poset: pattern path and {name} not compared: "
-                           f"{type(e).__name__}: {e}")
+            skipped.append((name, e))
             continue
         if why:
             fails.append(f"poset: pattern path and {name} disagree: {why}")
@@ -113,7 +116,7 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     ctx = EngineContext()
     t0 = time.perf_counter()
-    bad = skips = 0
+    bad = too_large = refused = 0
     for i in range(args.cases):
         data = random_algebraic_data(rng, max_dim=args.max_dim,
                                      max_params=args.max_params)
@@ -126,17 +129,21 @@ def main(argv=None) -> int:
             bad += 1
             print(f"FAIL case {i} {fail}")
             print(f"  input: {source}")
-        for skip in skipped:
-            skips += 1
-            print(f"SKIP case {i} {skip}")
+        for name, e in skipped:
+            if isinstance(e, UnknownCore):
+                refused += 1
+            else:
+                too_large += 1
+            print(f"SKIP case {i} poset: pattern path and {name} not compared: "
+                  f"{type(e).__name__}: {e}")
             print(f"  input: {poset.to_json()}")
         if (i + 1) % 50 == 0:
             print(f"{i + 1} cases, {time.perf_counter() - t0:.1f}s, "
                   f"{bad} failures", flush=True)
     audit = audit_counts(ctx.memo_counts)
-    print(f"done: {args.cases} cases, {bad} failures, {skips} comparisons skipped, "
-          f"{audit.audited} systems count-audited, {len(audit.violations)} "
-          f"count-audit violations")
+    print(f"done: {args.cases} cases, {bad} failures, {too_large} comparisons too "
+          f"large to count, {refused} comparisons refused, {audit.audited} systems "
+          f"count-audited, {len(audit.violations)} count-audit violations")
     return 1 if bad or audit.violations else 0
 
 

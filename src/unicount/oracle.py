@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .algdata import AlgebraicData, MalformedData, NonZero
 from .engine import Census, EngineContext, resolve
 from .ffield import get_field
+from .patterns import Poset
 from .polyring import ParamPoly
 
 
@@ -454,6 +455,17 @@ def random_algebraic_data(rng: random.Random, max_dim: int = 5,
                              range(dim), products)
         if symbolically_associative(data):
             return data
+
+
+
+def closed_order(m: int, rel: Iterable[tuple[int, int]]) -> Poset:
+    """The order on 1..m that the pairs rel, each (i, j) with i < j,
+    generate.  The labels extend it, so closing from the top down
+    suffices."""
+    rel = set(rel)
+    for i in range(m, 0, -1):
+        rel |= {(i, k) for a, j in list(rel) if a == i for b, k in list(rel) if b == j}
+    return Poset(range(1, m + 1), rel)
 
 
 def orbit_of_vector(poset_rel, elems, u: dict, q: int) -> set:

@@ -8,7 +8,7 @@ import pytest
 
 from unicount.engine import EngineContext
 from unicount.oracle import audit_counts
-from unicount.oracle import random_algebraic_data, symbolically_associative  # noqa: F401
+from unicount.oracle import closed_order, random_algebraic_data, symbolically_associative  # noqa: F401
 from unicount import patterns
 from unicount.patterns import Poset, _preds, antichains, normal_closure
 
@@ -43,20 +43,8 @@ def shared_ctx():
 def random_poset_pairs(rng: random.Random, max_elems: int = 5):
     """A random strict partial order on 1..m as a set of pairs."""
     m = rng.randint(1, max_elems)
-    rel = set()
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            if rng.random() < 0.4:
-                rel.add((i, j))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for c, d in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    return m, rel
+    rel = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if rng.random() < 0.4}
+    return m, set(closed_order(m, rel).rel)
 
 
 def first_node(succ):
