@@ -21,8 +21,15 @@ count the sweep could not make.  Useful for
 soak-testing contraction and stabiliser changes far beyond what the
 fixed test seeds cover.
 
+``--chains`` also checks route agreement, for chains too large for the
+test suite: each U_n it names is computed from a fresh context under
+``choose_peel`` and under the rule of rows only, and the two resolved
+tables must be equal row by row, with no count record left.  Each
+comparison prints its time.
+
 Usage:
     python scripts/run_oracle_checks.py [--cases 500] [--seed 1] [--max-dim 5]
+                                        [--chains 12 13]
 """
 from __future__ import annotations
 
@@ -32,11 +39,13 @@ import sys
 import time
 
 from unicount.cli import _int_at_least
-from unicount.engine import EngineContext, UnknownCore, census, census_at
+from unicount import patterns
+from unicount.engine import (EngineContext, ResolvedTable, UnknownCore, census, census_at,
+                             resolve)
 from unicount.oracle import (TooLarge, audit_counts, census_disagreement, closed_order,
                              random_algebraic_data, verify_census)
-from unicount.patterns import (Poset, _preds, antichains, choose_peel, encode_pattern,
-                               normal_closure, pattern_census)
+from unicount.patterns import (Poset, _peel_row, _preds, antichains, chain, choose_peel,
+                               encode_pattern, normal_closure, pattern_census)
 
 
 def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
@@ -105,12 +114,44 @@ def check_poset(poset: Poset, ctx, rng: random.Random,
     return fails
 
 
+def rows_only(succ):
+    """``choose_peel`` restricted to the rows of succ: the rule before
+    columns could be peeled."""
+    return succ, _peel_row(succ)[0]
+
+
+# the two routes --chains compares
+PEEL_RULES = (choose_peel, rows_only)
+
+
+def chain_table(n: int, rule) -> ResolvedTable:
+    """U_n's resolved table from a fresh context, the pattern path
+    peeling by rule."""
+    saved, patterns.choose_peel = patterns.choose_peel, rule
+    try:
+        ctx = EngineContext()
+        return resolve(pattern_census(chain(n).masks(), ctx), n, ctx)
+    finally:
+        patterns.choose_peel = saved
+
+
+def check_routes(n: int) -> str | None:
+    """Why U_n's tables under the two peel rules disagree, or None."""
+    a, b = (chain_table(n, rule) for rule in PEEL_RULES)
+    if a.unresolved or b.unresolved:
+        return f"count records left: {len(a.unresolved)} and {len(b.unresolved)}"
+    rows = [e for e in sorted(a.entries.keys() | b.entries.keys())
+            if a.entries.get(e) != b.entries.get(e)]
+    return f"rows e = {rows} differ" if rows else None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--cases", type=_int_at_least(1), default=500)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--max-dim", type=_int_at_least(2), default=5)
     ap.add_argument("--max-params", type=_int_at_least(0), default=2)
+    ap.add_argument("--chains", type=_int_at_least(1), nargs="+", default=[])
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
@@ -140,6 +181,13 @@ def main(argv=None) -> int:
         if (i + 1) % 50 == 0:
             print(f"{i + 1} cases, {time.perf_counter() - t0:.1f}s, "
                   f"{bad} failures", flush=True)
+    for n in args.chains:
+        t = time.perf_counter()
+        why = check_routes(n)
+        bad += why is not None
+        print(f"FAIL chain U_{n}: the two routes disagree: {why}" if why else
+              f"chain U_{n}: the two routes agree", f"({time.perf_counter() - t:.1f}s)",
+              flush=True)
     audit = audit_counts(ctx.memo_counts)
     print(f"done: {args.cases} cases, {bad} failures, {too_large} comparisons too "
           f"large to count, {refused} comparisons refused, {audit.audited} systems "

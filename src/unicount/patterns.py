@@ -2,9 +2,14 @@
 
 T_{C,R}(q) is the algebra of matrices with entries only on the pairs of
 R; the chain on [1, n] gives the strictly upper triangular algebra of
-U_n(q).  ``pattern_census`` exploits the row structure: fixing a
-minimal element c_0, the linear characters of its row K are classified
-by antichains of the successor set D (up to the action of the
+U_n(q).  Two exact shortcuts close the recursion early.  An order with
+no chain a < b < c has J^2 = 0, so 1 + J is abelian and its census is
+q^|R| linear characters.  An element in no pair spans no matrix unit
+and is dropped; the reduced order is looked up as its own memo entry.
+
+Every other order is expanded by its row structure: fixing a minimal
+element c_0, the linear characters of its row K are classified by
+antichains of the successor set D (up to the action of the
 complementary subalgebra group, coarsened through the greatest normal
 closure of the induced order), and the stabiliser of each orbit
 representative is again an explicitly describable algebra.  When no
@@ -23,12 +28,12 @@ the largest row.
 
 The recursion runs on masks: an order is the tuple of its elements'
 successor bitmasks by position, which is also its memo key.  Deleting
-c_0 is a bit compression; the normal closure, the antichain walk and
-the closure sizes are mask operations.  A labelled ``Poset`` is only an
-input, turned into masks with positions in label order.  Pattern data
-has one basis order, ``_unit_order``: matrix units by rows descending,
-then columns ascending, in the least linear extension of the order, so
-that every product lands later.
+c_0 or an isolated element is a bit compression; the normal closure,
+the antichain walk and the closure sizes are mask operations.  A
+labelled ``Poset`` is only an input, turned into masks with positions
+in label order.  Pattern data has one basis order, ``_unit_order``:
+matrix units by rows descending, then columns ascending, in the least
+linear extension of the order, so that every product lands later.
 """
 from __future__ import annotations
 
@@ -106,9 +111,20 @@ def _preds(succ: Masks, cols: int = -1) -> list[int]:
     0 for every other position."""
     pred = [0] * len(succ)
     for a, m in enumerate(succ):
-        for b in _bits(m & cols):
-            pred[b] |= 1 << a
+        m &= cols
+        bit = 1 << a
+        while m:
+            low = m & -m
+            pred[low.bit_length() - 1] |= bit
+            m ^= low
     return pred
+
+
+def _delete(succ: Masks | list[int], c: int) -> list[int]:
+    """The masks of succ with position c deleted: positions past it move
+    down by one."""
+    low = (1 << c) - 1
+    return [m & low | m >> 1 & ~low for j, m in enumerate(succ) if j != c]
 
 
 def normal_closure(succ: Masks, pred: list[int], D: int) -> dict[int, int]:
@@ -260,7 +276,9 @@ def stabilizer_data(succ: Masks, c0: int, E: int) -> AlgebraicData:
 
 def pattern_census(poset: Poset | Masks, ctx: EngineContext) -> Census:
     """A correct breakdown of the characters of 1 + T_{C,R}(q), for a
-    labelled Poset or the successor masks of an order."""
+    labelled Poset or the successor masks of an order, memoised on the
+    masks as given; an order with an element in no pair stores its
+    census under its own masks and under those of its reduction."""
     succ = poset.masks() if isinstance(poset, Poset) else poset
     hit = ctx.memo_pattern.get(succ)
     if hit is None:
@@ -335,22 +353,41 @@ def choose_peel(succ: Masks) -> tuple[Masks, int]:
 
 
 def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
-    """The census of the order succ, by the row procedure on the order
-    and minimal position ``choose_peel`` picks.  The procedure is sound
-    on succ or its dual and for any minimal c0; the choice only moves
-    work between the recursion and the general engine, and the memo key,
-    the order succ as given, does not depend on it."""
+    """The census of the order succ.  Two exact shortcuts come first.
+
+    With no chain a < b < c, every product e_ab e_bc vanishes: J^2 = 0,
+    so 1 + J is abelian of order q^|R| and all its characters are
+    linear.  An element in no pair spans no matrix unit, so deleting it
+    leaves the algebra as it is; the reduced order, whose positions keep
+    their relative order, is looked up as its own memo entry.
+
+    Otherwise the row procedure runs on the order and minimal position
+    ``choose_peel`` picks.  It is sound on succ or its dual and for any
+    minimal c0; the choice only moves work between the recursion and the
+    general engine, and the memo key, the order succ as given, does not
+    depend on it."""
+    has_pred = has_succ = 0
+    for i, m in enumerate(succ):
+        if m:
+            has_pred |= m
+            has_succ |= 1 << i
+    if not has_pred & has_succ:
+        return Census(CountPoly({(sum(m.bit_count() for m in succ), 0): 1}), (), ())
+    isolated = ~(has_pred | has_succ) & (1 << len(succ)) - 1
+    if isolated:
+        reduced = succ
+        for c in reversed(_bits(isolated)):
+            reduced = _delete(reduced, c)
+        return pattern_census(tuple(reduced), ctx)
+
     succ, c0 = choose_peel(succ)
-    if c0 < 0:
-        # the zero algebra: the trivial group has a single character
-        return Census(CountPoly.one(), (), ())
     D = succ[c0]
     # c0 is below every element of D: dropping it leaves their closure as is
     pred = _preds(succ, D)
     below = normal_closure(succ, pred, D)
-    # deleting c0: positions past it move down by one
+    # deleting c0: positions past it move down by one, in D and E too
     low = (1 << c0) - 1
-    rest = [m & low | m >> 1 & ~low for j, m in enumerate(succ) if j != c0]
+    rest = _delete(succ, c0)
     rows = _bits(D & low | D >> 1 & ~low)
 
     parts = []

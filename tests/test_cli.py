@@ -523,7 +523,9 @@ def test_bad_arguments_give_usage(capsys, argv):
     # each ended in a traceback from random_algebraic_data
     ("run_oracle_checks", ["--max-dim", "1"]), ("run_oracle_checks", ["--max-params", "-1"]),
     # would check nothing
-    ("run_refusals", ["--orders", "0"])])
+    ("run_refusals", ["--orders", "0"]),
+    # a chain with no element
+    ("run_oracle_checks", ["--chains", "0"])])
 def test_script_bad_arguments_give_usage(capsys, name, argv):
     with pytest.raises(SystemExit) as exc:
         load_script(name).main(argv)

@@ -219,6 +219,22 @@ def test_oracle_check_sweep_passes(capsys):
     assert ", 0 failures, " in out and ", 0 comparisons refused, " in out
 
 
+def test_chains_compare_the_two_routes(capsys, monkeypatch):
+    # --chains computes each U_n under choose_peel and under the rule of
+    # rows only, and a row that differs is a failure
+    from unicount import patterns
+    script = load_script("run_oracle_checks")
+    assert script.main(["--cases", "1", "--seed", "1", "--chains", "4", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "chain U_4: the two routes agree" in out and "chain U_6: the two routes agree" in out
+    assert patterns.choose_peel is script.choose_peel
+    real = script.chain_table
+    monkeypatch.setattr(script, "chain_table",
+                        lambda n, rule: real(n - (rule is script.rows_only), rule))
+    assert script.main(["--cases", "1", "--seed", "1", "--chains", "6"]) == 1
+    assert "FAIL chain U_6: the two routes disagree: rows e = [" in capsys.readouterr().out
+
+
 # case 207 of `scripts/run_oracle_checks.py --cases 300 --seed 1` while
 # that sweep drew its posets against the lowest minimal row
 CASE_207 = Poset(range(1, 11), [

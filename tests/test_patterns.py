@@ -4,7 +4,7 @@ import pytest
 
 
 from unicount.algdata import AlgebraicData, MalformedData
-from unicount.engine import EngineContext, census, resolve
+from unicount.engine import Census, EngineContext, census, resolve
 from unicount.oracle import census_disagreement, orbit_of_vector
 from unicount.patterns import (Poset, _bits, _extension_rank, _preds, antichains,
                                chain, choose_peel, encode_pattern, normal_closure,
@@ -39,6 +39,13 @@ def labelled_peel(poset: Poset) -> tuple[Poset, int | None]:
         poset = labelled_dual(poset)
         assert poset.masks() == node
     return poset, poset.elems[c0] if c0 >= 0 else None
+
+
+def expanded(succ) -> bool:
+    """Whether ``_pattern_core`` runs the row procedure on the order succ:
+    it has a chain a < b < c, and every element lies in some pair."""
+    return (any(succ[b] for m in succ for b in _bits(m))
+            and all(succ[c] or any(m >> c & 1 for m in succ) for c in range(len(succ))))
 
 
 def labelled_closure(rel: frozenset, ground, within) -> frozenset:
@@ -188,8 +195,10 @@ class TestNormalClosure:
 
 
 def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
-    # each _pattern_core coarsens the row D of the c0 it peels, in the
-    # order or its dual, through one normal closure, computed on D only
+    # each _pattern_core that expands its order coarsens the row D of the
+    # c0 it peels, in the order or its dual, through one normal closure,
+    # computed on D only; one with no chain of three or with an element
+    # in no pair makes none
     from unicount import patterns
     calls = []          # per open _pattern_core: the row of each closure
     real_core, real_closure = patterns._pattern_core, patterns.normal_closure
@@ -200,8 +209,11 @@ def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
             return real_core(succ, ctx)
         finally:
             made = calls.pop()
-            node, c0 = choose_peel(succ)
-            assert made == ([_bits(node[c0])] if c0 >= 0 else [])
+            if expanded(succ):
+                node, c0 = choose_peel(succ)
+                assert made == [_bits(node[c0])]
+            else:
+                assert made == []
 
     def closure(succ, pred, D):
         calls[-1].append(_bits(D))
@@ -535,13 +547,18 @@ def small_stabilizer(B: list[int], P: frozenset, D: set[int], E: frozenset) -> P
 
 def reference_lookups(poset: Poset, out: list, seen: set) -> list:
     """Reference: the keys a labelled recursion looks up under poset, in
-    order; a key looked up before is not expanded again.  It recurses into
-    the antichains no row of D sees two elements of, as the pattern path
-    does."""
+    order; a key looked up before is not expanded again.  A poset with no
+    chain of three is not expanded; one with an element in no pair looks
+    up its restriction to the related elements next.  Otherwise it
+    recurses into the antichains no row of D sees two elements of, as the
+    pattern path does."""
     key = reference_pattern_key(poset)
     out.append(key)
-    if key not in seen and poset.rel:
+    if key not in seen and any(b == c for _, b in poset.rel for c, _ in poset.rel):
         seen.add(key)
+        related = {e for pair in poset.rel for e in pair}
+        if len(related) < len(poset.elems):
+            return reference_lookups(Poset(related, poset.rel), out, seen)
         poset, c0 = labelled_peel(poset)
         D = sorted(d for d in poset.elems if (c0, d) in poset.rel)
         B = [c for c in poset.elems if c != c0]
@@ -821,7 +838,7 @@ class TestRowDisjointAntichains:
 
     def test_stabilizer_data_only_for_rows_that_see_two(self, monkeypatch):
         # stabilizer_data is called for every antichain that some row of D
-        # sees two elements of, at every order recursed on, and for no other
+        # sees two elements of, at every order expanded, and for no other
         from unicount import patterns
         real_census, real_data = patterns.pattern_census, patterns.stabilizer_data
         orders, calls = set(), []
@@ -847,7 +864,7 @@ class TestRowDisjointAntichains:
             patterns.pattern_census(top, EngineContext())
             want = []
             for succ in sorted(orders):
-                if any(succ):
+                if expanded(succ):
                     node, c0, D, walk = first_node(succ)
                     want += [(node, c0, E) for E, *_ in walk
                              if not row_disjoint(node, D, E)]
@@ -863,6 +880,111 @@ class TestRowDisjointAntichains:
         ctx = EngineContext()
         unitriangular_census(n, ctx)
         assert ctx.nodes == nodes
+
+
+def random_height_two(rng: random.Random, max_elems: int = 8):
+    """A random order on 1..m with no chain of three: its pairs run from a
+    random set of lower elements to the others."""
+    m = rng.randint(1, max_elems)
+    low = {e for e in range(1, m + 1) if rng.random() < 0.5}
+    return m, {(a, b) for a in low for b in range(1, m + 1)
+               if b not in low and rng.random() < 0.5}
+
+
+def count_nodes(monkeypatch) -> dict:
+    """Counts, from now on, of the ``_pattern_core`` calls and of the
+    normal closures they make."""
+    from unicount import patterns
+    real_core, real_closure = patterns._pattern_core, patterns.normal_closure
+    made = {"cores": 0, "closures": 0}
+
+    def core(succ, ctx):
+        made["cores"] += 1
+        return real_core(succ, ctx)
+
+    def closure(succ, pred, D):
+        made["closures"] += 1
+        return real_closure(succ, pred, D)
+
+    monkeypatch.setattr(patterns, "_pattern_core", core)
+    monkeypatch.setattr(patterns, "normal_closure", closure)
+    return made
+
+
+class TestEarlyClose:
+    """Two exact shortcuts before a pattern node expands: an order with no
+    chain a < b < c has J^2 = 0 and counts as q^|R|, and an element in no
+    pair spans no matrix unit, so it is dropped."""
+
+    def test_no_chain_of_three_counts_q_to_the_relations(self, shared_ctx):
+        from unicount.oracle import verify_census
+        rng = random.Random(101)
+        brute = 0
+        for _ in range(60):
+            m, rel = random_height_two(rng)
+            want = Census(CountPoly({(len(rel), 0): 1}), (), ())
+            perm = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
+            natural = Poset(range(1, m + 1), rel)
+            for p in (natural, Poset(range(1, m + 1), [(b, a) for a, b in rel]),
+                      Poset(range(1, m + 1), [(perm[a], perm[b]) for a, b in rel])):
+                data = encode_pattern(p)
+                assert pattern_census(p, EngineContext()) == want, p
+                assert census(data, shared_ctx) == want, p
+            if len(rel) <= 10:
+                for q0 in (2, 3):
+                    assert verify_census(encode_pattern(natural), want, q0)["pass"], natural
+                brute += 1
+        assert brute > 30
+
+    def test_isolated_elements_leave_the_table(self, shared_ctx):
+        # a random order relabelled into a larger ground set, the labels
+        # left over being isolated elements at random places
+        from unicount.oracle import verify_census
+        rng = random.Random(103)
+        brute = 0
+        for _ in range(100):
+            m, rel = random_poset_pairs(rng, max_elems=7)
+            k = rng.randint(1, 3)
+            label = dict(zip(range(1, m + 1), rng.sample(range(1, m + k + 1), m)))
+            wide = Poset(range(1, m + k + 1), [(label[a], label[b]) for a, b in rel])
+            want = resolve(pattern_census(Poset(range(1, m + 1), rel), shared_ctx), m)
+            out = pattern_census(wide, EngineContext())
+            got = resolve(out, m + k)
+            assert got.entries == want.entries and not got.unresolved, wide
+            if len(rel) <= 6:
+                for q0 in (2, 3):
+                    assert verify_census(encode_pattern(wide), out, q0)["pass"], wide
+                brute += 1
+        assert brute > 20
+
+    def test_complete_bipartite_order_is_one_node(self, monkeypatch):
+        made = count_nodes(monkeypatch)
+        out = pattern_census((0b1111100000,) * 5 + (0,) * 5, EngineContext())
+        assert out == Census(CountPoly({(25, 0): 1}), (), ())
+        assert made == {"cores": 1, "closures": 0}
+
+    def test_isolated_elements_are_dropped_before_the_node_expands(self, monkeypatch):
+        # U_6 on the labels 1, 3, 5, 6, 8, 9, with 2, 4 and 7 isolated
+        made = count_nodes(monkeypatch)
+        labels = (1, 3, 5, 6, 8, 9)
+        padded = Poset(range(1, 10), [(labels[a - 1], labels[b - 1]) for a, b in chain(6).rel])
+        runs = []
+        for top in (chain(6), padded):
+            ctx = EngineContext()
+            made.update(cores=0, closures=0)
+            runs.append((resolve(pattern_census(top, ctx), 6).entries, dict(made),
+                         len(ctx.memo_pattern)))
+        (want, plain, entries), (got, wide, wide_entries) = runs
+        # the padded order misses once, and its reduction is U_6
+        assert got == want
+        assert wide == {"cores": plain["cores"] + 1, "closures": plain["closures"]}
+        assert wide_entries == entries + 1
+        # after U_6 in one context, the padded order expands nothing
+        ctx = EngineContext()
+        pattern_census(chain(6), ctx)
+        made.update(cores=0, closures=0)
+        pattern_census(padded, ctx)
+        assert made == {"cores": 1, "closures": 0}
 
 
 def reference_peel(poset: Poset):
@@ -965,7 +1087,8 @@ class TestChooseC0:
 
     def test_the_row_rule_gives_the_same_chain_tables(self, monkeypatch):
         # route agreement: U_3..U_11 peeled by the rule of rows only, which
-        # sends U_11 through 79 engine nodes rather than 15
+        # sends U_11 through 79 engine nodes rather than 15; U_12 and U_13
+        # are compared by `scripts/run_oracle_checks.py --chains 12 13`
         from unicount import patterns
         tops = [(chain(n), n) for n in range(3, 12)]
         want = [resolved_entries(top, n) for top, n in tops]
