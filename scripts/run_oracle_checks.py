@@ -114,10 +114,10 @@ def check_poset(poset: Poset, ctx, rng: random.Random,
     return fails
 
 
-def rows_only(succ):
+def rows_only(succ, scan=None):
     """``choose_peel`` restricted to the rows of succ: the rule before
     columns could be peeled."""
-    return succ, _peel_row(succ)[0]
+    return succ, _peel_row(succ, scan)[0]
 
 
 # the two routes --chains compares

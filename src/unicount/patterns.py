@@ -24,7 +24,10 @@ element.  ``choose_peel`` picks the peel that keeps the most work in
 the recursion: a clean row D, one in which no row of D sees two
 incomparable elements of D, hands no antichain to the general engine.
 It peels a clean row if the order has one, else a clean column, else
-the largest row.
+the row or column that hands the general engine the fewest antichains,
+counted by walking each candidate's antichains.  A node computes the
+row sizes, the dirty rows and the predecessor masks it needs in one
+pass over its masks (``_scan``).
 
 The recursion runs on masks: an order is the tuple of its elements'
 successor bitmasks by position, which is also its memo key.  Deleting
@@ -44,6 +47,9 @@ from .engine import _ONE, Census, EngineContext, _change_basis, aggregate, censu
 from .polyring import CountPoly
 
 Masks = tuple[int, ...]
+# an order's row sizes, positions with a predecessor, dirty rows and
+# predecessor masks: ``_scan``
+Scan = tuple[list[int], int, int, list[int]]
 
 
 class Poset:
@@ -286,32 +292,51 @@ def pattern_census(poset: Poset | Masks, ctx: EngineContext) -> Census:
     return hit
 
 
-def _peel_row(succ: Masks) -> tuple[int, bool]:
+def _scan(succ: Masks) -> Scan:
+    """One pass over the masks of an order: the size of each row, the
+    mask of positions with a predecessor, the mask of dirty rows, and
+    the mask of each position's predecessors.
+
+    Row i is clean when no row j of it sees two elements of it that are
+    incomparable in the order.  Row j sees succ[j], which lies in row i
+    since rows are upward closed, and which holds succ[k] for each of its
+    elements k.  So row i is clean exactly when the sizes |succ[j]|, j in
+    succ[i], add up to the number of pairs of succ[i]: each comparable
+    pair is counted once, by its lower element, whether or not positions
+    extend the order.
+    """
+    size = [m.bit_count() for m in succ]
+    pred = [0] * len(succ)
+    has_pred = dirty = 0
+    for i, m in enumerate(succ):
+        if m:
+            has_pred |= m
+            bit, pairs = 1 << i, 0
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                pred[j] |= bit
+                pairs += size[j]
+                m ^= low
+            s = size[i]
+            if pairs != s * (s - 1) // 2:
+                dirty |= bit
+    return size, has_pred, dirty, pred
+
+
+def _peel_row(succ: Masks, scan: Scan | None = None) -> tuple[int, bool]:
     """The minimal position c0 whose row is the best to peel among the
     rows of succ, or -1 when the order has no relation, and whether that
-    row is clean.
+    row is clean; scan is ``_scan(succ)``, computed when not given.
 
     Among the minimal positions with a nonempty row D = succ[c0] this
     takes, in turn, a clean row, the largest row, the lowest position.
-    D is clean when no row i of D sees two elements of D that are
-    incomparable in the order.  Every antichain E of the normal closure
-    on D is then an antichain of the order, which the closure contains,
-    so no row of D sees two elements of E and no stabiliser of the node
-    goes to the general engine.
-
-    Row i of D sees succ[i], which lies in D since D is upward closed,
-    and which holds succ[j] for each of its elements j.  So it is a chain
-    exactly when the sizes |succ[j]|, j in succ[i], add up to the number
-    of pairs of succ[i]: each comparable pair is counted once, by its
-    lower element, whether or not positions extend the order.
+    When D is clean, every antichain E of the normal closure on D is an
+    antichain of the order, which the closure contains, so no row of D
+    sees two elements of E and no stabiliser of the node goes to the
+    general engine.
     """
-    size = [m.bit_count() for m in succ]
-    has_pred = dirty = 0
-    for i, m in enumerate(succ):
-        has_pred |= m
-        s = size[i]
-        if s > 1 and sum(size[j] for j in _bits(m)) != s * (s - 1) // 2:
-            dirty |= 1 << i
+    size, has_pred, dirty, _ = scan or _scan(succ)
     c0, best = -1, (False, 0)
     for c, D in enumerate(succ):
         if D and not has_pred >> c & 1 and (key := (not D & dirty, size[c])) > best:
@@ -331,25 +356,65 @@ def _dual(succ: Masks) -> Masks:
     return tuple(dual)
 
 
-def choose_peel(succ: Masks) -> tuple[Masks, int]:
+def _engine_antichains(succ: Masks, c0: int, pred: list[int], stop: int) -> int:
+    """The number of antichains of the normal closure on the row D of the
+    minimal position c0 that some row of D sees two elements of, those
+    the row procedure on c0 hands to ``stabilizer_data``, counted up to
+    stop; pred holds the predecessor masks of the elements of D."""
+    D = succ[c0]
+    count = 0
+    for *_, clean in antichains(D, normal_closure(succ, pred, D), pred):
+        if not clean:
+            count += 1
+            if count == stop:
+                break
+    return count
+
+
+def choose_peel(succ: Masks, scan: Scan | None = None) -> tuple[Masks, int]:
     """The order the pattern recursion runs its row procedure on, succ or
     its dual, and the minimal position c0 of it whose row it peels; c0 is
-    -1 when the order has no relation.
+    -1 when the order has no relation.  scan is ``_scan(succ)``, computed
+    when not given.
 
     T_{C,R^op} is T_{C,R}^op, and g -> g^{-1} makes 1 + A^op isomorphic
     to 1 + A, so the dual order has the census of succ, and its row
     procedure peels the column of a maximal element of succ.  The rule,
     in turn: a clean minimal row of succ (``_peel_row``); when succ has
     none, and only then, the dual is built, and a clean minimal row of
-    it, a clean maximal column of succ, is peeled; failing both, the
-    largest dirty row of succ.
+    it, a clean maximal column of succ, is peeled.  Failing both, each
+    minimal row of succ and of the dual is scored by the antichains it
+    would hand to the general engine (``_engine_antichains``), and the
+    lowest score is peeled; ties go to the larger row, then to a row of
+    succ before one of the dual, then to the lower position.  A row with
+    no such antichain is peeled at once.
     """
-    c0, clean = _peel_row(succ)
+    scan = scan or _scan(succ)
+    c0, clean = _peel_row(succ, scan)
     if clean or c0 < 0:
         return succ, c0
     dual = _dual(succ)
-    d0, clean = _peel_row(dual)
-    return (dual, d0) if clean else (succ, c0)
+    sides = [(succ, scan)]
+    if dual != succ:            # a self-dual order offers its rows once
+        dscan = _scan(dual)
+        d0, clean = _peel_row(dual, dscan)
+        if clean:
+            return dual, d0
+        sides.append((dual, dscan))
+    # candidates in the order of the ties: a later one wins only with a
+    # lower score, so each walk stops at the best score so far (the first
+    # runs to its end)
+    cands = sorted((-size[c], side, c) for side, (node, (size, has_pred, _, _)) in enumerate(sides)
+                   for c, D in enumerate(node) if D and not has_pred >> c & 1)
+    pick, best = None, -1
+    for _, side, c in cands:
+        node, (_, _, _, pred) = sides[side]
+        score = _engine_antichains(node, c, pred, best)
+        if pick is None or score < best:
+            pick, best = (node, c), score
+            if not score:
+                break
+    return pick
 
 
 def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
@@ -380,14 +445,15 @@ def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
             reduced = _delete(reduced, c)
         return pattern_census(tuple(reduced), ctx)
 
-    succ, c0 = choose_peel(succ)
-    D = succ[c0]
+    scan = _scan(succ)
+    node, c0 = choose_peel(succ, scan)
+    D = node[c0]
     # c0 is below every element of D: dropping it leaves their closure as is
-    pred = _preds(succ, D)
-    below = normal_closure(succ, pred, D)
+    pred = scan[3] if node is succ else _preds(node, D)
+    below = normal_closure(node, pred, D)
     # deleting c0: positions past it move down by one, in D and E too
     low = (1 << c0) - 1
-    rest = _delete(succ, c0)
+    rest = _delete(node, c0)
     rows = _bits(D & low | D >> 1 & ~low)
 
     parts = []
@@ -400,7 +466,7 @@ def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
                 sub[j] &= keep
             part = pattern_census(tuple(sub), ctx)
         else:
-            part = census(stabilizer_data(succ, c0, E), ctx)
+            part = census(stabilizer_data(node, c0, E), ctx)
         parts.append((part, E.bit_count(), (clos_p & ~(E | seen)).bit_count(),
                       seen.bit_count()))
     return aggregate(parts)

@@ -34,9 +34,9 @@ def golden_10(monkeypatch):
 
 
 @pytest.fixture
-def golden_11(monkeypatch):
-    """U_11 is the least chain that reaches the general engine (15 nodes)."""
-    return _golden_only(monkeypatch, 11)
+def golden_12(monkeypatch):
+    """U_12 is the least chain that reaches the general engine (182 nodes)."""
+    return _golden_only(monkeypatch, 12)
 
 
 class TestParseQPoly:
@@ -99,12 +99,12 @@ class TestComputeCommand:
         assert {row["e"] for row in obj["table"]} == {0, 1}
 
     def test_budget_exhaustion_is_nonzero_exit(self, tmp_path, capsys):
-        # the 11-element chain reaches the general engine (15 nodes) through
+        # the 12-element chain reaches the general engine (182 nodes) through
         # stabilisers whose antichain has two elements in one row; a tiny
         # node budget leaves uncontracted families behind
         poset_file = tmp_path / "poset.json"
-        rel = [[i, j] for i in range(1, 12) for j in range(i + 1, 12)]
-        poset_file.write_text(json.dumps({"elems": list(range(1, 12)), "rel": rel}))
+        rel = [[i, j] for i in range(1, 13) for j in range(i + 1, 13)]
+        poset_file.write_text(json.dumps({"elems": list(range(1, 13)), "rel": rel}))
         assert main(["--max-nodes", "1", "compute", "--poset", str(poset_file)]) == 2
 
     def test_large_sparse_poset(self, tmp_path, capsys):
@@ -170,15 +170,15 @@ class TestAuditedCommands:
         monkeypatch.setattr(oracle, "count_values_bruteforce", lambda *a, **k: -1)
 
     def test_identities(self, capsys):
-        assert main(["--debug-counts", "identities", "--max-n", "12"]) == 2
-        # each n has its own memos: n = 11 counts one system and n = 12
-        # four, and each disagrees at the four audited fields
-        assert "count audit violations: 20; systems audited: 5;" in capsys.readouterr().err
+        assert main(["--debug-counts", "identities", "--max-n", "13"]) == 2
+        # each n has its own memos: n = 12 counts two systems and n = 13
+        # twelve, and each disagrees at the four audited fields
+        assert "count audit violations: 56; systems audited: 14;" in capsys.readouterr().err
 
-    def test_regress(self, capsys, golden_11):
+    def test_regress(self, capsys, golden_12):
         assert main(["--debug-counts", "regress"]) == 2
         out = capsys.readouterr()
-        assert "26 rows match exactly" in out.out
+        assert "31 rows match exactly" in out.out
         assert "count audit violations" in out.err
 
 
@@ -186,12 +186,12 @@ class TestUnresolvableFamily:
     """A node budget too small to finish leaves a family that resolve does
     not recognise; the command reports it and exits 2."""
 
-    def test_regress(self, capsys, golden_11):
+    def test_regress(self, capsys, golden_12):
         assert main(["--max-nodes", "5", "regress"]) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
     def test_identities(self, capsys):
-        # U_11 takes 15 nodes, within the budget, and U_12 380
+        # U_11 takes no node, and U_12 182, past the budget
         assert main(["--max-nodes", "50", "identities", "--max-n", "12"]) == 2
         assert "unresolvable family survived" in capsys.readouterr().err
 
@@ -398,26 +398,27 @@ def test_run_tables_script():
 
 
 def test_run_tables_refuses_a_table_with_count_records(tmp_path, capsys, monkeypatch):
-    # the script once wrote the n = 10 table without the records' rows and
-    # never named them, as compute --n 11 does
+    # the script once wrote the n = 11 table without the records' rows and
+    # never named them, as compute --n 12 does
     run_tables = load_script("run_tables")
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
-    assert run_tables.main(["--max-n", "11", "--latex-dir", str(tmp_path)]) == 2
+    assert run_tables.main(["--max-n", "12", "--latex-dir", str(tmp_path)]) == 2
     out = capsys.readouterr()
-    assert out.err == "18 unresolved count records\n"
-    assert [line[:4] for line in out.out.splitlines()] == [f"n={n:2d}" for n in range(1, 11)]
+    assert out.err == "279 unresolved count records\n"
+    assert [line[:4] for line in out.out.splitlines()] == [f"n={n:2d}" for n in range(1, 12)]
     assert sorted(p.name for p in tmp_path.iterdir()) == \
-        sorted(f"table_n{n}.tex" for n in range(1, 11))
+        sorted(f"table_n{n}.tex" for n in range(1, 12))
 
 
 def test_refusals_script_pins_the_first_refusal(capsys):
-    # the first 61 orders of the seed-7 sample: order 60 leaves two count
-    # records of two systems that solcount cannot count, and the other 60
-    # resolve
-    assert load_script("run_refusals").main(["--orders", "61"]) == 0
+    # the first 152 orders of the seed-7 sample: order 151 stops on a
+    # 5-dimensional core that resolve does not recognise, and the other
+    # 151 resolve
+    assert load_script("run_refusals").main(["--orders", "152"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:-1] == ["60 records: stuck systems 2, count records 2"]
-    assert re.fullmatch(r"refused 1 of 61 orders \(seed 7\) in [\d.]+ s", lines[-1])
+    assert lines[:-1] == ["151 core: unrecognised family core: AlgebraicData(dim=5, "
+                          "params=3, restrictions=4, products=3)"]
+    assert re.fullmatch(r"refused 1 of 152 orders \(seed 7\) in [\d.]+ s", lines[-1])
 
 
 def test_main_entrypoint(capsys):
@@ -426,9 +427,9 @@ def test_main_entrypoint(capsys):
     assert "q^2" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["compute", "--n", "11"], ["dump-families", "--n", "11"],
-                                  ["identities", "--max-n", "11"], ["regress"]])
-def test_exhausted_node_budget_is_named(capsys, golden_11, argv):
+@pytest.mark.parametrize("argv", [["compute", "--n", "12"], ["dump-families", "--n", "12"],
+                                  ["identities", "--max-n", "12"], ["regress"]])
+def test_exhausted_node_budget_is_named(capsys, golden_12, argv):
     # compute once named only the first uncontracted core, and
     # dump-families printed the cores the budget cut as survivors, exit 0
     assert main(["--max-nodes", "4"] + argv) == 2
@@ -441,9 +442,9 @@ def test_node_budget_binds_after_an_earlier_run(tmp_path, capsys, monkeypatch):
     # a table that an earlier run had written to the report cache was once
     # served without applying --max-nodes, exit 0
     monkeypatch.chdir(tmp_path)
-    assert main(["compute", "--n", "11"]) == 0
+    assert main(["compute", "--n", "12"]) == 0
     capsys.readouterr()
-    assert main(["--max-nodes", "4", "compute", "--n", "11"]) == 2
+    assert main(["--max-nodes", "4", "compute", "--n", "12"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert any(re.fullmatch(r"node budget of 4 exhausted: \d+ families left uncontracted",
                             line) for line in err), err
@@ -451,19 +452,19 @@ def test_node_budget_binds_after_an_earlier_run(tmp_path, capsys, monkeypatch):
 
 
 def test_debug_counts_reports_what_it_audited(capsys):
-    assert main(["--debug-counts", "compute", "--n", "11"]) == 0
+    assert main(["--debug-counts", "compute", "--n", "12"]) == 0
     assert capsys.readouterr().err == (
-        "count audit violations: 0; systems audited: 1; "
+        "count audit violations: 0; systems audited: 2; "
         "skipped with more than 8 parameters: 0\n")
 
 
 @pytest.mark.parametrize("argv, audited", [
-    (["regress"], 1),
-    (["identities", "--max-n", "12"], 5),
+    (["regress"], 2),
+    (["identities", "--max-n", "12"], 2),
     (["verify", "--max-n", "4", "--q", "2"], 0),
-    (["dump-families", "--n", "11"], 1),
+    (["dump-families", "--n", "12"], 2),
 ], ids=["regress", "identities", "verify", "dump-families"])
-def test_every_command_reports_the_count_audit(capsys, golden_11, argv, audited):
+def test_every_command_reports_the_count_audit(capsys, golden_12, argv, audited):
     # as test_debug_counts_reports_what_it_audited does for compute;
     # verify and dump-families once ignored --debug-counts
     assert main(["--debug-counts"] + argv) == 0
@@ -473,15 +474,15 @@ def test_every_command_reports_the_count_audit(capsys, golden_11, argv, audited)
 
 
 @pytest.mark.parametrize("argv, status, records", [
-    (["compute", "--n", "11"], 2, "18"),
-    (["identities", "--max-n", "11"], 2, "18"),
-    (["dump-families", "--n", "11"], 2, "18"),
+    (["compute", "--n", "12"], 2, "279"),
+    (["identities", "--max-n", "12"], 2, "279"),
+    (["dump-families", "--n", "12"], 2, "279"),
     # the records leave rows out, so the comparison fails too
     (["regress"], 3, r"\d+"),
 ], ids=["compute", "identities", "dump-families", "regress"])
-def test_every_command_names_surviving_count_records(capsys, monkeypatch, golden_11, argv,
+def test_every_command_names_surviving_count_records(capsys, monkeypatch, golden_12, argv,
                                                      status, records):
-    # with every substitution count refused, n = 11 keeps 18 count
+    # with every substitution count refused, n = 12 keeps 279 count
     # records and no smaller n keeps any; dump-families once printed []
     # for them and exited 0, and identities and regress never named them
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
@@ -495,8 +496,8 @@ def test_compute_prints_no_table_with_surviving_count_records(capsys, monkeypatc
     # compute once printed the table without the records' rows, a wrong
     # N_{n,e}, and only then named the records and exited 2
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
-    assert main(["compute", "--n", "11", "--format", fmt]) == 2
-    assert capsys.readouterr() == ("", "18 unresolved count records\n")
+    assert main(["compute", "--n", "12", "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", "279 unresolved count records\n")
 
 
 @pytest.mark.parametrize("argv", [["verify", "--q", "7"], ["compute", "--n", "-3"],

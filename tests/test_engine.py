@@ -428,7 +428,7 @@ class TestSpareSummands:
 
     def test_no_memo_key_holds_a_spare_vector(self):
         ctx = EngineContext()
-        unitriangular_census(11, ctx)
+        unitriangular_census(12, ctx)
         assert ctx.memo_all and ctx.memo_at
         for key in ctx.memo_all:
             assert_no_spare_vector(AlgebraicData.from_key(key))
@@ -626,7 +626,7 @@ class TestMemoKey:
 
     def test_engine_memo_keys_are_flat_int_tuples(self):
         ctx = EngineContext()
-        unitriangular_census(11, ctx)
+        unitriangular_census(12, ctx)
         assert ctx.memo_all and ctx.memo_at
         assert all(is_flat(key) for key in ctx.memo_all)
         assert all(is_flat(key) for key in ctx.memo_at)
@@ -642,7 +642,7 @@ class TestMemoKey:
             return False
 
         ctx = EngineContext()
-        unitriangular_census(11, ctx)
+        unitriangular_census(12, ctx)
         assert ctx.memo_all and ctx.memo_at
         assert not contains_data(ctx.memo_all)
         assert not contains_data(ctx.memo_at)

@@ -198,10 +198,14 @@ def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
     # each _pattern_core that expands its order coarsens the row D of the
     # c0 it peels, in the order or its dual, through one normal closure,
     # computed on D only; one with no chain of three or with an element
-    # in no pair makes none
+    # in no pair makes none.  A node with no clean minimal row and no
+    # clean maximal column first makes one closure per minimal row of the
+    # order and of its dual that it scores, each at most once, the
+    # largest first
     from unicount import patterns
-    calls = []          # per open _pattern_core: the row of each closure
+    calls = []          # per open _pattern_core: the rows of its closures
     real_core, real_closure = patterns._pattern_core, patterns.normal_closure
+    scored = []
 
     def core(succ, ctx):
         calls.append([])
@@ -209,18 +213,32 @@ def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
             return real_core(succ, ctx)
         finally:
             made = calls.pop()
-            if expanded(succ):
-                node, c0 = choose_peel(succ)
-                assert made == [_bits(node[c0])]
-            else:
+            if not expanded(succ):
                 assert made == []
+            else:
+                calls.append([])        # the closures of this call are not the node's
+                node, c0 = choose_peel(succ)
+                calls.pop()
+                assert made[-1] == (node, node[c0])
+                if patterns_peel_is_clean(succ):
+                    assert len(made) == 1
+                else:
+                    dual = patterns._dual(succ)
+                    lines = [(s, s[c]) for s in (succ, dual) for c in minimal_rows(s)]
+                    assert len(set(made[:-1])) == len(made) - 1 >= 1
+                    assert all(line in lines for line in made[:-1])
+                    sizes = [D.bit_count() for _, D in made[:-1]]
+                    assert sizes == sorted(sizes, reverse=True)
+                    scored.append(len(made) - 1)
 
     def closure(succ, pred, D):
-        calls[-1].append(_bits(D))
+        calls[-1].append((succ, D))
         below = real_closure(succ, pred, D)
         assert sorted(below) == _bits(D)
         return below
 
+    # with orders whose first node has no clean line
+    bound = engine_bound_posets(random.Random(7), 10)
     monkeypatch.setattr(patterns, "_pattern_core", core)
     monkeypatch.setattr(patterns, "normal_closure", closure)
     unitriangular_census(8, EngineContext())
@@ -228,6 +246,9 @@ def test_pattern_core_makes_one_closure_over_its_row(monkeypatch):
     for _ in range(20):
         m, rel = random_poset_pairs(rng, max_elems=6)
         pattern_census(Poset(range(1, m + 1), rel), EngineContext())
+    for m, rel in bound:
+        pattern_census(Poset(range(1, m + 1), rel), EngineContext())
+    assert len(scored) >= 10 and max(scored) > 1
 
 
 class TestAntichains:
@@ -400,11 +421,11 @@ def row_disjoint(succ, D: int, E: int) -> bool:
     return all((succ[i] & E).bit_count() <= 1 for i in _bits(D))
 
 
-def row_rule(succ):
+def row_rule(succ, scan=None):
     """``choose_peel`` restricted to the rows of succ: the rule before
     columns could be peeled."""
     from unicount import patterns
-    return succ, patterns._peel_row(succ)[0]
+    return succ, patterns._peel_row(succ, scan)[0]
 
 
 def test_pair_stabilizers_match_the_reference(monkeypatch):
@@ -855,7 +876,7 @@ class TestRowDisjointAntichains:
         monkeypatch.setattr(patterns, "pattern_census", recorded)
         monkeypatch.setattr(patterns, "stabilizer_data", routed)
         # and orders whose first node hands an antichain to the general engine
-        tops = [chain(11)] + [Poset(range(1, m + 1), rel) for m, rel in
+        tops = [chain(12)] + [Poset(range(1, m + 1), rel) for m, rel in
                               engine_bound_posets(random.Random(79), 40)]
         routed_total = 0
         for top in tops:
@@ -872,11 +893,12 @@ class TestRowDisjointAntichains:
             routed_total += len(want)
         assert routed_total > 40
 
-    @pytest.mark.parametrize("n, nodes", [(9, 0), (10, 0), (11, 15), (12, 380)])
+    @pytest.mark.parametrize("n, nodes", [(9, 0), (10, 0), (11, 0), (12, 182)])
     def test_engine_nodes_of_the_chain(self, n, nodes):
         # deterministic: the general engine is reached only through
         # antichains that some row sees two elements of, so only from
-        # nodes with no clean minimal row and no clean maximal column
+        # nodes with no clean minimal row and no clean maximal column, and
+        # only when every minimal row and maximal column hands it some
         ctx = EngineContext()
         unitriangular_census(n, ctx)
         assert ctx.nodes == nodes
@@ -987,13 +1009,38 @@ class TestEarlyClose:
         assert made == {"cores": 1, "closures": 0}
 
 
+def reference_scores(poset: Poset) -> dict[tuple[str, int], int]:
+    """Reference: for ("row", c), c minimal with a nonempty row, and for
+    ("column", c), c maximal with a nonempty column, the number of
+    antichains of the line's normal closure that some element of the line
+    sees two elements of, in the order for a row and in the dual for a
+    column: the antichains the row procedure on it hands to the general
+    engine."""
+    rel = poset.rel
+    dual = frozenset((b, a) for a, b in rel)
+    scores = {}
+    for kind, order in (("row", rel), ("column", dual)):
+        def line(c):
+            return {d for d in poset.elems if (c, d) in order}
+
+        for c in poset.elems:
+            D = line(c)
+            if D and not any((a, c) in order for a in poset.elems):
+                scores[kind, c] = sum(
+                    any(len(line(i) & E) >= 2 for i in D)
+                    for E in reference_antichains(D, reference_closure(order, poset.elems, D)))
+    return scores
+
+
 def reference_peel(poset: Poset):
     """Reference: what ``choose_peel`` peels, on labels: ("row", c) for the
     row of a minimal element c, ("column", c) for the column of a maximal
     element c, None when there is no relation.  A clean row comes first,
     the largest, then the least label; failing that a clean column, the
     largest, then the greatest label (the least in the dual); failing
-    that the largest row, then the least label."""
+    that the row or column of least ``reference_scores``, then the
+    largest, then a row before a column, then the least position: the
+    least label for a row, the greatest for a column."""
     rel = poset.rel
 
     def row(c):
@@ -1013,7 +1060,17 @@ def reference_peel(poset: Poset):
         return "row", min(clean_rows, key=lambda c: (-len(row(c)), c))
     if clean_columns:
         return "column", min(clean_columns, key=lambda c: (-len(column(c)), -c))
-    return ("row", min(rows, key=lambda c: (-len(row(c)), c))) if rows else None
+    if not rows:
+        return None
+    scores = reference_scores(poset)
+    return min(scores, key=lambda kc: (scores[kc], -len((row if kc[0] == "row" else column)(kc[1])),
+                                       kc[0] == "column", kc[1] if kc[0] == "row" else -kc[1]))
+
+
+def patterns_peel_is_clean(succ) -> bool:
+    """The order succ has a clean minimal row or a clean maximal column."""
+    from unicount import patterns
+    return patterns._peel_row(succ)[1] or patterns._peel_row(patterns._dual(succ))[1]
 
 
 def minimal_rows(succ) -> list[int]:
@@ -1036,7 +1093,8 @@ def resolved_entries(top, n) -> dict:
 class TestChooseC0:
     """The pattern recursion may peel the row of any minimal element, of
     the order or of its dual; it peels a clean row first, then a clean
-    column, then the largest row, then the lowest position."""
+    column, then the row or column that hands the fewest antichains to
+    the general engine."""
 
     def test_choice_against_the_labelled_reference(self):
         # labels shuffled, and reversed so that every pair runs against
@@ -1056,6 +1114,68 @@ class TestChooseC0:
                     kinds[got[0]] += 1
         assert kinds["row"] > 300 and kinds["column"] > 30, kinds
 
+    def test_no_clean_line_peels_the_least_score(self):
+        # random orders with no clean row and no clean column, labels
+        # natural, shuffled and against the order: the peel has the least
+        # score of every minimal row and maximal column, with its ties
+        rng = random.Random(107)
+        orders = 0
+        moved, columns, engine_bound = set(), set(), set()
+        while orders < 100:
+            m, rel = random_poset_pairs(rng, max_elems=8)
+            p = Poset(range(1, m + 1), rel)
+            if not rel or patterns_peel_is_clean(p.masks()):
+                continue
+            orders += 1
+            perm = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
+            for q in (p, Poset(range(1, m + 1), [(perm[a], perm[b]) for a, b in rel]),
+                      Poset(range(1, m + 1), [(m + 1 - a, m + 1 - b) for a, b in rel])):
+                node, c0 = labelled_peel(q)
+                got = ("row", c0) if node is q else ("column", -c0)
+                assert got == reference_peel(q), q
+                scores = reference_scores(q)
+                assert scores[got] == min(scores.values()), q
+                largest = min((c for kind, c in scores if kind == "row"),
+                              key=lambda c: (-sum((c, d) in q.rel for d in q.elems), c))
+                if got != ("row", largest):
+                    moved.add(orders)
+                if got[0] == "column":
+                    columns.add(orders)
+                if scores[got]:
+                    engine_bound.add(orders)
+        # the rule before took the largest row on every one of them
+        assert len(moved) > 20 and len(columns) > 20 and engine_bound, (
+            len(moved), len(columns), len(engine_bound))
+
+    # 0 < 1 < 2 < 5 and 1 < 4 < 5, 6, with 3 < 4: the rows of 0 and 3 are
+    # dirty, as 4 sees 5 and 6, and so is every maximal column; the row
+    # {4, 5, 6} of 3 hands no antichain to the general engine, since 6 has
+    # fewer predecessors than 5 and lies below it in the normal closure,
+    # while the largest row, of 0, hands it one
+    CHEAPER_SMALLER_ROW = (0b1110110, 0b1110100, 0b100000, 0b1110000, 0b1100000, 0, 0)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["labels-extend", "labels-against"])
+    def test_the_peel_that_sends_fewer_antichains_to_the_engine(self, monkeypatch, reverse):
+        from unicount import patterns
+        succ, largest, cheap = self.CHEAPER_SMALLER_ROW, 0, 3
+        if reverse:
+            succ, largest, cheap = self.reversed_positions(succ), 6, 3
+        assert minimal_rows(succ) == sorted([largest, cheap])
+        assert not patterns_peel_is_clean(succ)
+        assert self.dirty(succ, largest) and not self.dirty(succ, cheap)
+        assert choose_peel(succ) == (succ, cheap)
+        out, calls = self.first_node_calls(monkeypatch, succ)
+        assert calls == []
+        monkeypatch.undo()
+        # peeled by the rule before, the largest row, it makes one call
+        monkeypatch.setattr(patterns, "choose_peel", row_rule)
+        before, calls = self.first_node_calls(monkeypatch, succ)
+        assert calls == [succ]
+        slow = census(encode_pattern(poset_of(succ)), EngineContext())
+        for table in (out, before):
+            assert census_disagreement(table, slow, len(succ)) is None
+        assert resolve(out, len(succ)).entries == resolve(slow, len(succ)).entries
+
     @pytest.mark.parametrize("seed", range(3))
     def test_any_minimal_row_gives_the_same_tables(self, monkeypatch, seed):
         # confluence: the row procedure holds for any minimal c0 of the
@@ -1070,7 +1190,7 @@ class TestChooseC0:
         default = patterns.choose_peel
         moved, duals = [], []
 
-        def random_peel(succ):
+        def random_peel(succ, scan=None):
             dual = labelled_dual(poset_of(succ)).masks()
             choices = [(s, c) for s in (succ, dual) for c in minimal_rows(s)]
             if not choices:
@@ -1087,7 +1207,7 @@ class TestChooseC0:
 
     def test_the_row_rule_gives_the_same_chain_tables(self, monkeypatch):
         # route agreement: U_3..U_11 peeled by the rule of rows only, which
-        # sends U_11 through 79 engine nodes rather than 15; U_12 and U_13
+        # sends U_11 through 79 engine nodes rather than none; U_12 and U_13
         # are compared by `scripts/run_oracle_checks.py --chains 12 13`
         from unicount import patterns
         tops = [(chain(n), n) for n in range(3, 12)]
