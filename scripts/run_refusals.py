@@ -10,7 +10,10 @@ census is resolved from a fresh ``EngineContext``.  One line is printed
 per refusal: the order's index in the sample, then its kind, either
 ``records`` with the number of stuck systems and of count records, or
 ``core`` with the message of the ``UnknownCore`` that ``resolve`` raises,
-which names the core and its dimension.  The last line is the total.
+which names the core and its dimension.  The last line is the total,
+with the wall time and the engine nodes and ``memo_pattern`` entries
+summed over the orders; those two counts repeat exactly from run to run
+where the wall time does not.
 
 Usage:
     python scripts/run_refusals.py [--orders 600]
@@ -38,9 +41,9 @@ def draw(rng: random.Random) -> Poset:
                             if rng.random() < p})
 
 
-def refusal(poset: Poset) -> str | None:
-    """Why the table of poset is refused, or None when it resolves."""
-    ctx = EngineContext()
+def refusal(poset: Poset, ctx: EngineContext) -> str | None:
+    """Why the table of poset is refused, or None when it resolves; ctx
+    is a fresh context."""
     try:
         table = resolve(pattern_census(poset, ctx), len(poset.elems), ctx)
     except UnknownCore as exc:
@@ -58,14 +61,18 @@ def main(argv=None) -> int:
 
     rng = random.Random(SEED)
     t0 = time.perf_counter()
-    refused = 0
+    refused = nodes = entries = 0
     for i in range(args.orders):
-        why = refusal(draw(rng))
+        ctx = EngineContext()
+        why = refusal(draw(rng), ctx)
+        nodes += ctx.nodes
+        entries += len(ctx.memo_pattern)
         if why is not None:
             refused += 1
             print(f"{i} {why}", flush=True)
     print(f"refused {refused} of {args.orders} orders (seed {SEED}) "
-          f"in {time.perf_counter() - t0:.1f} s")
+          f"in {time.perf_counter() - t0:.1f} s, {nodes} engine nodes, "
+          f"{entries} memo_pattern entries")
     return 0
 
 

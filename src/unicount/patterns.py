@@ -2,13 +2,20 @@
 
 T_{C,R}(q) is the algebra of matrices with entries only on the pairs of
 R; the chain on [1, n] gives the strictly upper triangular algebra of
-U_n(q).  Two exact shortcuts close the recursion early.  An order with
-no chain a < b < c has J^2 = 0, so 1 + J is abelian and its census is
-q^|R| linear characters.  An element in no pair spans no matrix unit
-and is dropped; the reduced order is looked up as its own memo entry.
+U_n(q).  It is the direct product of the subalgebras spanned by the
+product classes of R, the pairs linked by e_ab e_bc = e_ac, so its
+census is the product of theirs (``_factors``).  A spare pair, from a
+minimal to a maximal element with nothing between, is a class of its
+own and counts q; so an order with no chain a < b < c, whose J^2 = 0,
+counts q^|R| linear characters.  Each other class is looked up as the
+order of its own pairs, its own memo entry; an element in no pair lies
+in no class.  A record or family times a polynomial has no record
+form, so an order of several classes, one of whose censuses keeps one,
+is expanded whole.
 
-Every other order is expanded by its row structure: fixing a minimal
-element c_0, the linear characters of its row K are classified by
+An order that is one class alone, with no spare pair and no element in
+no pair, is expanded by its row structure: fixing a minimal element
+c_0, the linear characters of its row K are classified by
 antichains of the successor set D (up to the action of the
 complementary subalgebra group, coarsened through the greatest normal
 closure of the induced order), and the stabiliser of each orbit
@@ -26,13 +33,14 @@ incomparable elements of D, hands no antichain to the general engine.
 It peels a clean row if the order has one, else a clean column, else
 the row or column that hands the general engine the fewest antichains,
 counted by walking each candidate's antichains.  A node computes the
-row sizes, the dirty rows and the predecessor masks it needs in one
-pass over its masks (``_scan``).
+row sizes, the dirty rows, the predecessor masks and the masks of
+positions with a predecessor and with a successor, from which its
+classes are found, in one pass over its masks (``_scan``).
 
 The recursion runs on masks: an order is the tuple of its elements'
 successor bitmasks by position, which is also its memo key.  Deleting
-c_0 or an isolated element is a bit compression; the normal closure,
-the antichain walk and the closure sizes are mask operations.  A
+c_0 or the elements outside a class is a bit compression; the normal
+closure, the antichain walk and the closure sizes are mask operations.  A
 labelled ``Poset`` is only an input, turned into masks with positions
 in label order.  Pattern data has one basis order, ``_unit_order``:
 matrix units by rows descending, then columns ascending, in the least
@@ -43,13 +51,14 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .algdata import AlgebraicData, MalformedData
-from .engine import _ONE, Census, EngineContext, _change_basis, aggregate, census
+from .engine import (_ONE, Census, EngineContext, _change_basis, aggregate, census,
+                     scale_census)
 from .polyring import CountPoly
 
 Masks = tuple[int, ...]
-# an order's row sizes, positions with a predecessor, dirty rows and
-# predecessor masks: ``_scan``
-Scan = tuple[list[int], int, int, list[int]]
+# an order's row sizes, positions with a predecessor and with a
+# successor, dirty rows and predecessor masks: ``_scan``
+Scan = tuple[list[int], int, int, int, list[int]]
 
 
 class Poset:
@@ -283,8 +292,8 @@ def stabilizer_data(succ: Masks, c0: int, E: int) -> AlgebraicData:
 def pattern_census(poset: Poset | Masks, ctx: EngineContext) -> Census:
     """A correct breakdown of the characters of 1 + T_{C,R}(q), for a
     labelled Poset or the successor masks of an order, memoised on the
-    masks as given; an order with an element in no pair stores its
-    census under its own masks and under those of its reduction."""
+    masks as given; an order that splits into direct factors stores its
+    census under its own masks, and each factor's under the factor's."""
     succ = poset.masks() if isinstance(poset, Poset) else poset
     hit = ctx.memo_pattern.get(succ)
     if hit is None:
@@ -294,8 +303,8 @@ def pattern_census(poset: Poset | Masks, ctx: EngineContext) -> Census:
 
 def _scan(succ: Masks) -> Scan:
     """One pass over the masks of an order: the size of each row, the
-    mask of positions with a predecessor, the mask of dirty rows, and
-    the mask of each position's predecessors.
+    masks of positions with a predecessor and with a successor, the mask
+    of dirty rows, and the mask of each position's predecessors.
 
     Row i is clean when no row j of it sees two elements of it that are
     incomparable in the order.  Row j sees succ[j], which lies in row i
@@ -307,11 +316,12 @@ def _scan(succ: Masks) -> Scan:
     """
     size = [m.bit_count() for m in succ]
     pred = [0] * len(succ)
-    has_pred = dirty = 0
+    has_pred = has_succ = dirty = 0
     for i, m in enumerate(succ):
         if m:
             has_pred |= m
             bit, pairs = 1 << i, 0
+            has_succ |= bit
             while m:
                 low = m & -m
                 j = low.bit_length() - 1
@@ -321,7 +331,76 @@ def _scan(succ: Masks) -> Scan:
             s = size[i]
             if pairs != s * (s - 1) // 2:
                 dirty |= bit
-    return size, has_pred, dirty, pred
+    return size, has_pred, has_succ, dirty, pred
+
+
+def _factors(succ: Masks, scan: Scan) -> tuple[int, list[int]]:
+    """The direct factors of the algebra of the order: the number s of
+    its spare relations, and the interior elements of each other factor,
+    as masks, by their lowest position; scan is ``_scan(succ)``.
+
+    The relations linked by e_ab e_bc = e_ac fall into product classes,
+    and the algebra is the direct product of the subalgebras they span.
+    A relation (a, b) with a minimal, b maximal and no element between is
+    a class of its own, spare, spanning a factor of census q.  Every
+    other class is that of some interior element k, one with a
+    predecessor and a successor, which links all the relations that
+    touch k and those with k between.  Two interior elements are in one
+    class when they are comparable, or share an element below and one
+    above; these are the elements between some minimal a and maximal b
+    with a < b, so one look at each such pair finds both the spare
+    relations and the classes.
+    """
+    _, has_pred, has_succ, _, pred = scan
+    s, comps = 0, []
+    low = has_succ & ~has_pred
+    while low:                  # each minimal a with a successor
+        a = low & -low
+        low ^= a
+        m = succ[a.bit_length() - 1]
+        top = m & ~has_succ     # the maximal elements above a
+        while top:
+            c = top & -top
+            top ^= c
+            between = m & pred[c.bit_length() - 1]
+            if not between:
+                s += 1
+            else:
+                kept = [between]
+                for K in comps:
+                    if K & between:
+                        kept[0] |= K
+                    else:
+                        kept.append(K)
+                comps = kept
+    comps.sort(key=lambda K: K & -K)
+    return s, comps
+
+
+def _factor(succ: Masks, scan: Scan, K: int) -> Masks:
+    """The order of the factor whose interior elements are K: K and the
+    elements comparable with it, under the relations that touch K and
+    those with an element of K between, with positions renumbered in
+    their relative order; scan is ``_scan(succ)``.  It is transitive: if
+    (x, y) and (y, z) are in it, y is interior, so in K, and (x, z) has y
+    between."""
+    _, _, has_succ, _, pred = scan
+    keep = K
+    for k in _bits(K):
+        keep |= pred[k] | succ[k]
+    # the elements of the factor outside K are minimal or maximal in succ:
+    # a minimal x relates to K and to what lies above its elements of K
+    masks = list(succ)
+    for x in _bits(keep & has_succ & ~K):
+        rest = m = succ[x] & K
+        while rest:
+            k = rest & -rest
+            rest ^= k
+            m |= succ[k.bit_length() - 1]
+        masks[x] = m
+    for c in reversed(_bits(~keep & (1 << len(succ)) - 1)):
+        masks = _delete(masks, c)
+    return tuple(masks)
 
 
 def _peel_row(succ: Masks, scan: Scan | None = None) -> tuple[int, bool]:
@@ -336,7 +415,7 @@ def _peel_row(succ: Masks, scan: Scan | None = None) -> tuple[int, bool]:
     sees two elements of E and no stabiliser of the node goes to the
     general engine.
     """
-    size, has_pred, dirty, _ = scan or _scan(succ)
+    size, has_pred, _, dirty, _ = scan or _scan(succ)
     c0, best = -1, (False, 0)
     for c, D in enumerate(succ):
         if D and not has_pred >> c & 1 and (key := (not D & dirty, size[c])) > best:
@@ -404,11 +483,11 @@ def choose_peel(succ: Masks, scan: Scan | None = None) -> tuple[Masks, int]:
     # candidates in the order of the ties: a later one wins only with a
     # lower score, so each walk stops at the best score so far (the first
     # runs to its end)
-    cands = sorted((-size[c], side, c) for side, (node, (size, has_pred, _, _)) in enumerate(sides)
+    cands = sorted((-size[c], side, c) for side, (node, (size, has_pred, *_)) in enumerate(sides)
                    for c, D in enumerate(node) if D and not has_pred >> c & 1)
     pick, best = None, -1
     for _, side, c in cands:
-        node, (_, _, _, pred) = sides[side]
+        node, (*_, pred) = sides[side]
         score = _engine_antichains(node, c, pred, best)
         if pick is None or score < best:
             pick, best = (node, c), score
@@ -418,38 +497,42 @@ def choose_peel(succ: Masks, scan: Scan | None = None) -> tuple[Masks, int]:
 
 
 def _pattern_core(succ: Masks, ctx: EngineContext) -> Census:
-    """The census of the order succ.  Two exact shortcuts come first.
+    """The census of the order succ.  It first splits the algebra into its
+    direct factors (``_factors``), whose censuses multiply.
 
-    With no chain a < b < c, every product e_ab e_bc vanishes: J^2 = 0,
-    so 1 + J is abelian of order q^|R| and all its characters are
-    linear.  An element in no pair spans no matrix unit, so deleting it
-    leaves the algebra as it is; the reduced order, whose positions keep
-    their relative order, is looked up as its own memo entry.
+    Each spare relation counts q.  Each other factor is looked up under
+    its own masks (``_factor``); an element in no relation lies in no
+    factor.  So an order with no relation, the empty one included, or
+    with no chain a < b < c counts q^|R|.  With one factor, the rest of
+    the order scales its census, records and families included, by q^s.
+    Two or more factors multiply when their censuses are polynomials;
+    a record or family times a polynomial has no record form, so then the
+    order is expanded whole.
 
-    Otherwise the row procedure runs on the order and minimal position
-    ``choose_peel`` picks.  It is sound on succ or its dual and for any
-    minimal c0; the choice only moves work between the recursion and the
-    general engine, and the memo key, the order succ as given, does not
-    depend on it."""
-    has_pred = has_succ = 0
-    for i, m in enumerate(succ):
-        if m:
-            has_pred |= m
-            has_succ |= 1 << i
-    if not has_pred & has_succ:
-        return Census(CountPoly({(sum(m.bit_count() for m in succ), 0): 1}), (), ())
-    isolated = ~(has_pred | has_succ) & (1 << len(succ)) - 1
-    if isolated:
-        reduced = succ
-        for c in reversed(_bits(isolated)):
-            reduced = _delete(reduced, c)
-        return pattern_census(tuple(reduced), ctx)
-
+    An order that is one factor with no spare relation and no isolated
+    element is expanded: the row procedure runs on the order and minimal
+    position ``choose_peel`` picks.  It is sound on succ or its dual and
+    for any minimal c0; the choice only moves work between the recursion
+    and the general engine, and the memo key, the order succ as given,
+    does not depend on it."""
     scan = _scan(succ)
+    _, has_pred, has_succ, _, pred = scan
+    s, comps = _factors(succ, scan)
+    if s or len(comps) != 1 or has_pred | has_succ != (1 << len(succ)) - 1:
+        parts = [pattern_census(_factor(succ, scan, K), ctx) for K in comps]
+        if len(parts) == 1:
+            return scale_census(parts[0], 0, s, 0)
+        if not any(part.unresolved or part.families for part in parts):
+            poly = CountPoly({(s, 0): 1})
+            for part in parts:
+                poly = poly * part.resolved
+            return Census(poly, (), ())
+
     node, c0 = choose_peel(succ, scan)
     D = node[c0]
     # c0 is below every element of D: dropping it leaves their closure as is
-    pred = scan[3] if node is succ else _preds(node, D)
+    if node is not succ:
+        pred = _preds(node, D)
     below = normal_closure(node, pred, D)
     # deleting c0: positions past it move down by one, in D and E too
     low = (1 << c0) - 1

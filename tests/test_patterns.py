@@ -41,11 +41,51 @@ def labelled_peel(poset: Poset) -> tuple[Poset, int | None]:
     return poset, poset.elems[c0] if c0 >= 0 else None
 
 
+def reference_split(poset: Poset) -> tuple[int, list[Poset]]:
+    """Reference: the direct factors of the algebra of poset, from the
+    product classes of its relations, the classes of the relation that
+    links (a, b), (b, c) and (a, c) for each chain a < b < c.  Returns the
+    number of classes of one relation, the spare ones, and the order of
+    each other class on the elements it relates, by the lowest position
+    of the middle elements of its chains."""
+    root = {p: p for p in poset.rel}
+
+    def find(p):
+        while root[p] != p:
+            p = root[p]
+        return p
+
+    above: dict[int, list[int]] = {}
+    for a, b in poset.rel:
+        above.setdefault(a, []).append(b)
+    middle = {}                 # the middle element of a chain -> a pair of its chain
+    for a, b in poset.rel:
+        for c in above.get(b, ()):
+            for p in ((b, c), (a, c)):
+                root[find(p)] = find((a, b))
+            middle[b] = (a, b)
+    classes: dict[tuple, set] = {}
+    for p in poset.rel:
+        classes.setdefault(find(p), set()).add(p)
+    pos = {e: i for i, e in enumerate(poset.elems)}
+    first = {}                  # class -> the lowest position of a middle element
+    for b, p in middle.items():
+        r = find(p)
+        first[r] = min(first.get(r, pos[b]), pos[b])
+    spare = sum(len(c) == 1 for c in classes.values())
+    factors = [Poset({e for p in classes[r] for e in p}, classes[r])
+               for r in sorted(first, key=first.__getitem__)]
+    return spare, factors
+
+
 def expanded(succ) -> bool:
     """Whether ``_pattern_core`` runs the row procedure on the order succ:
-    it has a chain a < b < c, and every element lies in some pair."""
-    return (any(succ[b] for m in succ for b in _bits(m))
-            and all(succ[c] or any(m >> c & 1 for m in succ) for c in range(len(succ))))
+    its algebra is one direct factor, with no spare relation and no
+    element in no relation (``reference_split``)."""
+    p = Poset(range(len(succ)), [(a, b) for a, m in enumerate(succ) for b in _bits(m)],
+              check=False)
+    spare, factors = reference_split(p)
+    return not spare and len(factors) == 1 and factors[0].elems == p.elems
 
 
 def labelled_closure(rel: frozenset, ground, within) -> frozenset:
@@ -568,25 +608,29 @@ def small_stabilizer(B: list[int], P: frozenset, D: set[int], E: frozenset) -> P
 
 def reference_lookups(poset: Poset, out: list, seen: set) -> list:
     """Reference: the keys a labelled recursion looks up under poset, in
-    order; a key looked up before is not expanded again.  A poset with no
-    chain of three is not expanded; one with an element in no pair looks
-    up its restriction to the related elements next.  Otherwise it
-    recurses into the antichains no row of D sees two elements of, as the
-    pattern path does."""
+    order; a key looked up before is not looked into again.  A poset
+    whose algebra is not one factor alone (``reference_split``) looks up
+    its factors in turn; this assumes that no factor's census holds a
+    record or family, which would make the pattern path expand the poset
+    instead.  Otherwise it recurses into the antichains no row of D sees
+    two elements of, as the pattern path does."""
     key = reference_pattern_key(poset)
     out.append(key)
-    if key not in seen and any(b == c for _, b in poset.rel for c, _ in poset.rel):
-        seen.add(key)
-        related = {e for pair in poset.rel for e in pair}
-        if len(related) < len(poset.elems):
-            return reference_lookups(Poset(related, poset.rel), out, seen)
-        poset, c0 = labelled_peel(poset)
-        D = sorted(d for d in poset.elems if (c0, d) in poset.rel)
-        B = [c for c in poset.elems if c != c0]
-        P = frozenset((a, b) for a, b in poset.rel if c0 not in (a, b))
-        for E in reference_antichains(D, reference_closure(P, B, D)):
-            if all(sum((i, d) in P for d in E) <= 1 for i in D):
-                reference_lookups(small_stabilizer(B, P, set(D), E), out, seen)
+    if key in seen:
+        return out
+    seen.add(key)
+    spare, factors = reference_split(poset)
+    if spare or len(factors) != 1 or factors[0].elems != poset.elems:
+        for factor in factors:
+            reference_lookups(factor, out, seen)
+        return out
+    poset, c0 = labelled_peel(poset)
+    D = sorted(d for d in poset.elems if (c0, d) in poset.rel)
+    B = [c for c in poset.elems if c != c0]
+    P = frozenset((a, b) for a, b in poset.rel if c0 not in (a, b))
+    for E in reference_antichains(D, reference_closure(P, B, D)):
+        if all(sum((i, d) in P for d in E) <= 1 for i in D):
+            reference_lookups(small_stabilizer(B, P, set(D), E), out, seen)
     return out
 
 
@@ -632,9 +676,10 @@ def test_pattern_keys_group_posets_as_the_reference(monkeypatch):
 
 class TestPatternCensus:
     def test_zero_relation_base_case(self, ctx):
-        # T_{C, empty} is the zero algebra: exactly one character
-        out = pattern_census(Poset([1, 2, 3, 4], []), ctx)
-        assert out.resolved == CountPoly.one()
+        # T_{C, empty} is the zero algebra: exactly one character, on the
+        # empty ground set too
+        for order in (Poset([1, 2, 3, 4], []), Poset([], []), ()):
+            assert pattern_census(order, ctx) == Census(CountPoly.one(), (), ())
 
     def test_three_chain(self, ctx):
         out = unitriangular_census(3, ctx)
@@ -903,6 +948,13 @@ class TestRowDisjointAntichains:
         unitriangular_census(n, ctx)
         assert ctx.nodes == nodes
 
+    def test_pattern_entries_of_the_chain(self):
+        # deterministic: the orders U_12 looks up, each factor and each
+        # order that expands under its own masks
+        ctx = EngineContext()
+        unitriangular_census(12, ctx)
+        assert (len(ctx.memo_pattern), ctx.nodes) == (3963, 182)
+
 
 def random_height_two(rng: random.Random, max_elems: int = 8):
     """A random order on 1..m with no chain of three: its pairs run from a
@@ -933,10 +985,57 @@ def count_nodes(monkeypatch) -> dict:
     return made
 
 
+def disjoint_union(p: Poset, q: Poset) -> Poset:
+    """p and q side by side, the labels of q moved past those of p."""
+    shift = max(p.elems, default=0)
+    return Poset(p.elems + tuple(e + shift for e in q.elems),
+                 p.rel | {(a + shift, b + shift) for a, b in q.rel})
+
+
+def spare_pairs(poset: Poset) -> list[tuple[int, int]]:
+    """The incomparable pairs (a, b) of a minimal a and a maximal b: each
+    can be added to poset as a spare relation, as nothing lies between."""
+    minimal = [e for e in poset.elems if not any(b == e for _, b in poset.rel)]
+    maximal = [e for e in poset.elems if not any(a == e for a, _ in poset.rel)]
+    return [(a, b) for a in minimal for b in maximal
+            if a != b and (a, b) not in poset.rel and (b, a) not in poset.rel]
+
+
+def random_factor(rng: random.Random, max_elems: int) -> Poset:
+    """A random order on 1..m with a chain of three."""
+    while True:
+        m, rel = random_poset_pairs(rng, max_elems)
+        p = Poset(range(1, m + 1), rel)
+        if reference_split(p)[1]:
+            return p
+
+
+def random_split_order(rng: random.Random, max_elems: int = 4) -> Poset:
+    """A random order whose algebra is not one factor alone: a random
+    order with a chain of three beside another random order, maybe with
+    spare relations added, under shuffled labels."""
+    while True:
+        if rng.random() < 0.5:
+            other = random_factor(rng, max_elems)
+        else:
+            m, rel = random_poset_pairs(rng, max_elems)
+            other = Poset(range(1, m + 1), rel)
+        p = disjoint_union(random_factor(rng, max_elems), other)
+        while rng.random() < 0.5 and (pairs := spare_pairs(p)):
+            p = Poset(p.elems, p.rel | {rng.choice(pairs)})
+        if not expanded(p.masks()):
+            break
+    m = len(p.elems)
+    perm = dict(zip(p.elems, rng.sample(range(1, m + 1), m)))
+    return Poset(perm.values(), [(perm[a], perm[b]) for a, b in p.rel])
+
+
 class TestEarlyClose:
-    """Two exact shortcuts before a pattern node expands: an order with no
-    chain a < b < c has J^2 = 0 and counts as q^|R|, and an element in no
-    pair spans no matrix unit, so it is dropped."""
+    """A pattern node first splits its algebra into direct factors, and
+    expands only an order that is one factor alone: an order with no
+    chain a < b < c has J^2 = 0 and counts as q^|R|, an element in no
+    pair spans no matrix unit, so it is dropped, each spare relation
+    counts q and separate product classes multiply."""
 
     def test_no_chain_of_three_counts_q_to_the_relations(self, shared_ctx):
         from unicount.oracle import verify_census
@@ -1007,6 +1106,107 @@ class TestEarlyClose:
         made.update(cores=0, closures=0)
         pattern_census(padded, ctx)
         assert made == {"cores": 1, "closures": 0}
+
+    def test_split_orders_against_class_counts(self, shared_ctx):
+        from unicount.oracle import verify_census
+        rng = random.Random(107)
+        checked, several, spare = 0, 0, 0
+        while checked < 25:
+            p = random_split_order(rng)
+            if len(p.rel) > 10:
+                continue
+            n, factors = reference_split(p)
+            several += len(factors) > 1
+            spare += n > 0 and len(factors) > 0
+            out = pattern_census(p, shared_ctx)
+            assert not out.unresolved and not out.families, p
+            for q0 in (2, 3):
+                rep = verify_census(encode_pattern(p), out, q0)
+                assert rep["pass"], (p, rep)
+            checked += 1
+        assert several >= 10 and spare >= 5
+
+    def test_split_orders_against_the_general_engine(self, shared_ctx):
+        rng = random.Random(109)
+        compared = 0
+        while compared < 40:
+            p = random_split_order(rng, max_elems=4)
+            if len(p.elems) > 7:
+                continue
+            fast = pattern_census(p, EngineContext())
+            slow = census(encode_pattern(p), shared_ctx)
+            assert census_disagreement(fast, slow, len(p.elems)) is None, p
+            compared += 1
+
+    def test_factors_multiply(self, shared_ctx):
+        rng = random.Random(113)
+        for _ in range(60):
+            k, other = random_poset_pairs(rng, 6)
+            p, q = random_factor(rng, 6), Poset(range(1, k + 1), other)
+            want = pattern_census(p, shared_ctx).resolved * pattern_census(q, shared_ctx).resolved
+            assert pattern_census(disjoint_union(p, q), EngineContext()).resolved == want
+        # two chains of three sharing their minimum: two copies of U_3
+        u3 = unitriangular_census(3, shared_ctx).resolved
+        vee = Poset(range(5), [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+        assert reference_split(vee)[0] == 0 and len(reference_split(vee)[1]) == 2
+        assert pattern_census(vee, EngineContext()) == Census(u3 * u3, (), ())
+        # and dually, sharing their maximum
+        wedge = Poset(range(5), [(b, a) for a, b in vee.rel])
+        assert pattern_census(wedge, EngineContext()) == Census(u3 * u3, (), ())
+
+    def test_a_spare_relation_multiplies_by_q(self, shared_ctx):
+        rng = random.Random(127)
+        added = 0
+        while added < 60:
+            m, rel = random_poset_pairs(rng, 7)
+            p = Poset(range(1, m + 1), rel)
+            pairs = spare_pairs(p)
+            if not pairs:
+                continue
+            more = Poset(p.elems, p.rel | {rng.choice(pairs)})
+            want = pattern_census(p, shared_ctx).resolved * CountPoly({(1, 0): 1})
+            assert pattern_census(more, EngineContext()) == Census(want, (), ()), more
+            added += 1
+
+    def test_a_factor_with_a_record_expands_the_order(self, monkeypatch):
+        # a record times a polynomial has no record form: when one of two
+        # factors answers with a record the first time it is looked up,
+        # the order is expanded whole instead, to the same table; with one
+        # factor the record takes the q^s of the spare relations
+        from unicount import patterns
+        from unicount.engine import URecord
+        real, closure = patterns.pattern_census, patterns.normal_closure
+        u4, poisoned, closed = chain(4).masks(), [], []
+        record = URecord((), (), 0, 0, 0)
+
+        def recorded(poset, ctx):
+            out = real(poset, ctx)
+            if poset == u4 and not poisoned:
+                poisoned.append(poset)
+                return out._replace(unresolved=out.unresolved + (record,))
+            return out
+
+        def closures(succ, pred, D):
+            closed.append(succ)
+            return closure(succ, pred, D)
+
+        top = disjoint_union(chain(3), chain(4))
+        want = resolve(real(top, EngineContext()), 7)
+        monkeypatch.setattr(patterns, "pattern_census", recorded)
+        monkeypatch.setattr(patterns, "normal_closure", closures)
+        for poison in (False, True):
+            poisoned[:] = [] if poison else [u4]    # a poison spent already
+            closed.clear()
+            got = resolve(patterns.pattern_census(top.masks(), EngineContext()), 7)
+            assert got.entries == want.entries and not got.unresolved
+            succ = top.masks()
+            assert (succ in closed or patterns._dual(succ) in closed) == poison
+            assert poisoned == [u4]
+        poisoned.clear()
+        spared = Poset(range(1, 7), chain(4).rel | {(5, 6)})
+        out = patterns.pattern_census(spared.masks(), EngineContext())
+        assert out.unresolved == (record._replace(v=1),)
+        assert out.resolved == real(u4, EngineContext()).resolved * CountPoly({(1, 0): 1})
 
 
 def reference_scores(poset: Poset) -> dict[tuple[str, int], int]:
