@@ -7,10 +7,10 @@ sample of orders is its reach.  The sample is drawn from
 p = uniform(0.2, 0.5); each pair i < j of 1..m is related with
 probability p, and the relation is closed transitively.  Each order's
 census is resolved from a fresh ``EngineContext``.  One line is printed
-per refusal: the order's index in the sample, then its kind, either
-``records`` with the number of stuck systems and of count records, or
-``core`` with the message of the ``UnknownCore`` that ``resolve`` raises,
-which names the core and its dimension.  The last line is the total,
+per refusal: the order's index in the sample, then what its resolved
+table keeps, ``core`` for each family that ``resolve`` leaves unfolded,
+which names the core and its dimension, and ``records`` with the number
+of stuck systems and of count records.  The last line is the total,
 with the wall time and the engine nodes and ``memo_pattern`` entries
 summed over the orders; those two counts repeat exactly from run to run
 where the wall time does not.
@@ -26,7 +26,7 @@ import sys
 import time
 
 from unicount.cli import _int_at_least
-from unicount.engine import EngineContext, UnknownCore, resolve
+from unicount.engine import EngineContext, resolve
 from unicount.oracle import closed_order
 from unicount.patterns import Poset, pattern_census
 
@@ -44,14 +44,13 @@ def draw(rng: random.Random) -> Poset:
 def refusal(poset: Poset, ctx: EngineContext) -> str | None:
     """Why the table of poset is refused, or None when it resolves; ctx
     is a fresh context."""
-    try:
-        table = resolve(pattern_census(poset, ctx), len(poset.elems), ctx)
-    except UnknownCore as exc:
-        return f"core: {exc}"
-    if not table.unresolved:
-        return None
-    systems = {(r.params, r.restrictions) for r in table.unresolved}
-    return f"records: stuck systems {len(systems)}, count records {len(table.unresolved)}"
+    table = resolve(pattern_census(poset, ctx), len(poset.elems), ctx)
+    why = [f"core: {fam.data!r}" for fam in table.unfolded]
+    if table.unresolved:
+        systems = {(r.params, r.restrictions) for r in table.unresolved}
+        why.append(f"records: stuck systems {len(systems)}, "
+                   f"count records {len(table.unresolved)}")
+    return "; ".join(why) or None
 
 
 def main(argv=None) -> int:

@@ -3,9 +3,9 @@
 check the formal identities, and diff n = 10..13 against the vendored
 tables.  The tables go through ``cli.run_jobs``, so each n runs on a
 fresh EngineContext and is refused as `unicount compute --n N` refuses
-it, with the same stderr lines; a table with count records gets no line
-and no LaTeX file.  Each n's line gives its time and engine nodes, with
-the process's peak RSS so far; --audit adds the line of --debug-counts.
+it, with the same stderr lines; a refused table gets no line and no
+LaTeX file.  Each n's line gives its time and engine nodes, with the
+process's peak RSS so far; --audit adds the line of --debug-counts.
 
 Usage:
     python scripts/run_tables.py [--max-n 13] [--audit] [--latex-dir DIR]
@@ -47,9 +47,6 @@ def main(argv=None) -> int:
     def show(table) -> int:
         n = table.n
         dt, nodes, stats = runs.pop(n)
-        if table.unresolved:
-            # named by run_jobs; the table lacks the records' rows
-            return 0
         idents = check_identities(table)
         status = 0 if idents["pass"] else 2
         # ru_maxrss is in KiB on Linux

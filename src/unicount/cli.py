@@ -5,17 +5,18 @@ families a census leaves.
 ``build_parser`` is the one validator: every bad argument is a usage
 error (exit 2), and each command's ``cmd_*`` takes the parsed namespace.
 Every command runs its tables through ``run_jobs``, each on a fresh
-``EngineContext`` with the node budget --max-nodes, and then does only
-its own work on each result: compute formats it, or prints nothing for
-a table with surviving count records, which lacks their rows; regress
-compares it with the vendored table, identities prints its identity
-line, verify compares its class counts, dump-families prints its
-families as JSON.  Standard error gets, for each table in turn, an
-unrecognised core or a coefficient overflow (either ends the run), an
-exhausted node budget and the number of surviving count records; after
-the last table, --debug-counts adds one audit line.
+``EngineContext`` with the node budget --max-nodes; it alone refuses a
+table that keeps unfolded families or count records, which lacks their
+rows.  Each command does only its own work on what it is passed:
+compute formats it, regress compares it with the vendored table,
+identities prints its identity line, verify compares its class counts,
+dump-families prints its families as JSON.  Standard error gets, for
+each table in turn, a coefficient overflow (it ends the run), an
+exhausted node budget, one line per unfolded family and the number of
+surviving count records; after the last table, --debug-counts adds one
+audit line.
 
-Exit codes: 0 all good, 2 unresolved records or unrecognised families
+Exit codes: 0 all good, 2 unresolved records or unfolded families
 survived, a coefficient outgrew the packed arithmetic of ``polyring``
 (``CoefficientOverflow``), the node budget of a table (--max-nodes) ran
 out, the count audit (--debug-counts) found violations, an identity or
@@ -33,7 +34,7 @@ from importlib import resources
 from pathlib import Path
 
 from .algdata import MalformedData
-from .engine import DEFAULT_MAX_NODES, Census, EngineContext, UnknownCore, resolve, ResolvedTable
+from .engine import DEFAULT_MAX_NODES, Census, EngineContext, resolve, ResolvedTable
 from .oracle import (AUDIT_MAX_PARAMS, CLASS_COUNT_CAP, audit_counts, class_count,
                      instantiate)
 from .patterns import Poset, chain, encode_pattern, pattern_census, unitriangular_census
@@ -158,11 +159,12 @@ def run_jobs(jobs, show, max_nodes: int, debug_counts: bool) -> int:
 
     A job maps a context to a ``ResolvedTable`` or a ``Census``; show
     prints the result and returns its own status.  For each job, stderr
-    names a core that resolve does not recognise or a coefficient too
-    large for ``polyring`` to read back (either ends the run with 2), an
-    exhausted node budget and surviving count records; after the last
-    job, debug_counts audits the count memos of every job.  The status
-    is the largest found, and a regression mismatch (3) ends the run.
+    names a coefficient too large for ``polyring`` to read back (it ends
+    the run with 2), an exhausted node budget, every unfolded family and
+    the surviving count records; a table with either lacks their rows,
+    so it gets 2 and is not shown.  After the last job, debug_counts
+    audits the count memos of every job.  The status is the largest
+    found, and a regression mismatch (3) ends the run.
     """
     status = 0
     memos = []
@@ -171,22 +173,23 @@ def run_jobs(jobs, show, max_nodes: int, debug_counts: bool) -> int:
         memos.append(ctx.memo_counts)
         try:
             result = job(ctx)
-        except UnknownCore as exc:
-            print(f"unresolvable family survived: {exc}", file=sys.stderr)
-            result = None
         except CoefficientOverflow as exc:
             print(f"coefficient overflow: {exc}", file=sys.stderr)
-            result = None
+            return 2
         cut = ctx.stats.get("budget_families", 0)
         if cut:
             print(f"node budget of {max_nodes} exhausted: {cut} families left "
                   "uncontracted", file=sys.stderr)
             status = 2
-        if result is None:
-            return 2
+        unfolded = getattr(result, "unfolded", ())
+        for fam in unfolded:
+            print(f"unfolded family at t^{fam.m}: {fam.data!r}", file=sys.stderr)
         if result.unresolved:
             print(f"{len(result.unresolved)} unresolved count records", file=sys.stderr)
+        if unfolded or result.unresolved:
             status = 2
+            if isinstance(result, ResolvedTable):
+                continue
         status = max(status, show(result))
         if status == 3:
             break
@@ -219,10 +222,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         jobs = _tables([args.n])
 
     def show(table: ResolvedTable) -> int:
-        # a table with count records lacks their rows; run_jobs names the
-        # records and refuses it, so none of it is printed
-        if not table.unresolved:
-            print(format_table(table, args.format))
+        print(format_table(table, args.format))
         return 0
     return run_jobs(jobs, show, args.max_nodes, args.debug_counts)
 
@@ -274,11 +274,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports.append({"instance": f"U_{table.n}({q0})", "q": q0,
                             "expected": expected, "actual": actual,
                             "pass": expected == actual})
-        if table.n == args.max_n:
-            print(json.dumps(reports, indent=1))
         return 0 if all(r["pass"] for r in reports) else 2
-    return run_jobs(_tables(range(2, args.max_n + 1)), show, args.max_nodes,
-                    args.debug_counts)
+    status = run_jobs(_tables(range(2, args.max_n + 1)), show, args.max_nodes,
+                      args.debug_counts)
+    print(json.dumps(reports, indent=1))
+    return status
 
 
 def cmd_dump_families(args: argparse.Namespace) -> int:

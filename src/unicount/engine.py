@@ -6,6 +6,8 @@ same for the characters that are nontrivial on the central subgroup
 1 + <z>.  A Census is a triple: an exactly counted part (a polynomial
 in Z[q, t]), unresolved substitution-count records, and unresolved
 family records that the engine could not contract to dimension <= 1.
+``resolve`` reads a census as a table: it folds the families of the one
+core shape it knows and keeps every other family in ``unfolded``.
 
 The two functions call each other: census strips an annihilated basis
 vector z and splits Irr into the characters trivial on 1 + <z> (a
@@ -48,10 +50,6 @@ from . import solcount
 
 
 class BadWitness(Exception):
-    pass
-
-
-class UnknownCore(Exception):
     pass
 
 
@@ -459,17 +457,22 @@ def contract_type_a(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
 class ResolvedTable:
     """The nonzero degree-count polynomials N_{n,e}(q) for one n.
 
-    ``exceptional`` pairs each surviving family record with its total
+    ``exceptional`` pairs each folded family record with its total
     character count (already folded into the table entries).
+    ``unresolved`` holds the census's uncounted substitution records and
+    ``unfolded`` the family records that ``resolve`` could not fold; the
+    entries lack the characters of both, so a table with either is
+    refused (``cli.run_jobs``).
     """
 
     def __init__(self, n: int, entries: dict[int, CountPoly],
                  exceptional: Iterable[tuple[Family, CountPoly]] = (),
-                 unresolved=()):
+                 unresolved=(), unfolded=()):
         self.n = n
         self.entries = {e: p for e, p in sorted(entries.items()) if not p.is_zero()}
         self.exceptional = list(exceptional)
         self.unresolved = tuple(unresolved)
+        self.unfolded = tuple(unfolded)
 
     def full_poly(self) -> CountPoly:
         return CountPoly.scaled_sum((p, 0, 0, e) for e, p in self.entries.items())
@@ -503,26 +506,26 @@ def _is_small_core(data: AlgebraicData, z: int) -> bool:
 def resolve(c: Census, n: int, ctx: EngineContext | None = None) -> ResolvedTable:
     """Extract the table, folding recognised 2-dimensional families in.
 
-    A surviving family must have the x F_q[x]/(x^3) core shape; its
-    1 + K then contributes q(q-1) characters per admissible substitution,
-    all of degree 1 before the t^m shift.  Families whose restrictions
-    are contradictory encode nothing and are dropped.
+    A family folds when its substitutions are counted and it has the
+    x F_q[x]/(x^3) core shape; its 1 + K then contributes q(q-1)
+    characters per admissible substitution, all of degree 1 before the
+    t^m shift.  Families whose restrictions are contradictory encode
+    nothing and are dropped; every other family is kept in ``unfolded``.
     """
     ctx = ctx or EngineContext()
     entries: dict[int, CountPoly] = {}
     for e in c.resolved.t_degrees():
         entries[e] = c.resolved.coeff_of_t(e)
-    exceptional = []
+    exceptional, unfolded = [], []
     for fam in c.families:
         cnt = ctx.count(fam.data.params, fam.data.restrictions)
-        if cnt is None:
-            raise UnknownCore("family with unresolved substitution count")
-        if cnt.is_zero():
+        if cnt is not None and cnt.is_zero():
             continue
-        if fam.z is None or not _is_small_core(fam.data, fam.z):
-            raise UnknownCore(f"unrecognised family core: {fam.data!r}")
+        if cnt is None or fam.z is None or not _is_small_core(fam.data, fam.z):
+            unfolded.append(fam)
+            continue
         per_sub = CountPoly({(2, 0): 1, (1, 0): -1})  # q(q-1) characters each
         total = (cnt * per_sub).scale(fam.k, fam.l, 0)
         exceptional.append((fam, total))
         entries[fam.m] = entries.get(fam.m, CountPoly.zero()) + total
-    return ResolvedTable(n, entries, exceptional, c.unresolved)
+    return ResolvedTable(n, entries, exceptional, c.unresolved, unfolded)

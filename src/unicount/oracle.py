@@ -390,12 +390,13 @@ def census_disagreement(a: Census, b: Census, n: int,
     tables, or None when they agree.
 
     The resolved tables are compared entry by entry when neither keeps an
-    unresolved count record.  A table lacks the rows of its records, so
-    otherwise the totals at q = 2 and 3 are compared, with every record
-    counted by brute force in ``census_totals_at``.
+    unresolved count record or an unfolded family.  A table lacks the rows
+    of both, so otherwise the totals at q = 2 and 3 are compared, with
+    every record and family counted by brute force in
+    ``census_totals_at``, which raises ``TooLarge`` past its bounds.
     """
     ta, tb = resolve(a, n, ctx), resolve(b, n, ctx)
-    if not (ta.unresolved or tb.unresolved):
+    if not (ta.unresolved or tb.unresolved or ta.unfolded or tb.unfolded):
         return None if ta.entries == tb.entries else "resolved tables differ"
     for q0 in (2, 3):
         if census_totals_at(a, q0) != census_totals_at(b, q0):

@@ -12,7 +12,9 @@ import unicount
 from unicount import cli, oracle, polyring, solcount
 from unicount.cli import (build_parser, check_identities, compute_table, format_table,
                           load_golden_tables, main, parse_q_poly)
-from unicount.engine import EngineContext, ResolvedTable, UnknownCore
+from unicount.algdata import AlgebraicData, NonZero
+from unicount.engine import Census, EngineContext, Family, ResolvedTable, resolve
+from unicount.patterns import chain, encode_pattern
 from unicount.polyring import CountPoly
 
 from conftest import load_script
@@ -183,17 +185,19 @@ class TestAuditedCommands:
 
 
 class TestUnresolvableFamily:
-    """A node budget too small to finish leaves a family that resolve does
-    not recognise; the command reports it and exits 2."""
+    """A node budget too small to finish leaves families that resolve
+    cannot fold; the command names each, shows no such table and exits 2."""
 
     def test_regress(self, capsys, golden_12):
         assert main(["--max-nodes", "5", "regress"]) == 2
-        assert "unresolvable family survived" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert "unfolded family at t^" in out.err and out.out == ""
 
     def test_identities(self, capsys):
         # U_11 takes no node, and U_12 182, past the budget
         assert main(["--max-nodes", "50", "identities", "--max-n", "12"]) == 2
-        assert "unresolvable family survived" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert "unfolded family at t^" in out.err and "n=12:" not in out.out
 
 
 class TestCoefficientOverflow:
@@ -304,15 +308,28 @@ def test_verify_refuses_an_instance_over_the_class_count_cap(capsys, monkeypatch
     assert out.err == "U_6(3) has order 3^15, over the class-count cap of 1000000\n"
 
 
+def _two_unfolded(n):
+    """U_n's table with two families that resolve cannot fold: a
+    3-dimensional core and a family of all characters."""
+    data = AlgebraicData((0,), (NonZero(0),), (0, 1, 2), {(0, 1): [(2, frozenset([0]))]})
+    fams = (Family(data, 2, 0, 0, 5), Family(encode_pattern(chain(3)), None, 0, 0, 7))
+    return resolve(Census(CountPoly.zero(), (), fams), n, EngineContext())
+
+
 def test_verify_refuses_an_unknown_core(capsys, monkeypatch):
     # verify's instances are too small to exhaust a node budget, so the
-    # unrecognised core is forced
-    def unknown(n, ctx):
-        raise UnknownCore("forced")
-
-    monkeypatch.setattr(cli, "compute_table", unknown)
-    assert main(["verify"]) == 2
-    assert capsys.readouterr().err == "unresolvable family survived: forced\n"
+    # families are forced on the first and last tables.  A family refusal
+    # once ended the run at its first core, and the reports were printed
+    # only with the last table, so a refused last table dropped them all
+    real = cli.compute_table
+    monkeypatch.setattr(cli, "compute_table",
+                        lambda n, ctx: _two_unfolded(n) if n != 3 else real(n, ctx))
+    assert main(["verify", "--max-n", "4", "--q", "2"]) == 2
+    out = capsys.readouterr()
+    assert [r["instance"] for r in json.loads(out.out)] == ["U_3(2)"]
+    assert out.err == 2 * (
+        "unfolded family at t^5: AlgebraicData(dim=3, params=1, restrictions=1, products=1)\n"
+        "unfolded family at t^7: AlgebraicData(dim=3, params=0, restrictions=0, products=1)\n")
 
 
 def test_dump_families_n5_empty(capsys):
@@ -411,13 +428,15 @@ def test_run_tables_refuses_a_table_with_count_records(tmp_path, capsys, monkeyp
 
 
 def test_refusals_script_pins_the_first_refusal(capsys):
-    # the first 152 orders of the seed-7 sample: order 151 stops on a
-    # 5-dimensional core that resolve does not recognise, and the other
-    # 151 resolve; the summed counts are deterministic
+    # the first 152 orders of the seed-7 sample: order 151 keeps a 5- and
+    # a 4-dimensional core that resolve cannot fold and 4 count records,
+    # and the other 151 resolve; the summed counts are deterministic.  The
+    # line once named the first core alone
     assert load_script("run_refusals").main(["--orders", "152"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:-1] == ["151 core: unrecognised family core: AlgebraicData(dim=5, "
-                          "params=3, restrictions=4, products=3)"]
+    assert lines[:-1] == ["151 core: AlgebraicData(dim=5, params=3, restrictions=4, "
+                          "products=3); core: AlgebraicData(dim=4, params=2, restrictions=2, "
+                          "products=2); records: stuck systems 3, count records 4"]
     assert re.fullmatch(r"refused 1 of 152 orders \(seed 7\) in [\d.]+ s, "
                         r"13015 engine nodes, 14748 memo_pattern entries", lines[-1])
 
@@ -474,22 +493,20 @@ def test_every_command_reports_the_count_audit(capsys, golden_12, argv, audited)
         "skipped with more than 8 parameters: 0\n")
 
 
-@pytest.mark.parametrize("argv, status, records", [
-    (["compute", "--n", "12"], 2, "279"),
-    (["identities", "--max-n", "12"], 2, "279"),
-    (["dump-families", "--n", "12"], 2, "279"),
-    # the records leave rows out, so the comparison fails too
-    (["regress"], 3, r"\d+"),
-], ids=["compute", "identities", "dump-families", "regress"])
-def test_every_command_names_surviving_count_records(capsys, monkeypatch, golden_12, argv,
-                                                     status, records):
+@pytest.mark.parametrize("argv", [["compute", "--n", "12"], ["identities", "--max-n", "12"],
+                                  ["dump-families", "--n", "12"], ["regress"]],
+                         ids=["compute", "identities", "dump-families", "regress"])
+def test_every_command_names_surviving_count_records(capsys, monkeypatch, golden_12, argv):
     # with every substitution count refused, n = 12 keeps 279 count
     # records and no smaller n keeps any; dump-families once printed []
-    # for them and exited 0, and identities and regress never named them
+    # for them and exited 0, identities and regress never named them, and
+    # they then judged the table that lacks the records' rows: regress
+    # printed a wrong computed row and exited 3, identities a FAIL line
     monkeypatch.setattr(solcount, "count_solutions", lambda *system: None)
-    assert main(argv) == status
-    err = capsys.readouterr().err
-    assert re.search(rf"^{records} unresolved count records$", err, re.M), err
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert re.search(r"^279 unresolved count records$", out.err, re.M), out.err
+    assert not re.search(r"^(MISMATCH|  computed:|n=12:)", out.out, re.M), out.out
 
 
 @pytest.mark.parametrize("fmt", ["csv", "latex", "json"])

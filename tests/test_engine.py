@@ -7,8 +7,8 @@ from unicount import engine, solcount
 from unicount.algdata import (AlgebraicData, Equation, NonZero, canonicalize,
                               split_into_cases)
 from unicount.engine import (BadWitness, Census, EngineContext, Family, URecord,
-                             UnknownCore, aggregate, census, census_at,
-                             contract_type_a, contract_type_b, resolve, scale_census)
+                             aggregate, census, census_at, contract_type_a,
+                             contract_type_b, resolve, scale_census)
 from unicount.oracle import verify_census
 from unicount.patterns import (Poset, chain, encode_pattern, pattern_census,
                                unitriangular_census)
@@ -328,12 +328,16 @@ class TestResolve:
         assert not table.exceptional and not table.entries
 
     def test_unrecognised_core_surfaces(self, ctx):
-        # a 3-dimensional family core is not the known shape
+        # a 3-dimensional family core is not the known shape, and a family
+        # of all characters (z None) has no central vector to fold on;
+        # resolve once raised at the first and never named the second
         data = AlgebraicData((0,), (NonZero(0),), (0, 1, 2),
                              {(0, 1): [(2, frozenset([0]))]})
-        fam = Family(data, 2, 0, 0, 0)
-        with pytest.raises(UnknownCore):
-            resolve(Census(CountPoly.zero(), (), (fam,)), 13, ctx)
+        fams = (Family(data, 2, 0, 0, 0), Family(core_2dim(), None, 0, 0, 3))
+        table = resolve(Census(qt(1), (), fams), 13, ctx)
+        assert table.unfolded == fams
+        assert not table.exceptional and not table.unresolved
+        assert table.entries == {0: qt(1)}
 
     def test_json_round_trip_keeps_unresolved_records(self, ctx):
         from unicount.algdata import Equation

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from unicount.algdata import AlgebraicData, Equation, NonZero
-from unicount.engine import Census, EngineContext, Family, UnknownCore, census, resolve
+from unicount.engine import Census, EngineContext, Family, census, resolve
 from unicount.oracle import (NotCentralIdeal, TooLarge, class_count,
                              count_values_bruteforce, enumerate_param_values, instantiate, irr_count_at_z,
                              census_disagreement, quotient_by, verify_census)
@@ -193,14 +193,15 @@ CASE_93 = Poset(range(1, 11), [
 
 
 def test_sweep_names_a_comparison_one_side_refuses(monkeypatch, capsys):
-    # a refusal gives no verdict, so the comparison is named as skipped
-    # and counted apart from the comparisons too large to count.  The
-    # pattern path once refused the dual of this poset with a core that
-    # resolve does not recognise; since the peel scores its candidates it
-    # resolves both, and no drawn order refuses on one side only (none of
-    # the 600 orders of `scripts/run_refusals.py` against its dual, nor the
-    # posets of `--cases 300` at seeds 1 and 2), so the dual side is handed
-    # a family whose core resolve does not recognise
+    # a side that refuses is compared by its totals, with its unfolded
+    # families counted by brute force, so a wrong refusal is a failure;
+    # it was once skipped unchecked.  The pattern path once refused the
+    # dual of this poset with a core that resolve does not recognise;
+    # since the peel scores its candidates it resolves both, and no drawn
+    # order refuses on one side only (none of the 600 orders of
+    # `scripts/run_refusals.py` against its dual, nor the posets of
+    # `--cases 300` at seeds 1 and 2), so the dual side is handed a family
+    # whose core resolve does not recognise, and whose totals are U_3's
     script = load_script("run_oracle_checks")
     skipped = []
     assert script.check_poset(CASE_93, EngineContext(), random.Random("1:93"), skipped) == []
@@ -211,25 +212,24 @@ def test_sweep_names_a_comparison_one_side_refuses(monkeypatch, capsys):
     real = script.pattern_census
     monkeypatch.setattr(script, "pattern_census",
                         lambda poset, ctx: core if poset == dual else real(poset, ctx))
-    assert script.check_poset(CASE_93, EngineContext(), random.Random("1:93"), skipped) == []
-    assert [(name, type(e), str(e)) for name, e in skipped] == [
-        ("dual poset", UnknownCore, "unrecognised family core: AlgebraicData(dim=3, "
-                                    "params=0, restrictions=0, products=1)")]
+    assert script.check_poset(CASE_93, EngineContext(), random.Random("1:93"), skipped) == [
+        "poset: pattern path and dual poset disagree: totals differ at q = 2"]
+    assert skipped == []
 
     monkeypatch.setattr(script, "wide_poset", lambda rng: CASE_93)
-    assert script.main(["--cases", "1", "--seed", "1"]) == 0
+    assert script.main(["--cases", "1", "--seed", "1"]) == 1
     out = capsys.readouterr().out
-    assert "SKIP case 0 poset: pattern path and dual poset not compared: UnknownCore: " in out
-    assert ", 0 failures, 0 comparisons too large to count, 1 comparisons refused, " in out
+    assert "FAIL case 0 poset: pattern path and dual poset disagree: " in out
+    assert "SKIP" not in out
+    assert ", 1 failures, 0 comparisons too large to count, " in out
 
 
 def test_oracle_check_sweep_passes(capsys):
     # its families run census_at at their last basis vector, which is often
     # spare, so the spare z rule is checked against class counts
-    # a comparison that newly refuses on these cases shows as a refusal
     assert load_script("run_oracle_checks").main(["--cases", "10", "--seed", "1"]) == 0
     out = capsys.readouterr().out
-    assert ", 0 failures, " in out and ", 0 comparisons refused, " in out
+    assert ", 0 failures, " in out
 
 
 def test_chains_compare_the_two_routes(capsys, monkeypatch):
