@@ -6,6 +6,7 @@ fresh EngineContext and is refused as `unicount compute --n N` refuses
 it, with the same stderr lines; a refused table gets no line and no
 LaTeX file.  Each n's line gives its time and engine nodes, with the
 process's peak RSS so far; --audit adds the line of --debug-counts.
+Without the vendored table file it prints one line and exits 2.
 
 Usage:
     python scripts/run_tables.py [--max-n 13] [--audit] [--latex-dir DIR]
@@ -31,7 +32,11 @@ def main(argv=None) -> int:
     ap.add_argument("--latex-dir", default=None)
     args = ap.parse_args(argv)
 
-    golden = load_golden_tables()
+    try:
+        golden = load_golden_tables()
+    except FileNotFoundError as exc:
+        print(f"run_tables.py: the vendored table file is missing: {exc}", file=sys.stderr)
+        return 2
     # per n: time, engine nodes and stats, kept instead of the context so
     # that run_jobs frees each table's memos
     runs = {}

@@ -36,11 +36,13 @@ exactly one way:
     dim,
     then per product row:  x, y, ntargets, then per target  z, nfactors, f_1 ..
 
-with x, y and z basis positions.  Equation coefficients are unbounded,
-so a key stays a tuple of Python ints; it is never hashed to a digest,
-whose collisions would serve a wrong census.  A flat tuple of small
-ints takes a fraction of the memory of the same content as nested
-tuples, and gives the cyclic garbage collector nothing to follow.
+with x, y and z basis positions; ``canonicalize`` numbers, and counts in
+dim, only the vectors that some product names.  Equation coefficients
+are unbounded, so a key stays a tuple of Python ints; it is never
+hashed to a digest, whose collisions would serve a wrong census.  A
+flat tuple of small ints takes a fraction of the memory of the same
+content as nested tuples, and gives the cyclic garbage collector
+nothing to follow.
 """
 from __future__ import annotations
 
@@ -211,6 +213,17 @@ class AlgebraicData:
             self._cache["by_left"] = d
         return d
 
+    def named_pos(self) -> dict[int, int]:
+        """The positions of the vectors that some product names, counted
+        among those alone; the other vectors are spare."""
+        p = self._cache.get("named")
+        if p is None:
+            left, right, hit = self._derived()
+            kept = [b for b in self.basis if b in left or b in right or b in hit]
+            p = self._cache["named"] = self._pos if len(kept) == len(self.basis) \
+                else {b: i for i, b in enumerate(kept)}
+        return p
+
     def symbols_in_products(self) -> frozenset[int]:
         s = self._cache.get("live")
         if s is None:
@@ -290,7 +303,8 @@ class AlgebraicData:
         if k is None:
             # symbols outside params occur only in malformed data
             own = {p: p for p in self.params + tuple(sorted(self.symbols_in_products()))}
-            k = self._cache["key"] = _encode(self, own, self.params, self.restrictions)
+            k = self._cache["key"] = _encode(self, self._pos, own, self.params,
+                                             self.restrictions)
         return k
 
     @staticmethod
@@ -356,19 +370,18 @@ class AlgebraicData:
                 "products": prods}
 
 
-def _encode(data: AlgebraicData, p_map: dict[int, int], params: Iterable[int],
-            restrictions: Iterable[Restriction]) -> tuple:
+def _encode(data: AlgebraicData, pos: dict[int, int], p_map: dict[int, int],
+            params: Iterable[int], restrictions: Iterable[Restriction]) -> tuple:
     """The flat key of the module docstring for data with these parameters
-    and restrictions, basis vectors at their positions and parameters
-    renamed by p_map.
+    and restrictions, the vectors of pos at their positions in it (every
+    vector a product names must be one) and parameters renamed by p_map.
 
     A parameter missing from p_map is added to it, numbered by first use
     in the products and then in ``params``; the key lists every
     parameter of p_map, in its order, and sorts the renamed restrictions
     by ``sort_key``.
     """
-    pos = data._pos
-    body = [len(data.basis)]
+    body = [len(pos)]
     put = body.extend
     for x, y, ts in data.prods:
         put((pos[x], pos[y], len(ts)))
@@ -412,16 +425,16 @@ def canonicalize(data: AlgebraicData, params: Iterable[int],
                  restrictions: Iterable[Restriction]) -> tuple:
     """The memo key of data with its parameters and restrictions replaced.
 
-    This is ``key()`` of the data with basis labels renamed to their
-    positions and parameters numbered by first use, in the products and
-    then in ``params``, with the restrictions renamed and sorted; it is
-    computed in one pass without building that data, which
-    ``AlgebraicData.from_key`` rebuilds when needed.  Two data built the
-    same way in different label spaces get the same key, which is what
-    makes memoisation effective; basis order is preserved, never
-    permuted.
+    This is ``key()`` of the data with its spare vectors left out, basis
+    labels renamed to their positions among the rest (``named_pos``) and
+    parameters numbered by first use, in the products and then in
+    ``params``, with the restrictions renamed and sorted; it is computed
+    in one pass without building that data, which ``from_key`` rebuilds
+    when needed.  Data built the same way in different label spaces, or
+    differing only by spare vectors, get the same key, which is what
+    makes memoisation effective; basis order is preserved, never permuted.
     """
-    return _encode(data, {}, params, restrictions)
+    return _encode(data, data.named_pos(), {}, params, restrictions)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ survived, a coefficient outgrew the packed arithmetic of ``polyring``
 out, the count audit (--debug-counts) found violations, an identity or
 a closed form failed, an argument was rejected, a verify instance is
 too large to count classes of, a --poset file is missing or malformed,
-or the run ran out of memory, 3 regression mismatch.
+regress has no vendored table file, or the run ran out of memory, 3
+regression mismatch.
 """
 from __future__ import annotations
 
@@ -39,10 +40,6 @@ from .oracle import (AUDIT_MAX_PARAMS, CLASS_COUNT_CAP, audit_counts, class_coun
                      instantiate)
 from .patterns import Poset, chain, encode_pattern, pattern_census, unitriangular_census
 from .polyring import CoefficientOverflow, CountPoly, shifted_coeffs
-
-
-class GoldenMissing(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +73,7 @@ def parse_q_poly(text: str) -> CountPoly:
 
 def load_golden_tables() -> dict[int, dict[int, CountPoly]]:
     """The vendored N_{n,e}(q) tables for 10 <= n <= 13."""
-    try:
-        raw = resources.files("unicount").joinpath("data/appendix_tables.json").read_text()
-    except FileNotFoundError as exc:
-        raise GoldenMissing("vendored table file is missing") from exc
+    raw = resources.files("unicount").joinpath("data/appendix_tables.json").read_text()
     data = json.loads(raw)
     return {int(n): {int(e): parse_q_poly(s) for e, s in rows.items()}
             for n, rows in data.items()}
@@ -228,7 +222,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    golden = load_golden_tables()
+    try:
+        golden = load_golden_tables()
+    except FileNotFoundError as exc:
+        print(f"regress: the vendored table file is missing: {exc}", file=sys.stderr)
+        return 2
 
     def show(table: ResolvedTable) -> int:
         rows = golden[table.n]

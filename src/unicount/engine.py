@@ -23,22 +23,20 @@ old products read off in new coordinates.  ``_change_basis`` is that
 one rewrite; each contraction only checks its witness and says which
 old vectors each new vector uses and where each old coordinate goes.
 
-Both walks first split off the spare vectors: those that are no factor
-and no target of any product.  Each spans a direct summand <v> of the
-algebra and multiplies the census by q, or by q - 1 when it is the z of
-census_at.  So data that differ only by spare summands share one memo
-entry, and no stored key holds a spare vector.  Then ``_lookup`` takes
-the one node step of both walks.  It reduces the restrictions and
-canonicalizes in one pass to a key that is one flat tuple of ints (its
-layout is in ``algdata``'s docstring); census_at appends the position
-of z.  A miss is one node: it is counted, the canonical AlgebraicData
-is rebuilt from the key and validated when asked, and past the node
-budget it becomes a family record; otherwise the walk's rule runs on
-it.  The memo never keeps the rebuilt data: after the walk returns,
-only a Family record still refers to it.  Few stored results differ
-(at n = 13, 707 of the 1,437 ``memo_all`` values and 972 of the 3,083
-``memo_at`` values), so every Census a memo stores goes through
-``EngineContext.intern`` and equal results share one object.
+``_lookup`` takes the one node step of both walks.  It reduces the
+restrictions and canonicalizes in one pass to a key that is one flat
+tuple of ints (its layout is in ``algdata``'s docstring); census_at
+appends the position of z.  The key numbers only the vectors that some
+product names: each other vector, a spare one, is a direct summand and
+scales the census, so no stored key holds a spare vector.  A miss is
+one node: it is counted, the canonical AlgebraicData is rebuilt from
+the key and validated when asked, and past the node budget it becomes
+a family record; otherwise the walk's rule runs on it.  The memo never
+keeps the rebuilt data: after the walk returns, only a Family record
+still refers to it.  Few stored results differ (at n = 13, 399 of the
+613 ``memo_all`` values and 597 of the 1,316 ``memo_at`` values), so
+every Census a memo stores goes through ``EngineContext.intern`` and
+equal results share one object.
 """
 from __future__ import annotations
 
@@ -164,51 +162,38 @@ class EngineContext:
 
 def census(data: AlgebraicData, ctx: EngineContext) -> Census:
     """A correct breakdown of all irreducible characters encoded by data."""
-    data, s = _split_spare(data)
-    return _lookup(data, None, 0, s, ctx)
+    return _lookup(data, None, ctx)
 
 
 def census_at(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
     """A correct breakdown of the characters nontrivial on 1 + <z>."""
-    data, s = _split_spare(data)
-    if z not in data.basis:
-        # z was spare: 1 + <z> has q - 1 nontrivial characters
-        return _lookup(data, None, 1, s - 1, ctx)
-    return _lookup(data, z, 0, s, ctx)
+    return _lookup(data, z, ctx)
 
 
-def _split_spare(data: AlgebraicData) -> tuple[AlgebraicData, int]:
-    """data without its spare vectors, and their number s.
+def _lookup(data: AlgebraicData, z: int | None, ctx: EngineContext) -> Census:
+    """The census of data, or with z its census_at z: the node step of
+    the module docstring.
 
-    A spare vector is no factor and no target of any product.  It spans
-    a direct summand <v> of every algebra data encodes, with 1 + <v> the
-    q linear characters of (F_q, +), so both censuses of data are q^s
-    times those of what is left, except that a spare z of census_at
-    counts q - 1.  No product row names a spare vector, so the rows are
-    kept as they are.
+    A spare vector v, one that no product names, spans a direct summand:
+    J is J' + <v> as a direct sum, and 1 + <v> is (F_q, +), with q linear
+    characters.  So each spare vector multiplies the census of J' by q,
+    but a spare z of census_at by the q - 1 characters nontrivial on
+    1 + <z>.  The key numbers the vectors of J' alone (``canonicalize``),
+    and this scale is applied once, with the one reduce_system finds.
     """
-    left, right, hit = data._derived()
-    kept = tuple(b for b in data.basis if b in left or b in right or b in hit)
-    s = len(data.basis) - len(kept)
-    if s:
-        data = AlgebraicData._from_sorted(data.params, data.restrictions, kept, data.prods)
-    return data, s
-
-
-def _lookup(data: AlgebraicData, z: int | None, dk: int, dl: int,
-            ctx: EngineContext) -> Census:
-    """(q-1)^dk q^dl times the census of data, or with z its census_at z:
-    the node step of the module docstring.  data has no spare vector; the
-    scale is applied once, together with the one reduce_system finds."""
     k, l, params, restrictions, empty = solcount.reduce_system(
         data.params, data.restrictions, data.symbols_in_products())
     if empty:
         return ZERO_CENSUS
     key = canonicalize(data, params, restrictions)
+    pos = data.named_pos()
+    l += len(data.basis) - len(pos)
+    if z is not None and z not in pos:  # a spare z counts q - 1, not q
+        z, k, l = None, k + 1, l - 1
     if z is None:
         memo, full = ctx.memo_all, key
     else:
-        z = data.pos(z)  # its label in the data rebuilt from the key
+        z = pos[z]  # its label in the data rebuilt from the key
         memo, full = ctx.memo_at, key + (z,)
     hit = memo.get(full)
     if hit is None:
@@ -227,7 +212,7 @@ def _lookup(data: AlgebraicData, z: int | None, dk: int, dl: int,
         else:
             hit = _census_core(data, ctx) if z is None else _census_at_core(data, z, ctx)
         hit = memo[full] = ctx.intern(hit)
-    return scale_census(hit, k + dk, l + dl, 0)
+    return scale_census(hit, k, l, 0)
 
 
 def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
@@ -246,8 +231,8 @@ def _census_core(data: AlgebraicData, ctx: EngineContext) -> Census:
 
 
 def _choose_z(data: AlgebraicData) -> int:
-    """Deterministic peel choice: the last annihilated vector.  With the
-    spare vectors split off, every annihilated vector is hit."""
+    """Deterministic peel choice: the last annihilated vector.  The key
+    of a node numbers no spare vector, so every annihilated vector is hit."""
     factors = data.left_factors | data.right_factors
     return [b for b in data.basis if b not in factors][-1]
 

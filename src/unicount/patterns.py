@@ -30,9 +30,10 @@ census is the same: its row procedure peels the column of a maximal
 element.  ``choose_peel`` picks the peel that keeps the most work in
 the recursion: a clean row D, one in which no row of D sees two
 incomparable elements of D, hands no antichain to the general engine.
-It peels a clean row if the order has one, else a clean column, else
-the row or column that hands the general engine the fewest antichains,
-counted by walking each candidate's antichains.  A node computes the
+It peels a clean row if the order has one.  Else it scores each row
+and column by the antichains it hands the general engine, counted by
+walking them, a clean column scoring 0 with no walk, and peels the
+lowest, so a clean column if there is one.  A node computes the
 row sizes, the dirty rows, the predecessor masks and the masks of
 positions with a predecessor and with a successor, from which its
 classes are found, in one pass over its masks (``_scan``).
@@ -458,15 +459,15 @@ def choose_peel(succ: Masks, scan: Scan | None = None) -> tuple[Masks, int]:
 
     T_{C,R^op} is T_{C,R}^op, and g -> g^{-1} makes 1 + A^op isomorphic
     to 1 + A, so the dual order has the census of succ, and its row
-    procedure peels the column of a maximal element of succ.  The rule,
-    in turn: a clean minimal row of succ (``_peel_row``); when succ has
-    none, and only then, the dual is built, and a clean minimal row of
-    it, a clean maximal column of succ, is peeled.  Failing both, each
-    minimal row of succ and of the dual is scored by the antichains it
-    would hand to the general engine (``_engine_antichains``), and the
-    lowest score is peeled; ties go to the larger row, then to a row of
-    succ before one of the dual, then to the lower position.  A row with
-    no such antichain is peeled at once.
+    procedure peels the column of a maximal element of succ.  The rule:
+    a clean minimal row of succ (``_peel_row``) if it has one.  Else the
+    dual is built, and each minimal row of succ and of the dual is
+    scored by the antichains it would hand to the general engine
+    (``_engine_antichains``), a clean row 0 without a walk.  The lowest
+    score is peeled; ties go to the larger row, then to a row of succ
+    before one of the dual, then to the lower position.  Clean rows come
+    first and a row that scores 0 is peeled at once, so a clean row of
+    the dual, a clean maximal column of succ, wins whenever there is one.
     """
     scan = scan or _scan(succ)
     c0, clean = _peel_row(succ, scan)
@@ -475,20 +476,17 @@ def choose_peel(succ: Masks, scan: Scan | None = None) -> tuple[Masks, int]:
     dual = _dual(succ)
     sides = [(succ, scan)]
     if dual != succ:            # a self-dual order offers its rows once
-        dscan = _scan(dual)
-        d0, clean = _peel_row(dual, dscan)
-        if clean:
-            return dual, d0
-        sides.append((dual, dscan))
-    # candidates in the order of the ties: a later one wins only with a
-    # lower score, so each walk stops at the best score so far (the first
-    # runs to its end)
-    cands = sorted((-size[c], side, c) for side, (node, (size, has_pred, *_)) in enumerate(sides)
+        sides.append((dual, _scan(dual)))
+    # candidates in the order of the ties, clean rows first: a later one
+    # wins only with a lower score, so each walk stops at the best score
+    # so far (the first runs to its end)
+    cands = sorted((bool(D & dirty), -size[c], side, c)
+                   for side, (node, (size, has_pred, _, dirty, _)) in enumerate(sides)
                    for c, D in enumerate(node) if D and not has_pred >> c & 1)
     pick, best = None, -1
-    for _, side, c in cands:
+    for walk, _, side, c in cands:
         node, (*_, pred) = sides[side]
-        score = _engine_antichains(node, c, pred, best)
+        score = _engine_antichains(node, c, pred, best) if walk else 0
         if pick is None or score < best:
             pick, best = (node, c), score
             if not score:

@@ -427,6 +427,26 @@ def test_run_tables_refuses_a_table_with_count_records(tmp_path, capsys, monkeyp
         sorted(f"table_n{n}.tex" for n in range(1, 12))
 
 
+def test_a_missing_table_file_is_one_line_and_exit_2(capsys, monkeypatch):
+    # regress and run_tables.py ended in a traceback, exit 1
+    class Missing:
+        def joinpath(self, name):
+            return self
+
+        def read_text(self):
+            raise FileNotFoundError("no appendix_tables.json")
+
+    monkeypatch.setattr(cli.resources, "files", lambda package: Missing())
+    run_tables = load_script("run_tables")
+    for run, prog in ((lambda: main(["regress"]), "regress"),
+                      (lambda: run_tables.main(["--max-n", "1"]), "run_tables.py")):
+        assert run() == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"{prog}: the vendored table file is missing: " \
+            "no appendix_tables.json\n"
+
+
 def test_refusals_script_pins_the_first_refusal(capsys):
     # the first 152 orders of the seed-7 sample: order 151 keeps a 5- and
     # a 4-dimensional core that resolve cannot fold and 4 count records,

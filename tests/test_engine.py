@@ -503,11 +503,18 @@ def test_census_zero_for_contradictory_restrictions(ctx):
 # ---------------------------------------------------------------------------
 # memo keys
 
+def named_vectors(data):
+    """The basis vectors that some product names, in basis order."""
+    named = data.left_factors | data.right_factors | data.hit_targets
+    return [b for b in data.basis if b in named]
+
+
 def positional_relabelling(data, params, restrictions):
-    """Reference for canonicalize: data with (params, restrictions), basis
-    labels renamed to positions, parameters numbered by first use in the
+    """Reference for canonicalize: data with (params, restrictions) and
+    only the basis vectors that some product names, their labels renamed
+    to positions among those, parameters numbered by first use in the
     products and then in params."""
-    b_map = {b: i for i, b in enumerate(data.basis)}
+    b_map = {b: i for i, b in enumerate(named_vectors(data))}
     p_map = {}
     for _, _, ts in data.prods:
         for _, fs in ts:
@@ -519,7 +526,7 @@ def positional_relabelling(data, params, restrictions):
                else Equation(r.poly.rename(p_map)) for r in restrictions]
     products = {(b_map[x], b_map[y]): [(b_map[z], {p_map[p] for p in fs}) for z, fs in ts]
                 for x, y, ts in data.prods}
-    return AlgebraicData(range(len(p_map)), renamed, range(len(data.basis)), products)
+    return AlgebraicData(range(len(p_map)), renamed, range(len(b_map)), products)
 
 
 def relabelled(data, rng):
@@ -537,7 +544,7 @@ def nested_key(data, params, restrictions):
     """The former memo key, kept as a reference for the flat one: nested
     tuples (params, restriction sort keys, dim, products by position),
     renamed as canonicalize renames."""
-    pos = data._pos
+    pos = {b: i for i, b in enumerate(named_vectors(data))}
     p_map = {}
     pk = []
     for x, y, ts in data.prods:
@@ -553,7 +560,7 @@ def nested_key(data, params, restrictions):
                 (1, tuple(sorted((tuple(sorted((p_map[s], e) for s, e in m)), c)
                                  for m, c in r.poly.key())))
                 for r in restrictions)
-    return tuple(range(len(p_map))), tuple(rk), len(data.basis), tuple(pk)
+    return tuple(range(len(p_map))), tuple(rk), len(pos), tuple(pk)
 
 
 def assert_same_grouping(pairs):
@@ -604,6 +611,19 @@ class TestMemoKey:
         assert all(is_flat(key) for key, _ in pairs)
         assert assert_same_grouping(pairs) < len(pairs)
 
+    def test_spare_vectors_leave_the_key(self):
+        # a spare summand <v> changes no memo key: canonicalize numbers
+        # only the vectors that some product names
+        rng = random.Random(29)
+        for _ in range(40):
+            data = random_algebraic_data(rng, max_dim=5, max_params=2)
+            plus = with_spare_vector(with_spare_vector(data, rng), rng)
+            bare = AlgebraicData(data.params, data.restrictions, named_vectors(data),
+                                 data.products_dict())
+            key = assert_key_matches_reference(plus, plus.params, plus.restrictions)
+            assert key == canonicalize(data, data.params, data.restrictions)
+            assert key == canonicalize(bare, bare.params, bare.restrictions)
+
     def test_every_lookup_of_the_general_engine(self, monkeypatch):
         # T_9 is the smallest chain whose reduced lookups keep equations
         seen = []
@@ -617,6 +637,8 @@ class TestMemoKey:
         ctx = EngineContext()
         census(encode_pattern(chain(9)), ctx)
         assert any(isinstance(r, Equation) for _, _, rs in seen for r in rs)
+        # the engine looks data up with its spare vectors in place
+        assert any(named_vectors(data) != list(data.basis) for data, _, _ in seen)
         keys = set()
         pairs = []
         for data, params, restrictions in seen:
