@@ -43,8 +43,8 @@ from unicount import patterns
 from unicount.engine import EngineContext, ResolvedTable, census, census_at, resolve
 from unicount.oracle import (TooLarge, audit_counts, census_disagreement, closed_order,
                              random_algebraic_data, verify_census)
-from unicount.patterns import (Poset, _peel_row, _preds, antichains, chain, choose_peel,
-                               encode_pattern, normal_closure, pattern_census)
+from unicount.patterns import (Poset, _peel_candidates, _preds, _scan, antichains, chain,
+                               choose_peel, encode_pattern, normal_closure, pattern_census)
 
 
 def wide_poset(rng: random.Random, max_elems: int = 10) -> Poset:
@@ -116,7 +116,8 @@ def check_poset(poset: Poset, ctx, rng: random.Random,
 def rows_only(succ, scan=None):
     """``choose_peel`` restricted to the rows of succ: the rule before
     columns could be peeled."""
-    return succ, _peel_row(succ, scan)[0]
+    cands = _peel_candidates(succ, scan or _scan(succ))
+    return succ, cands[0][3] if cands else -1
 
 
 # the two routes --chains compares

@@ -20,8 +20,9 @@ candidate witnesses (``_contraction``) decides between the first two.
 Both contractions are the same change of basis: every new basis vector
 is a combination of old ones, and the new structure constants are the
 old products read off in new coordinates.  ``_change_basis`` is that
-one rewrite; each contraction only checks its witness and says which
-old vectors each new vector uses and where each old coordinate goes.
+one rewrite; each contraction only checks its input and says which old
+vectors each new vector uses and where each old coordinate goes.  The
+fold takes the annihilated vectors the scan chose.
 
 ``_lookup`` takes the one node step of both walks.  It reduces the
 restrictions and canonicalizes in one pass to a key that is one flat
@@ -255,7 +256,8 @@ def _contraction(data: AlgebraicData, z: int) -> tuple[AlgebraicData, int] | Non
     The first y whose products all land on z gives a good pair, shift 1.
     Failing that, a y whose products land on annihilated vectors only
     gives a fold, shift 0: one whose image contains z if possible, then
-    the smallest image, ties by basis order.  None when there is neither.
+    the smallest image, ties by basis order; the fold takes that image
+    less z.  None when there is neither.
     """
     rf = data.right_factors
     factors = data.left_factors | rf
@@ -273,10 +275,10 @@ def _contraction(data: AlgebraicData, z: int) -> tuple[AlgebraicData, int] | Non
         if image.isdisjoint(factors):
             key = (z not in image, len(image), i)
             if best_key is None or key < best_key:
-                best, best_key = y, key
+                best, best_key = image, key
     if best is None:
         return None
-    return contract_type_a(data, z, best), 0
+    return contract_type_a(data, z, best - {z}), 0
 
 
 # ---------------------------------------------------------------------------
@@ -409,23 +411,21 @@ def contract_type_b(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
                          csets[xk], frozenset(xprime.values()))
 
 
-def contract_type_a(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
-    """Quotient by the central subspaces <w_i - b_i z> for fresh free b_i.
+def contract_type_a(data: AlgebraicData, z: int, ws: Iterable[int]) -> AlgebraicData:
+    """Quotient by the central subspaces <w - b_w z>, w in ws, for fresh
+    free parameters b_w: the vectors of ws, in basis order, fold into a
+    relabelled z placed last in the basis.  ``_change_basis`` sends the
+    coordinate on w to z times b_w, so products into w reappear in the z
+    column with coefficient b_w.
 
-    The annihilated vectors w_1..w_k hit by y (other than z) fold into a
-    relabelled z placed last in the basis: ``_change_basis`` sends the
-    coordinate on w_i to z times b_i, so products into w_i reappear in
-    the z column with coefficient b_i.
+    Sound for any set ws of annihilated vectors other than z: 1 + <z, ws>
+    is central, and a character nontrivial on 1 + <z> is trivial on
+    exactly one hyperplane <w - b_w z : w in ws> of <z, ws>, for one b_w
+    in F_q each; census_at z is the sum over the b_w of the quotients'.
     """
-    if y in data.right_factors:
-        raise BadWitness("y must satisfy Jy = 0")
-    factors = data.left_factors | data.right_factors
-    annihilated = {b for b in data.basis if b not in factors}
-    rows = data.products_by_left().get(y, ())
-    image = {w for _, ts in rows for w, _ in ts}
-    if not image <= annihilated:
-        raise BadWitness("products out of y must land on annihilated vectors")
-    ws = [w for w in data.basis if w in image and w != z]
+    ws = sorted(ws, key=data.pos)
+    if z in ws or not (data.left_factors | data.right_factors).isdisjoint([z, *ws]):
+        raise BadWitness("z and the folded vectors must be distinct and annihilated")
 
     next_p = max(data.params, default=-1) + 1
     bparam = {w: next_p + i for i, w in enumerate(ws)}
@@ -509,8 +509,7 @@ def resolve(c: Census, n: int, ctx: EngineContext | None = None) -> ResolvedTabl
         if cnt is None or fam.z is None or not _is_small_core(fam.data, fam.z):
             unfolded.append(fam)
             continue
-        per_sub = CountPoly({(2, 0): 1, (1, 0): -1})  # q(q-1) characters each
-        total = (cnt * per_sub).scale(fam.k, fam.l, 0)
+        total = cnt.scale(fam.k + 1, fam.l + 1, 0)  # q(q-1) characters each
         exceptional.append((fam, total))
         entries[fam.m] = entries.get(fam.m, CountPoly.zero()) + total
     return ResolvedTable(n, entries, exceptional, c.unresolved, unfolded)

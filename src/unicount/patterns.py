@@ -30,13 +30,14 @@ census is the same: its row procedure peels the column of a maximal
 element.  ``choose_peel`` picks the peel that keeps the most work in
 the recursion: a clean row D, one in which no row of D sees two
 incomparable elements of D, hands no antichain to the general engine.
-It peels a clean row if the order has one.  Else it scores each row
-and column by the antichains it hands the general engine, counted by
+It ranks the rows in one sorted list (``_peel_candidates``) and peels
+the head if it is clean.  Else it adds the dual's rows, the columns,
+scores each by the antichains it hands the general engine, counted by
 walking them, a clean column scoring 0 with no walk, and peels the
-lowest, so a clean column if there is one.  A node computes the
-row sizes, the dirty rows, the predecessor masks and the masks of
-positions with a predecessor and with a successor, from which its
-classes are found, in one pass over its masks (``_scan``).
+lowest, so a clean column if there is one.  A node computes the row
+sizes, the dirty rows, the predecessor masks and the masks of positions
+with a predecessor and with a successor, from which its classes are
+found, in one pass over its masks (``_scan``).
 
 The recursion runs on masks: an order is the tuple of its elements'
 successor bitmasks by position, which is also its memo key.  Deleting
@@ -80,9 +81,11 @@ class Poset:
                     raise MalformedData("relation is not irreflexive")
                 if a not in es or b not in es:
                     raise MalformedData("relation pair outside the ground set")
-            for a, b in self.rel:
-                for c, d in self.rel:
-                    if b == c and (a, d) not in self.rel:
+            succ = self.masks()  # transitive: b above a has its successors above a
+            for a, m in enumerate(succ):
+                for b in _bits(m):
+                    if missing := succ[b] & ~m:
+                        a, b, d = (self.elems[i] for i in (a, b, missing.bit_length() - 1))
                         raise MalformedData(f"relation not transitive at ({a},{b},{d})")
 
     def __eq__(self, other):
@@ -404,24 +407,18 @@ def _factor(succ: Masks, scan: Scan, K: int) -> Masks:
     return tuple(masks)
 
 
-def _peel_row(succ: Masks, scan: Scan | None = None) -> tuple[int, bool]:
-    """The minimal position c0 whose row is the best to peel among the
-    rows of succ, or -1 when the order has no relation, and whether that
-    row is clean; scan is ``_scan(succ)``, computed when not given.
+def _peel_candidates(node: Masks, scan: Scan, side: int = 0) -> list[tuple]:
+    """The rows node could peel, as sorted keys (dirty, -size, side, c),
+    one for each minimal position c with a nonempty row: clean rows first,
+    then the largest, the lowest position; scan is ``_scan(node)``.
 
-    Among the minimal positions with a nonempty row D = succ[c0] this
-    takes, in turn, a clean row, the largest row, the lowest position.
-    When D is clean, every antichain E of the normal closure on D is an
-    antichain of the order, which the closure contains, so no row of D
-    sees two elements of E and no stabiliser of the node goes to the
-    general engine.
+    When a row D is clean, every antichain of the normal closure on D is
+    one of the order, which the closure contains, so no row of D sees two
+    of its elements and no stabiliser of the node goes to the engine.
     """
-    size, has_pred, _, dirty, _ = scan or _scan(succ)
-    c0, best = -1, (False, 0)
-    for c, D in enumerate(succ):
-        if D and not has_pred >> c & 1 and (key := (not D & dirty, size[c])) > best:
-            c0, best = c, key
-    return c0, best[0]
+    size, has_pred, _, dirty, _ = scan
+    return sorted((bool(D & dirty), -size[c], side, c)
+                  for c, D in enumerate(node) if D and not has_pred >> c & 1)
 
 
 def _dual(succ: Masks) -> Masks:
@@ -459,30 +456,28 @@ def choose_peel(succ: Masks, scan: Scan | None = None) -> tuple[Masks, int]:
 
     T_{C,R^op} is T_{C,R}^op, and g -> g^{-1} makes 1 + A^op isomorphic
     to 1 + A, so the dual order has the census of succ, and its row
-    procedure peels the column of a maximal element of succ.  The rule:
-    a clean minimal row of succ (``_peel_row``) if it has one.  Else the
-    dual is built, and each minimal row of succ and of the dual is
+    procedure peels the column of a maximal element of succ.  The rule
+    ranks the minimal rows of both by the keys of ``_peel_candidates``:
+    clean first, then the larger row, a row of succ before one of the
+    dual, the lower position.  The head of succ's list is peeled when it
+    is clean.  Else the dual is built, and each row of the merged list is
     scored by the antichains it would hand to the general engine
     (``_engine_antichains``), a clean row 0 without a walk.  The lowest
-    score is peeled; ties go to the larger row, then to a row of succ
-    before one of the dual, then to the lower position.  Clean rows come
-    first and a row that scores 0 is peeled at once, so a clean row of
-    the dual, a clean maximal column of succ, wins whenever there is one.
+    score is peeled, ties by the ranking, and a row that scores 0 is
+    peeled at once, so a clean row of the dual, a clean maximal column of
+    succ, wins whenever there is one.
     """
     scan = scan or _scan(succ)
-    c0, clean = _peel_row(succ, scan)
-    if clean or c0 < 0:
-        return succ, c0
+    cands = _peel_candidates(succ, scan)
+    if not cands or not cands[0][0]:
+        return succ, cands[0][3] if cands else -1
     dual = _dual(succ)
     sides = [(succ, scan)]
     if dual != succ:            # a self-dual order offers its rows once
         sides.append((dual, _scan(dual)))
-    # candidates in the order of the ties, clean rows first: a later one
-    # wins only with a lower score, so each walk stops at the best score
-    # so far (the first runs to its end)
-    cands = sorted((bool(D & dirty), -size[c], side, c)
-                   for side, (node, (size, has_pred, _, dirty, _)) in enumerate(sides)
-                   for c, D in enumerate(node) if D and not has_pred >> c & 1)
+        cands = sorted(cands + _peel_candidates(dual, sides[1][1], 1))
+    # a later candidate wins only with a lower score, so each walk stops at
+    # the best score so far (the first runs to its end)
     pick, best = None, -1
     for walk, _, side, c in cands:
         node, (*_, pred) = sides[side]

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,7 +10,7 @@ from unicount.algdata import (AlgebraicData, Equation, NonZero, canonicalize,
 from unicount.engine import (BadWitness, Census, EngineContext, Family, URecord,
                              aggregate, census, census_at, contract_type_a,
                              contract_type_b, resolve, scale_census)
-from unicount.oracle import verify_census
+from unicount.oracle import census_totals_at, symbolically_associative, verify_census
 from unicount.patterns import (Poset, chain, encode_pattern, pattern_census,
                                unitriangular_census)
 from unicount.polyring import CountPoly, ParamPoly
@@ -204,9 +205,9 @@ class TestContractTypeB:
 
 class TestContractTypeA:
     def test_relabel_only_when_image_is_z(self):
-        # y w = z with w... L = {z}: pure relabelling, no new parameters
+        # y w = z and no vector to fold: pure relabelling, no new parameters
         data = AlgebraicData((), (), (0, 1, 2), {(0, 1): [(2, frozenset())]})
-        out = contract_type_a(data, 2, 0)
+        out = contract_type_a(data, 2, ())
         assert out.params == ()
         assert len(out.basis) == 3
 
@@ -214,7 +215,7 @@ class TestContractTypeA:
         # y hits w only; w folds into z with one fresh free parameter
         data = AlgebraicData((), (), (0, 1, 2, 3),
                              {(0, 1): [(2, frozenset())]})  # y x = w; z = 3 separate
-        out = contract_type_a(data, 3, 0)
+        out = contract_type_a(data, 3, {2})
         assert len(out.params) == 1
         assert len(out.basis) == 3
         b = out.params[0]
@@ -231,6 +232,58 @@ class TestContractTypeA:
         for q0 in (2, 3):
             report = verify_census(data, out, q0, z=3)
             assert report["pass"], report
+
+    def test_bad_fold_rejected(self):
+        # y u = w and u u = z, as above: u is a factor, and z cannot fold
+        data = AlgebraicData((), (), (0, 1, 2, 3),
+                             {(0, 1): [(2, frozenset())],
+                              (1, 1): [(3, frozenset())]})
+        for z, ws in ((3, {1}), (1, {2}), (3, {2, 3})):
+            with pytest.raises(BadWitness):
+                contract_type_a(data, z, ws)
+
+    @staticmethod
+    def fold_inputs(rng: random.Random, count: int):
+        """count random families (data, z, ws): no product has one of the
+        last four vectors as a factor; z, the last, is hit, and so are the
+        two or more vectors ws of the other three.  Every product is
+        e_i e_j with i < j, which keeps the give-ups, whose totals are
+        counted by brute force, few."""
+        out = []
+        while len(out) < count:
+            dim, nparams = rng.randint(6, 7), rng.randint(0, 2)
+            products = {}
+            for i in range(dim - 4):
+                for j in range(i + 1, dim - 4):
+                    for k in range(j + 1, dim):
+                        if rng.random() < 0.4:
+                            fs = rng.sample(range(nparams), rng.randint(0, nparams))
+                            products.setdefault((i, j), []).append((k, fs))
+            data = AlgebraicData(range(nparams), [NonZero(p) for p in range(nparams)],
+                                 range(dim), products)
+            z = dim - 1
+            ws = sorted(data.hit_targets - data.left_factors - data.right_factors - {z})
+            if z in data.hit_targets and len(ws) >= 2 and symbolically_associative(data):
+                out.append((data, z, ws))
+        return out
+
+    def test_any_folded_vectors_give_the_same_census(self):
+        # witness confluence: the fold is sound for any set of annihilated
+        # vectors, so folding each nonempty subset of them, with a b for
+        # each, keeps census_at z; a fold that gave two vectors one b
+        # would lose characters
+        multi = 0
+        for data, z, ws in self.fold_inputs(random.Random(5), 12):
+            ctx = EngineContext(validate=True)
+            want = [census_totals_at(census_at(data, z, ctx), q0) for q0 in (2, 3, 4)]
+            for r in range(1, len(ws) + 1):
+                for sub in combinations(ws, r):
+                    folded = aggregate((census_at(case, z, ctx), 0, 0, 0)
+                                       for case in split_into_cases(contract_type_a(data, z, sub)))
+                    got = [census_totals_at(folded, q0) for q0 in (2, 3, 4)]
+                    assert got == want, (data, z, sub)
+                    multi += r >= 2
+        assert multi >= 20, multi
 
 
 class TestContraction:
@@ -253,7 +306,7 @@ class TestContraction:
                              {(0, 2): [(3, frozenset())],
                               (1, 2): [(4, frozenset()), (5, frozenset())]})
         contracted, shift = engine._contraction(data, 5)
-        want = contract_type_a(data, 5, 1)
+        want = contract_type_a(data, 5, {4})
         assert shift == 0
         assert (contracted.key(), contracted.basis) == (want.key(), want.basis)
 
@@ -286,7 +339,7 @@ class TestContraction:
                 if image == {z}:
                     pairs.append(y)
                 elif image.isdisjoint(factors):
-                    folds.append(y)
+                    folds.append(sorted(image - {z}))
             if pairs:
                 picked = contract_type_b(data, z, rng.choice(sorted(pairs))), 1
             elif folds:
@@ -902,22 +955,18 @@ def reference_contract_type_b(data: AlgebraicData, z: int, y: int) -> AlgebraicD
                          new_basis, new_products)
 
 
-def reference_contract_type_a(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
+def reference_contract_type_a(data: AlgebraicData, z: int, ws) -> AlgebraicData:
     """Quotient by the central subspaces <w_i - b_i z> for fresh free b_i.
 
-    The annihilated vectors w_1..w_k hit by y (other than z) fold into a
-    relabelled z placed last in the basis; products into w_i reappear in
-    the z column with coefficient b_i.
+    The annihilated vectors w_1..w_k of ws fold into a relabelled z placed
+    last in the basis; products into w_i reappear in the z column with
+    coefficient b_i.
     """
-    if y in data.right_factors:
-        raise BadWitness("y must satisfy Jy = 0")
     factors = data.left_factors | data.right_factors
     annihilated = {b for b in data.basis if b not in factors}
-    rows = data.products_by_left().get(y, ())
-    image = {w for _, ts in rows for w, _ in ts}
-    if not image <= annihilated:
-        raise BadWitness("products out of y must land on annihilated vectors")
-    ws = [w for w in data.basis if w in image and w != z]
+    if z in ws or not {z, *ws} <= annihilated:
+        raise BadWitness("z and the folded vectors must be distinct and annihilated")
+    ws = [w for w in data.basis if w in ws]
 
     next_p = max(data.params, default=-1) + 1
     bparam = {w: next_p + i for i, w in enumerate(ws)}
@@ -952,20 +1001,22 @@ REFERENCE = {"a": reference_contract_type_a, "b": reference_contract_type_b}
 CONTRACT = {"a": "contract_type_a", "b": "contract_type_b"}
 
 
-def assert_same_contraction(kind, data, z, y):
-    got = getattr(engine, CONTRACT[kind])(data, z, y)
-    want = REFERENCE[kind](data, z, y)
-    assert (got.key(), got.basis) == (want.key(), want.basis), (kind, data, z, y)
+def assert_same_contraction(kind, data, z, arg):
+    """The contraction of kind on data and z agrees with its reference; arg
+    is the witness y of a good pair, or the vectors a fold folds."""
+    got = getattr(engine, CONTRACT[kind])(data, z, arg)
+    want = REFERENCE[kind](data, z, arg)
+    assert (got.key(), got.basis) == (want.key(), want.basis), (kind, data, z, arg)
     return got
 
 
 def recorded_contractions(monkeypatch, run):
-    """Every (kind, data, z, y) that the engine contracts while run() runs."""
+    """Every (kind, data, z, arg) that the engine contracts while run() runs."""
     seen = []
     for kind, name in CONTRACT.items():
-        def spy(data, z, y, kind=kind, real=getattr(engine, name)):
-            seen.append((kind, data, z, y))
-            return real(data, z, y)
+        def spy(data, z, arg, kind=kind, real=getattr(engine, name)):
+            seen.append((kind, data, z, arg))
+            return real(data, z, arg)
         monkeypatch.setattr(engine, name, spy)
     run()
     monkeypatch.undo()

@@ -12,7 +12,7 @@ from unicount.patterns import (Poset, _bits, _extension_rank, _preds, antichains
                                unitriangular_census)
 from unicount.polyring import CountPoly
 
-from conftest import (engine_bound_posets, first_node, random_poset_pairs,
+from conftest import (engine_bound_posets, first_node, load_script, random_poset_pairs,
                       reference_antichains, top_and_closure)
 
 
@@ -141,6 +141,20 @@ class TestPoset:
     def test_rejects_repeated_element(self):
         with pytest.raises(MalformedData):
             Poset([1, 2, 2, 3], [(1, 2), (2, 3), (1, 3)])
+
+    def test_rejects_a_pair_outside_the_ground_set(self):
+        with pytest.raises(MalformedData):
+            Poset([1, 2], [(1, 3)])
+
+    def test_large_orders_are_checked(self):
+        # three levels of 60: every element below every later level, then
+        # the one pair (1, 180) taken out, which 1 < 61 < 180 still needs
+        levels = [range(1, 61), range(61, 121), range(121, 181)]
+        rel = {(a, b) for i, lo in enumerate(levels) for hi in levels[i + 1:]
+               for a in lo for b in hi}
+        assert len(Poset(range(1, 181), rel).rel) == 10800
+        with pytest.raises(MalformedData, match=r"not transitive at \(1,61,180\)"):
+            Poset(range(1, 181), rel - {(1, 180)})
 
     def test_json_round_trip(self):
         p = chain(4)
@@ -461,11 +475,9 @@ def row_disjoint(succ, D: int, E: int) -> bool:
     return all((succ[i] & E).bit_count() <= 1 for i in _bits(D))
 
 
-def row_rule(succ, scan=None):
-    """``choose_peel`` restricted to the rows of succ: the rule before
-    columns could be peeled."""
-    from unicount import patterns
-    return succ, patterns._peel_row(succ, scan)[0]
+# ``choose_peel`` restricted to the rows of succ: the rule before columns
+# could be peeled
+row_rule = load_script("run_oracle_checks").rows_only
 
 
 def test_pair_stabilizers_match_the_reference(monkeypatch):
@@ -1270,7 +1282,9 @@ def reference_peel(poset: Poset):
 def patterns_peel_is_clean(succ) -> bool:
     """The order succ has a clean minimal row or a clean maximal column."""
     from unicount import patterns
-    return patterns._peel_row(succ)[1] or patterns._peel_row(patterns._dual(succ))[1]
+    return any(cands and not cands[0][0]
+               for node in (succ, patterns._dual(succ))
+               for cands in [patterns._peel_candidates(node, patterns._scan(node))])
 
 
 def minimal_rows(succ) -> list[int]:
