@@ -17,16 +17,17 @@ in increasing (position of x, position of y) order.  Each ``targets``
 is a nonempty tuple of (z, factor frozenset) in strictly increasing
 position of z.  The public constructor takes products as a mapping and
 sorts them into this form.  The builders on the engine's paths,
-``from_key``, ``remove_basis``, ``split_into_cases`` and
+``from_key``, ``on_named``, ``remove_basis``, ``split_into_cases`` and
 ``engine._change_basis``, already produce rows in this order and pass
 them to ``AlgebraicData._from_sorted``, which keeps them as they are;
 ``validate`` checks the form.
 
 The memo key of a data value is one flat tuple of ints, written by
-``_encode`` for both ``canonicalize`` and ``AlgebraicData.key`` and
-read back only by ``AlgebraicData.from_key``.  Every variable-length
-part is preceded by its length, so a key parses left to right in
-exactly one way:
+``_encode`` for both ``canonicalize`` and ``AlgebraicData.key``.  The
+engine reads a key back with ``AlgebraicData.from_key`` only for a node
+with parameters and for a family record (``canonical``).  Every
+variable-length part is preceded by its length, so a key parses left to
+right in exactly one way:
 
     nparams, p_1 .. p_nparams,
     nrestrictions, then per restriction in ``sort_key`` order either
@@ -224,6 +225,24 @@ class AlgebraicData:
                 else {b: i for i, b in enumerate(kept)}
         return p
 
+    def on_named(self) -> "AlgebraicData":
+        """The data on the vectors of ``named_pos`` alone, in their order,
+        with the same products and no parameters or restrictions: a
+        parameter-free node of the engine runs on it in its own labels.
+        The views that read only the products carry over."""
+        pos = self.named_pos()
+        data = AlgebraicData._from_sorted((), (), tuple(pos), self.prods, pos)
+        cache = self._cache
+        data._cache = {v: cache[v] for v in ("derived", "by_left", "live") if v in cache}
+        data._cache["named"] = pos
+        return data
+
+    def canonical(self) -> "AlgebraicData":
+        """The data rebuilt from its memo key (``canonicalize``): basis
+        labels 0..dim-1 on the vectors of ``named_pos``, parameters
+        numbered by first use."""
+        return AlgebraicData.from_key(canonicalize(self, self.params, self.restrictions))
+
     def symbols_in_products(self) -> frozenset[int]:
         s = self._cache.get("live")
         if s is None:
@@ -285,13 +304,15 @@ class AlgebraicData:
     def products_dict(self) -> dict[tuple[int, int], Targets]:
         return {(x, y): ts for x, y, ts in self.prods}
 
-    def remove_basis(self, z: int) -> "AlgebraicData":
-        nb = tuple(b for b in self.basis if b != z)
+    def remove_basis(self, *drop: int) -> "AlgebraicData":
+        """The data with the vectors of drop, their products and their
+        coordinates left out."""
+        nb = tuple(b for b in self.basis if b not in drop)
         prods = []
         for x, y, ts in self.prods:
-            if x == z or y == z:
+            if x in drop or y in drop:
                 continue
-            kept = tuple([(w, fs) for w, fs in ts if w != z])
+            kept = tuple([(w, fs) for w, fs in ts if w not in drop])
             if kept:
                 prods.append((x, y, kept))
         return AlgebraicData._from_sorted(self.params, self.restrictions, nb, tuple(prods))
@@ -448,19 +469,11 @@ def split_into_cases(data: AlgebraicData) -> list[AlgebraicData]:
     by ``set_zero`` in the restrictions and by dropping every product
     target whose structure constant contains it.
     """
-    witness = None
-    nz = data.nz_params
-    for _, _, ts in data.prods:
-        for _, fs in ts:
-            free = [s for s in fs if s not in nz]
-            if free:
-                witness = min(free)
-                break
-        if witness is not None:
-            break
-    if witness is None:
+    if data.satisfies_nz():
         return [data]
-
+    nz = data.nz_params
+    # the least unrestricted symbol of the first target that has one
+    witness = next(min(fs - nz) for _, _, ts in data.prods for _, fs in ts if not fs <= nz)
     with_nz = AlgebraicData._from_sorted(data.params,
                                          data.restrictions + (NonZero(witness),),
                                          data.basis, data.prods, data._pos)

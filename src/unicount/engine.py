@@ -16,13 +16,16 @@ a good-pair contraction that removes two dimensions and multiplies
 degrees by t, a central-column fold that introduces free parameters,
 and finally gives up, emitting a family record; one scan of the
 candidate witnesses (``_contraction``) decides between the first two.
+A good pair that leaves one parameter-free case with z still hit runs
+on as a chain inside the same node (``_census_at_core``).
 
 Both contractions are the same change of basis: every new basis vector
 is a combination of old ones, and the new structure constants are the
 old products read off in new coordinates.  ``_change_basis`` is that
 one rewrite; each contraction only checks its input and says which old
 vectors each new vector uses and where each old coordinate goes.  The
-fold takes the annihilated vectors the scan chose.
+fold takes the annihilated vectors the scan chose.  A good pair with one
+x only drops two vectors, so it skips the rewrite.
 
 ``_lookup`` takes the one node step of both walks.  It reduces the
 restrictions and canonicalizes in one pass to a key that is one flat
@@ -30,14 +33,16 @@ tuple of ints (its layout is in ``algdata``'s docstring); census_at
 appends the position of z.  The key numbers only the vectors that some
 product names: each other vector, a spare one, is a direct summand and
 scales the census, so no stored key holds a spare vector.  A miss is
-one node: it is counted, the canonical AlgebraicData is rebuilt from
-the key and validated when asked, and past the node budget it becomes
-a family record; otherwise the walk's rule runs on it.  The memo never
-keeps the rebuilt data: after the walk returns, only a Family record
-still refers to it.  Few stored results differ (at n = 13, 399 of the
-613 ``memo_all`` values and 597 of the 1,316 ``memo_at`` values), so
-every Census a memo stores goes through ``EngineContext.intern`` and
-equal results share one object.
+one node: it is counted, and the walk's rule runs on data rebuilt from
+the key (``from_key``) when the key has parameters, and otherwise on
+the looked-up data less its spare vectors; the data is validated when
+asked, and past the node budget it becomes a family record.  A family
+record always holds data in canonical labels, rebuilt from its key
+when it is emitted.  The memo never keeps a node's data: after the walk
+returns, only a Family record still refers to data.  Few stored
+results differ (at n = 13, 399 of the 613 ``memo_all`` values and 512
+of the 1,071 ``memo_at`` values), so every Census a memo stores goes
+through ``EngineContext.intern`` and equal results share one object.
 """
 from __future__ import annotations
 
@@ -181,6 +186,12 @@ def _lookup(data: AlgebraicData, z: int | None, ctx: EngineContext) -> Census:
     but a spare z of census_at by the q - 1 characters nontrivial on
     1 + <z>.  The key numbers the vectors of J' alone (``canonicalize``),
     and this scale is applied once, with the one reduce_system finds.
+
+    On a miss the rule runs on data rebuilt from the key when the key
+    has parameters: their labels order solcount's eliminations and the
+    ``memo_counts`` keys, so they must be canonical.  With no parameter
+    only the basis order matters, which the key keeps, so the rule runs
+    on the looked-up data itself, on its vectors of J' (``on_named``).
     """
     k, l, params, restrictions, empty = solcount.reduce_system(
         data.params, data.restrictions, data.symbols_in_products())
@@ -194,22 +205,21 @@ def _lookup(data: AlgebraicData, z: int | None, ctx: EngineContext) -> Census:
     if z is None:
         memo, full = ctx.memo_all, key
     else:
-        z = pos[z]  # its label in the data rebuilt from the key
-        memo, full = ctx.memo_at, key + (z,)
+        memo, full = ctx.memo_at, key + (pos[z],)
     hit = memo.get(full)
     if hit is None:
         ctx.nodes += 1
-        data = AlgebraicData.from_key(key)
+        if params:
+            data = AlgebraicData.from_key(key)
+            if z is not None:
+                z = pos[z]  # its label in the rebuilt data
+        else:
+            data = data.on_named()
         if ctx.validate:
-            data.validate()
-            if z is None:
-                assert data.satisfies_nz(), \
-                    "census requires nonzero-restricted structure constants"
-            else:
-                assert not data.is_factor(z), "census_at requires an annihilated z"
+            _check(data, z)
         if data.prods and ctx.nodes > ctx.max_nodes:
             ctx.bump("budget_families")
-            hit = Census(CountPoly.zero(), (), (Family(data, z, 0, 0, 0),))
+            hit = _family(data, z)
         else:
             hit = _census_core(data, ctx) if z is None else _census_at_core(data, z, ctx)
         hit = memo[full] = ctx.intern(hit)
@@ -238,15 +248,51 @@ def _choose_z(data: AlgebraicData) -> int:
     return [b for b in data.basis if b not in factors][-1]
 
 
+def _check(data: AlgebraicData, z: int | None) -> None:
+    """``ctx.validate``'s checks of the data a rule runs on."""
+    data.validate()
+    if z is None:
+        assert data.satisfies_nz(), "census requires nonzero-restricted structure constants"
+    else:
+        assert not data.is_factor(z), "census_at requires an annihilated z"
+
+
+def _family(data: AlgebraicData, z: int | None, m: int = 0) -> Census:
+    """The census of data at z kept as one family record, shifted by t^m:
+    the record holds data in canonical labels (``AlgebraicData.canonical``),
+    and each spare vector of data scales it by q."""
+    pos = data.named_pos()
+    fam = Family(data.canonical(), None if z is None else pos[z], 0,
+                 len(data.basis) - len(pos), m)
+    return Census(CountPoly.zero(), (), (fam,))
+
+
 def _census_at_core(data: AlgebraicData, z: int, ctx: EngineContext) -> Census:
-    """census_at's rule at a node: contract, or give up with a family record."""
-    picked = _contraction(data, z)
-    if picked is None:
-        ctx.bump("giveup_families")
-        return Census(CountPoly.zero(), (), (Family(data, z, 0, 0, 0),))
-    contracted, shift = picked
-    return aggregate((census_at(case, z, ctx), 0, 0, shift)
-                     for case in split_into_cases(contracted))
+    """census_at's rule at a node: contract, or give up with a family record.
+
+    A good pair that leaves one case with no parameter, z still hit, is a
+    chain step: the next contraction runs on that case in place, with no
+    lookup, and each step multiplies degrees by t.  Only the cases of the
+    contraction that ends the chain are looked up.  Each step removes two
+    dimensions, so a chain has at most dim/2 steps.  The spare vectors a
+    step leaves stay in place until those lookups, or a give-up's family
+    record, scale by them.
+    """
+    shift = 0
+    while True:
+        picked = _contraction(data, z)
+        if picked is None:
+            ctx.bump("giveup_families")
+            return _family(data, z, shift)
+        contracted, step = picked
+        cases = split_into_cases(contracted)
+        if not (step and len(cases) == 1 and not cases[0].params
+                and z in cases[0].hit_targets):
+            return aggregate((census_at(case, z, ctx), 0, 0, shift + step) for case in cases)
+        data = cases[0]
+        shift += 1
+        if ctx.validate:
+            _check(data, z)
 
 
 def _contraction(data: AlgebraicData, z: int) -> tuple[AlgebraicData, int] | None:
@@ -382,7 +428,9 @@ def contract_type_b(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
     k-1 combinations x'_i = c_k x_i - c_i x_k killed by y; y and x_k
     leave the basis, and their coordinates are dropped.  In the new
     basis the coordinate on x'_l is the old one on x_l divided by c_k,
-    the rest are unchanged; ``_change_basis`` does the rewrite.
+    the rest are unchanged; ``_change_basis`` does the rewrite.  With
+    k = 1 there is no combination and every coordinate is kept, so the
+    rewrite only drops y and x_1 (``remove_basis``).
     """
     if y in data.right_factors:
         raise BadWitness("y must satisfy Jy = 0")
@@ -397,6 +445,8 @@ def contract_type_b(data: AlgebraicData, z: int, y: int) -> AlgebraicData:
             csets[v] = fs
     if not xs:
         raise BadWitness("y has no product into z")
+    if len(xs) == 1:
+        return data.remove_basis(y, xs[0])
     xs.sort(key=data.pos)
     xk = xs[-1]
 

@@ -111,6 +111,18 @@ def reduce_system(params: Iterable[int], restrictions: Iterable[Restriction],
     params = list(params)
     restrictions = [r for r in restrictions
                     if not (isinstance(r, Equation) and r.poly.is_zero())]
+    if any(isinstance(r, Equation) for r in restrictions):
+        return _reduce_loop(params, restrictions, protected)
+    # with no equation only rule 3 fires, once, on every unprotected parameter
+    nz = {r.sym for r in restrictions}
+    unused = {p for p in params if p not in protected}
+    return (len(unused & nz), len(unused - nz), tuple(p for p in params if p not in unused),
+            tuple(r for r in restrictions if r.sym not in unused), False)
+
+
+def _reduce_loop(params: list, restrictions: list, protected: frozenset[int]):
+    """``reduce_system``'s rules applied in turn until none fires, on a
+    system with no zero equation."""
     k = l = 0
     changed = True
     while changed:

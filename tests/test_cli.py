@@ -458,7 +458,7 @@ def test_refusals_script_pins_the_first_refusal(capsys):
                           "products=3); core: AlgebraicData(dim=4, params=2, restrictions=2, "
                           "products=2); records: stuck systems 3, count records 4"]
     assert re.fullmatch(r"refused 1 of 152 orders \(seed 7\) in [\d.]+ s, "
-                        r"13015 engine nodes, 14748 memo_pattern entries", lines[-1])
+                        r"12156 engine nodes, 14748 memo_pattern entries", lines[-1])
 
 
 def test_main_entrypoint(capsys):

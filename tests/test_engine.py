@@ -727,6 +727,139 @@ class TestMemoKey:
         assert not contains_data(ctx.memo_at)
 
 
+def chain_candidates(rng: random.Random, count: int):
+    """Parameter-free families with c >= 2 good pairs y_i x_i = z, the y_i
+    first in the basis and z last, and random products among the other
+    vectors that keep each y_i's image {z} and Jy_i = 0."""
+    out = []
+    while len(out) < count:
+        c = rng.randint(2, 3)
+        dim = rng.randint(2 * c + 1, 7)
+        z = dim - 1
+        ys = range(c)
+        xs = rng.sample(range(c, z), c)
+        products = {(y, x): [(z, ())] for y, x in zip(ys, xs)}
+        for i in range(z):
+            for j in range(c, z):
+                for k in range(max(i, j) + 1, dim):
+                    if (i >= c or k == z) and (i, j) not in products and rng.random() < 0.2:
+                        products.setdefault((i, j), []).append((k, ()))
+        data = AlgebraicData((), (), range(dim), products)
+        if symbolically_associative(data):
+            out.append((data, z))
+    return out
+
+
+def opening_shifts(data: AlgebraicData, z: int, ctx: EngineContext):
+    """census_at(data, z), with the degree shifts of the contractions its
+    first node takes before it looks anything up (None for a give-up)."""
+    shifts, looked_up = [], []
+    real_contraction, real_census_at = engine._contraction, engine.census_at
+
+    def contraction(d, w):
+        picked = real_contraction(d, w)
+        if not looked_up:
+            shifts.append(None if picked is None else picked[1])
+        return picked
+
+    def lookup(d, w, c):
+        looked_up.append(d)
+        return real_census_at(d, w, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_contraction", contraction)
+        mp.setattr(engine, "census_at", lookup)
+        out = real_census_at(data, z, ctx)
+    return out, shifts
+
+
+def chain_to_core():
+    """y_1 x_1 = z and v x_1 = w, then y y = z: the good pair on y_1 leaves
+    v and w spare and the core y y = z, on which census_at gives up."""
+    return AlgebraicData((), (), (0, 1, 2, 3, 4, 5),
+                         {(0, 2): [(5, ())], (1, 2): [(3, ())], (4, 4): [(5, ())]})
+
+
+class TestParameterFreeNodes:
+    """A node with no parameter runs on the data it was looked up with,
+    and census_at runs a chain of good pairs in place."""
+
+    def test_chained_good_pairs_match_the_oracle(self):
+        chained = longest = 0
+        for data, z in chain_candidates(random.Random(71), 20):
+            out, shifts = opening_shifts(data, z, EngineContext(validate=True))
+            pairs = next((i for i, s in enumerate(shifts) if s != 1), len(shifts))
+            chained += pairs >= 2
+            longest = max(longest, pairs)
+            for q0 in (2, 3):
+                report = verify_census(data, out, q0, z=z)
+                assert report["pass"], (data.products_dict(), report)
+        assert chained >= 15, chained
+        assert longest >= 3, longest
+
+    def test_a_give_up_inside_a_chain(self):
+        # the core keeps canonical labels, the spare v and w scale it by
+        # q^2, and the one good pair before it by t
+        ctx = EngineContext(validate=True)
+        out, shifts = opening_shifts(chain_to_core(), 5, ctx)
+        assert shifts == [1, None]
+        core = AlgebraicData((), (), (0, 1), {(0, 0): [(1, ())]})
+        assert out == Census(CountPoly.zero(), (), (Family(core, 1, 0, 2, 1),))
+        assert ctx.nodes == 1 and ctx.stats == {"giveup_families": 1}
+        for q0 in (2, 3):
+            assert verify_census(chain_to_core(), out, q0, z=5)["pass"]
+
+    def test_order_keeping_relabelling_keeps_census_and_nodes(self):
+        rng = random.Random(73)
+        inputs = [random_algebraic_data(rng, max_dim=6, max_params=0) for _ in range(30)]
+        inputs += [data for data, _ in chain_candidates(rng, 10)]
+        inputs += [encode_pattern(chain(n)) for n in (6, 7)] + [chain_to_core()]
+        relabelled_at = 0
+        for data in inputs:
+            moved = relabelled(data, rng)
+            zs = [None] + [b for b in data.basis if not data.is_factor(b)]
+            for z in zs:
+                runs = []
+                for d, w in ((data, z), (moved, None if z is None else moved.basis[data.pos(z)])):
+                    ctx = EngineContext(validate=True)
+                    runs.append((census(d, ctx) if w is None else census_at(d, w, ctx),
+                                 ctx.nodes))
+                assert runs[0] == runs[1], (data.products_dict(), z)
+                relabelled_at += z is not None
+        assert relabelled_at > 50
+
+    def test_from_key_builds_only_nodes_with_parameters_and_families(self, monkeypatch):
+        keys = []
+        real = AlgebraicData.from_key
+
+        def spy(key):
+            keys.append(key)
+            return real(key)
+
+        def families_of_a_run(ctx, *runs):
+            # one from_key per missed node with parameters and per family
+            del keys[:]
+            out = [run(ctx) for run in runs]
+            param_nodes = sum(key[0] > 0 for memo in (ctx.memo_all, ctx.memo_at)
+                              for key in memo)
+            emitted = ctx.stats.get("budget_families", 0) + ctx.stats.get("giveup_families", 0)
+            assert param_nodes > 0 and emitted > 0
+            assert len(keys) == param_nodes + emitted
+            return [f for c in out for f in c.families] + \
+                [f for memo in (ctx.memo_all, ctx.memo_at) for c in memo.values()
+                 for f in c.families]
+
+        monkeypatch.setattr(AlgebraicData, "from_key", staticmethod(spy))
+        families = families_of_a_run(EngineContext(max_nodes=20),
+                                     lambda ctx: unitriangular_census(12, ctx))
+        families += families_of_a_run(EngineContext(),
+                                      lambda ctx: census_at(chain_to_core(), 5, ctx),
+                                      lambda ctx: census_at(core_2dim(), 1, ctx))
+        assert len(families) > 20
+        for fam in families:
+            assert fam.data.basis == tuple(range(len(fam.data.basis))), fam
+
+
 def test_every_memo_miss_is_one_node():
     # a node is one miss of memo_all or memo_at, and its result is stored
     # whether the walk's rule ran or the node budget cut it

@@ -280,6 +280,23 @@ def test_reduced_equations_have_no_nonzero_content(system):
             assert not nz & set(r.poly.content()), (system, r)
 
 
+@st.composite
+def equation_free_systems(draw):
+    """Parameters drawn from 0..5 in any order, inequations on some of
+    them and on symbols outside them, and a protected set: no equation."""
+    params = draw(st.permutations(range(6)).map(lambda ps: ps[:draw(st.integers(0, 6))]))
+    nz = draw(st.lists(st.integers(0, 7), max_size=5))
+    protected = frozenset(draw(st.sets(st.integers(0, 7))))
+    return tuple(params), tuple(NonZero(p) for p in nz), protected
+
+
+@given(equation_free_systems())
+def test_reduce_system_without_equations_skips_the_loop(system):
+    params, restrictions, protected = system
+    assert reduce_system(params, restrictions, protected) == \
+        solcount._reduce_loop(list(params), list(restrictions), protected)
+
+
 def test_set_zero_splits_the_count():
     rng = random.Random(37)
     for _ in range(150):
